@@ -7,9 +7,9 @@ Subcommands:
   evolve --config PATH [--out PATH]           three-representation dynamics
 
 Config files are flat ``key = value`` lines (# comments); recognized
-keys: n_points, half_width, window, symbol, t, seed, and tolerance
-overrides (tol_*).  Exit codes: 0 pass, 1 check failure, 2 usage or
-config error.
+keys: n_points, window, symbol, t, seed, and the tolerance overrides of
+``verify.TOLERANCES`` (tol_*); any other key is refused.  Exit codes:
+0 pass, 1 check failure, 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import sys
 
 from . import serialize
-from .verify import SUITE_NAMES, default_params, run_verify
+from .verify import SUITE_NAMES, TOLERANCES, default_params, run_verify
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -30,8 +30,12 @@ class ConfigError(ValueError):
     pass
 
 
+CONFIG_KEYS = frozenset(default_params()) | {"t"} | frozenset(TOLERANCES)
+
+
 def parse_config(path) -> dict:
-    """Flat key = value file; ints, floats, comma lists and strings."""
+    """Flat key = value file; ints, floats, comma lists and strings
+    (``window`` is always kept as a string).  Unknown keys are refused."""
     out: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -41,7 +45,11 @@ def parse_config(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
-            out[key.strip()] = _parse_value(val.strip())
+            key, val = key.strip(), val.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
+                                  f"choose from {sorted(CONFIG_KEYS)}")
+            out[key] = val.strip("'\"") if key == "window" else _parse_value(val)
     return out
 
 

@@ -95,29 +95,30 @@ def fourier_shift(values: np.ndarray, grid: Grid1D, shift, axis: int = -1) -> np
     return np.fft.ifft(spec * phase, axis=axis)
 
 
-def upsample2(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Evaluate the band-limited interpolant on the half-spacing lattice
-    (2N points over the same box) by spectral zero padding.
+def half_shift(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Band-limited interpolant at the half-cell midpoints x_k + spacing/2.
 
-    The Nyquist coefficient is split symmetrically between the two band
-    edges so that real data interpolates to real values (and real
-    symbols quantize to Hermitian matrices to machine precision).
+    The Nyquist coefficient is split evenly between the two band edges
+    (its cosine vanishes at the midpoints), so real data interpolates to
+    real values and real symbols quantize to Hermitian matrices.
     """
     n = values.shape[axis]
-    spec = np.fft.fftshift(np.fft.fft(values, axis=axis), axes=axis)
-    pad_shape = list(values.shape)
-    pad_shape[axis] = 2 * n
-    pad = np.zeros(pad_shape, complex)
-    sl = [slice(None)] * values.ndim
-    sl[axis] = slice(n - n // 2, n + n // 2)
-    pad[tuple(sl)] = spec
-    lo = [slice(None)] * values.ndim
-    lo[axis] = slice(n - n // 2, n - n // 2 + 1)
-    hi = [slice(None)] * values.ndim
-    hi[axis] = slice(n + n // 2, n + n // 2 + 1)
-    pad[tuple(lo)] *= 0.5
-    pad[tuple(hi)] = pad[tuple(lo)]
-    return np.fft.ifft(np.fft.ifftshift(pad, axes=axis), axis=axis) * 2
+    k = np.fft.fftfreq(n, 1.0 / n)
+    mult = np.where(k == -n / 2, 0.0, np.exp(1j * np.pi * k / n))
+    shp = [1] * values.ndim
+    shp[axis] = n
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shp), axis=axis)
+
+
+def upsample2(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Evaluate the band-limited interpolant on the half-spacing lattice
+    (2N points over the same box): the samples interleaved with their
+    :func:`half_shift`."""
+    axis %= values.ndim
+    pair = np.stack([values, half_shift(values, axis)], axis=axis + 1)
+    shape = list(values.shape)
+    shape[axis] *= 2
+    return pair.reshape(shape)
 
 
 @lru_cache(maxsize=32)

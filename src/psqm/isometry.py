@@ -14,11 +14,9 @@ import numpy as np
 
 from .grids import PhaseGrid, GridMismatchError, grids_compatible
 from .states import ConfigState, PhaseState, norm_config
-from .weyl import LinOp
+from .weyl import LinOp, require_dense_dim
 
 __all__ = ["WindowedIsometry"]
-
-_REPRESENT_DIM_LIMIT = 4096  # dense phase-space operators above this are refused
 
 
 @dataclass(eq=False)
@@ -74,11 +72,8 @@ class WindowedIsometry:
             raise ValueError("represent needs a config-representation operator")
         n_x = op.grid.n_points
         n_p = self.p_grid.n_points
-        if n_x * n_p > _REPRESENT_DIM_LIMIT:
-            raise MemoryError(
-                f"dense phase operator of dimension {n_x * n_p} refused; "
-                "use represent_apply for matrix-free action"
-            )
+        require_dense_dim(n_x * n_p, "phase operator",
+                          "use represent_apply for matrix-free action")
         W = np.outer(np.conj(self.window.values), self.window.values) * self.p_grid.spacing
         pg = PhaseGrid(op.grid, self.p_grid)
         return LinOp("phase_schrodinger", pg, np.kron(op.matrix, W),

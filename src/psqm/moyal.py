@@ -22,7 +22,7 @@ import numpy as np
 
 from .grids import Grid1D, PhaseGrid, GridMismatchError, grids_compatible
 from .states import ConfigState, PhaseState, norm_phase
-from .weyl import Symbol, LinOp, star_values
+from .weyl import Symbol, LinOp, require_dense_dim, star_values
 from .phase_weyl import PhaseWeylOp, quantize_phase
 from .isometry import WindowedIsometry
 from . import fourier
@@ -34,7 +34,6 @@ __all__ = [
     "MoyalWeylOp", "quantize_moyal", "star_apply", "stargen_residual",
 ]
 
-_DENSE_DIM_LIMIT = 4096
 _UNITARITY_GUARD = 1e-6
 
 BOPP_NAMES = ("X", "P", "Xi_x", "Xi_p")
@@ -196,8 +195,7 @@ def bopp_operator(name: str, grid: PhaseGrid) -> LinOp:
     Hermitian and realize the canonical commutators
     [X, Xi_x] = i, [P, Xi_p] = i, all other pairs commuting."""
     n_x, n_p = grid.shape
-    if n_x * n_p > _DENSE_DIM_LIMIT:
-        raise MemoryError(f"dense Bopp operator of dimension {n_x * n_p} refused")
+    require_dense_dim(n_x * n_p, "Bopp operator", "use bopp_apply")
     Dx = fourier.derivative_matrix(grid.x_grid)   # -i d/dx
     Dp = fourier.derivative_matrix(grid.p_grid)
     Ix = np.eye(n_x)
@@ -271,8 +269,7 @@ class MoyalWeylOp:
         (size-guarded)."""
         xg = self.phase_op.x_grid
         n_x, n_p = xg.n_points, p_grid.n_points
-        if n_x * n_p > _DENSE_DIM_LIMIT:
-            raise MemoryError(f"dense Moyal operator of dimension {n_x * n_p} refused")
+        require_dense_dim(n_x * n_p, "Moyal operator", "use apply()")
         pg = PhaseGrid(xg, p_grid)
         _require_self_dual(pg, "MoyalWeylOp.matrix")
         dim = n_x * n_p
@@ -292,11 +289,12 @@ def quantize_moyal(a: Symbol) -> MoyalWeylOp:
 
 
 def star_apply(a: Symbol, Psi: PhaseState) -> PhaseState:
-    """Left star-product action a * Psi, computed spectrally.
+    """Left star-product action a * Psi.
 
     Polynomial symbols act through the exact finite bidifferential
-    expansion; sampled symbols through the Fourier-domain twisted
-    product (aliasing-guarded).  Agrees with quantize_moyal(a).apply.
+    expansion; sampled symbols through the symbol of the composed
+    kernels of a and Psi (interpolation-guarded).  Agrees with
+    quantize_moyal(a).apply, which routes through the Moyal map.
     """
     _require_self_dual(Psi.grid, "star_apply")
     if not (grids_compatible(a.grid.x_grid, Psi.grid.x_grid)

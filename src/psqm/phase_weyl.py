@@ -15,14 +15,12 @@ import numpy as np
 
 from .grids import Grid1D, PhaseGrid, GridMismatchError, grids_compatible
 from .states import ConfigState, PhaseState, norm_config, norm_phase, random_config_state, random_phase_state
-from .weyl import Symbol, LinOp, quantize_config
+from .weyl import Symbol, LinOp, quantize_config, require_dense_dim
 from .isometry import WindowedIsometry
 from . import fourier
 
 __all__ = ["phase_heisenberg_weyl", "PhaseWeylOp", "quantize_phase",
            "intertwining_report"]
-
-_DENSE_DIM_LIMIT = 4096
 
 
 def phase_heisenberg_weyl(z0, Psi: PhaseState) -> PhaseState:
@@ -69,11 +67,8 @@ class PhaseWeylOp:
         """Dense matrix on the full product lattice (size-guarded)."""
         n_x = self.x_grid.n_points
         n_p = p_grid.n_points
-        if n_x * n_p > _DENSE_DIM_LIMIT:
-            raise MemoryError(
-                f"dense phase operator of dimension {n_x * n_p} refused; "
-                "use apply() for matrix-free action"
-            )
+        require_dense_dim(n_x * n_p, "phase operator",
+                          "use apply() for matrix-free action")
         pg = PhaseGrid(self.x_grid, p_grid)
         return LinOp("phase_schrodinger", pg,
                      np.kron(self.config_op.matrix, np.eye(n_p)),

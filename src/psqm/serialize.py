@@ -21,7 +21,7 @@ import json
 
 import numpy as np
 
-from .grids import Grid1D, PhaseGrid
+from .grids import Grid1D, GridMismatchError, PhaseGrid
 from .states import ConfigState, PhaseState, norm_config
 from .mixed import MixedState
 
@@ -35,11 +35,19 @@ __all__ = [
 _FMT = "%.17e"
 
 
-def _grid_from_points(points: np.ndarray) -> Grid1D:
+def _grid_from_points(points: np.ndarray, path) -> Grid1D:
+    """Grid through the sample coordinates read from ``path``; refuses
+    single points, non-uniform spacing and non-grid sizes."""
     n = len(points)
-    dx = points[1] - points[0]
-    half = 0.5 * n * dx
-    return Grid1D(n, half, points[0] + half)
+    dx = np.diff(points)
+    if n < 2 or not dx.min() > 0 or np.ptp(dx) > 1e-6 * dx.mean():
+        raise ValueError(f"{path}: a grid column must hold two or more "
+                         f"uniformly increasing values (got {n})")
+    half = 0.5 * n * dx.mean()
+    try:
+        return Grid1D(n, half, points[0] + half)
+    except GridMismatchError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_config_csv(state: ConfigState, path) -> None:
@@ -48,8 +56,8 @@ def save_config_csv(state: ConfigState, path) -> None:
 
 
 def load_config_csv(path) -> ConfigState:
-    data = np.loadtxt(path, delimiter=",", comments="#")
-    grid = _grid_from_points(data[:, 0])
+    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    grid = _grid_from_points(data[:, 0], path)
     return ConfigState(grid, data[:, 1] + 1j * data[:, 2])
 
 
@@ -62,10 +70,10 @@ def save_phase_csv(obj, path) -> None:
 
 
 def load_phase_csv(path) -> PhaseState:
-    data = np.loadtxt(path, delimiter=",", comments="#")
+    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     x = np.unique(data[:, 0])
     p = np.unique(data[:, 1])
-    grid = PhaseGrid(_grid_from_points(x), _grid_from_points(p))
+    grid = PhaseGrid(_grid_from_points(x, path), _grid_from_points(p, path))
     vals = (data[:, 2] + 1j * data[:, 3]).reshape(len(x), len(p))
     return PhaseState(grid, vals)
 

@@ -24,10 +24,21 @@ from .spectral import compare_representations, spectrum_report
 from .fourier import forward_ft
 from . import reference
 
-__all__ = ["SUITE_NAMES", "default_params", "run_verify"]
+__all__ = ["SUITE_NAMES", "TOLERANCES", "default_params", "run_verify"]
 
 SUITE_NAMES = ("isometry", "intertwining", "unitarity", "star", "spectrum",
                "dynamics", "mixed")
+
+
+# Acceptance tolerance of every check, by its config override key.
+TOLERANCES = {
+    "tol_isometry": 1e-10, "tol_intertwining": 1e-8, "tol_unitarity": 1e-8,
+    "tol_wigner": 1e-7, "tol_ucomp": 1e-7, "tol_star": 1e-6,
+    "tol_bopp": 1e-8, "tol_stargen": 1e-6, "tol_compose": 1e-6,
+    "tol_spectrum": 1e-6, "tol_spectrum_oracle": 1e-5, "tol_dynamics": 1e-6,
+    "tol_norm_drift": 1e-8, "tol_mixed": 1e-10, "tol_total": 1e-8,
+    "tol_expect": 1e-8,
+}
 
 
 def default_params() -> dict:
@@ -45,8 +56,8 @@ def _check(name: str, value: float, tol: float) -> dict:
             "passed": bool(value < tol)}
 
 
-def _tol(params: dict, key: str, default: float) -> float:
-    return float(params.get(key, default))
+def _tol(params: dict, key: str) -> float:
+    return float(params.get(key, TOLERANCES[key]))
 
 
 def _grid(params: dict) -> PhaseGrid:
@@ -99,7 +110,7 @@ def suite_isometry(params: dict) -> list:
     grid = _grid(params)
     chi = _window(params, grid.p_grid)
     iso = WindowedIsometry(chi)
-    tol = _tol(params, "tol_isometry", 1e-10)
+    tol = _tol(params, "tol_isometry")
 
     dev = 0.0
     for _ in range(50):
@@ -127,7 +138,7 @@ def suite_intertwining(params: dict) -> list:
     rng = np.random.default_rng(int(params["seed"]))
     grid = _grid(params)
     iso = WindowedIsometry(_window(params, grid.p_grid))
-    tol = _tol(params, "tol_intertwining", 1e-8)
+    tol = _tol(params, "tol_intertwining")
     checks = []
     for name in ("x", "xi", "xxi", "oscillator"):
         rep = intertwining_report(_symbol(params, grid, name), iso, 20, rng)
@@ -139,9 +150,9 @@ def suite_intertwining(params: dict) -> list:
 def suite_unitarity(params: dict) -> list:
     rng = np.random.default_rng(int(params["seed"]))
     grid = _grid(params)
-    tol_norm = _tol(params, "tol_unitarity", 1e-8)
-    tol_wig = _tol(params, "tol_wigner", 1e-7)
-    tol_comp = _tol(params, "tol_ucomp", 1e-7)
+    tol_norm = _tol(params, "tol_unitarity")
+    tol_wig = _tol(params, "tol_wigner")
+    tol_comp = _tol(params, "tol_ucomp")
 
     drift = 0.0
     for _ in range(50):
@@ -193,10 +204,10 @@ def suite_unitarity(params: dict) -> list:
 def suite_star(params: dict) -> list:
     rng = np.random.default_rng(int(params["seed"]))
     grid = _grid(params)
-    tol_star = _tol(params, "tol_star", 1e-6)
-    tol_bopp = _tol(params, "tol_bopp", 1e-8)
-    tol_gen = _tol(params, "tol_stargen", 1e-6)
-    tol_cmp = _tol(params, "tol_compose", 1e-6)
+    tol_star = _tol(params, "tol_star")
+    tol_bopp = _tol(params, "tol_bopp")
+    tol_gen = _tol(params, "tol_stargen")
+    tol_cmp = _tol(params, "tol_compose")
 
     corpus = _sampled_corpus(grid) + [_symbol(params, grid, "oscillator")]
     act = 0.0
@@ -250,8 +261,8 @@ def suite_star(params: dict) -> list:
 def suite_spectrum(params: dict) -> list:
     grid = _grid(params)
     chi = _window(params, grid.p_grid)
-    tol_pair = _tol(params, "tol_spectrum", 1e-6)
-    tol_oracle = _tol(params, "tol_spectrum_oracle", 1e-5)
+    tol_pair = _tol(params, "tol_spectrum")
+    tol_oracle = _tol(params, "tol_spectrum_oracle")
     rep = spectrum_report(_symbol(params, grid, "oscillator"), chi, n_levels=8)
     fd = reference.fd_oscillator_levels(8)
     oracle_dev = float(np.abs(np.asarray(rep["config"]) - fd).max())
@@ -264,8 +275,8 @@ def suite_spectrum(params: dict) -> list:
 def suite_dynamics(params: dict) -> list:
     grid = _grid(params)
     chi = _window(params, grid.p_grid)
-    tol_d = _tol(params, "tol_dynamics", 1e-6)
-    tol_n = _tol(params, "tol_norm_drift", 1e-8)
+    tol_d = _tol(params, "tol_dynamics")
+    tol_n = _tol(params, "tol_norm_drift")
     psi0 = gaussian_state(grid.x_grid, 1.0, 0.5, 1.0)
     checks = []
     for name in ("oscillator", "free"):
@@ -280,7 +291,7 @@ def suite_dynamics(params: dict) -> list:
 def suite_mixed(params: dict) -> list:
     grid = _grid(params)
     xg, pg = grid.x_grid, grid.p_grid
-    tol = _tol(params, "tol_mixed", 1e-10)
+    tol = _tol(params, "tol_mixed")
     osc = _symbol(params, grid, "oscillator")
     cfg = quantize_config(osc)
     basis = measurement_basis(cfg, 8)
@@ -328,8 +339,8 @@ def suite_mixed(params: dict) -> list:
         _check("convex_combination_exact", exact_dev, tol),
         _check("phase_route_equals_formula", route_dev, tol),
         _check("collapse_transition_probability", trans_dev, tol),
-        _check("total_probability_bound", total_dev, _tol(params, "tol_total", 1e-8)),
-        _check("expectation_consistency", expect, _tol(params, "tol_expect", 1e-8)),
+        _check("total_probability_bound", total_dev, _tol(params, "tol_total")),
+        _check("expectation_consistency", expect, _tol(params, "tol_expect")),
     ]
 
 

@@ -51,7 +51,16 @@ __all__ = [
 # interpolation/round-trip residuals on admissible symbols are locked in
 # by the test suite.
 INTERP_GUARD_TOL = 1e-5   # symbol midpoint interpolation support test
-ALIAS_GUARD_TOL = 1e-5    # twisted-product spectral support test
+ALIAS_GUARD_TOL = 1e-5    # sampled factor of a polynomial star product
+
+DENSE_DIM_LIMIT = 4096    # dense phase-space matrices above this are refused
+
+
+def require_dense_dim(dim: int, what: str, hint: str) -> None:
+    """Refuse (MemoryError) a dense matrix of dimension ``dim`` above
+    :data:`DENSE_DIM_LIMIT`; ``hint`` names the matrix-free route."""
+    if dim > DENSE_DIM_LIMIT:
+        raise MemoryError(f"dense {what} of dimension {dim} refused; {hint}")
 
 
 # ---------------------------------------------------------------- polynomials
@@ -271,8 +280,9 @@ def kernel_to_symbol(K: Kernel) -> Symbol:
     The translation-invariant (torus-Toeplitz) part of the kernel is
     inverted exactly, including the Nyquist frequency that the
     half-lattice quadrature cannot see on an even lattice; the remainder
-    goes through the y-quadrature on the two-dimensionally upsampled
-    kernel.
+    goes through the y-quadrature on the band-limited interpolant of the
+    kernel, which needs only the samples themselves (even offsets) and
+    the samples shifted by half a cell on both axes (odd offsets).
     """
     xg = K.grid
     n = xg.n_points
@@ -288,12 +298,12 @@ def kernel_to_symbol(K: Kernel) -> Symbol:
     alpha = xg.spacing * np.fft.fftshift(np.fft.fft(tau))
     rest = K.values - tau[Dm]
 
-    up = fourier.upsample2(rest, axis=0)
-    K2 = fourier.upsample2(up, axis=1)
+    # rest((x_i + t/2), (x_i - t/2)) on the half lattice of offsets t
+    mid = fourier.half_shift(fourier.half_shift(rest, 0), 1)
     t = np.arange(-n // 2, n // 2)
-    U = (2 * i[:, None] + t[None, :]) % (2 * n)
-    V = (2 * i[:, None] - t[None, :]) % (2 * n)
-    vals = K2[U, V]                                             # (N, Nt)
+    U = ((2 * i[:, None] + t[None, :]) % (2 * n)) // 2
+    V = ((2 * i[:, None] - t[None, :]) % (2 * n)) // 2
+    vals = np.where(t % 2 == 0, rest[U, V], mid[U, V])          # (N, Nt)
     phase = np.exp(-1j * np.outer(t * xg.spacing, xi))          # (Nt, m)
     samples = alpha[None, :] + xg.spacing * (vals @ phase)
     return Symbol(grid, samples)
@@ -425,34 +435,6 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
     return out
 
 
-def _twisted_product(avals: np.ndarray, bvals: np.ndarray,
-                     grid: PhaseGrid) -> np.ndarray:
-    """Fourier-domain twisted product of two sampled phase-space
-    functions: partial transform over x, half-shifted products along the
-    xi axis, twisted convolution over the x frequencies."""
-    n_x = grid.x_grid.n_points
-    kx = grid.x_dual.points
-    A = fourier.ft_array(avals, grid.x_grid, axis=0)     # (k, xi)
-    B = fourier.ft_array(bvals, grid.x_grid, axis=0)
-    eta = np.fft.ifftshift(grid.p_dual.points)
-    specA = np.fft.fft(A, axis=1)
-    specB = np.fft.fft(B, axis=1)
-    # all-shift chirp for B rows: row l shifted by k/2 for every k
-    chirp = np.exp(-1j * np.outer(kx / 2, eta))          # (k, eta)
-    G = np.zeros(grid.shape, complex)
-    half = n_x // 2
-    for li in range(n_x):
-        l = kx[li]
-        Ash = np.fft.ifft(specA * np.exp(0.5j * eta * l)[None, :], axis=1)
-        Brow = np.fft.ifft(specB[li][None, :] * chirp, axis=1)
-        contrib = Ash * Brow
-        mi = np.arange(n_x) + li - half
-        ok = (mi >= 0) & (mi < n_x)
-        G[mi[ok]] += contrib[ok]
-    G *= grid.x_dual.spacing / np.sqrt(2 * np.pi)
-    return fourier.ift_array(G, grid.x_dual, grid.x_grid, axis=0)
-
-
 def star_values(avals_or_poly, bvals_or_poly, grid: PhaseGrid) -> np.ndarray:
     """Array-level star product used by both symbol products and the
     star action on phase-space states."""
@@ -469,19 +451,20 @@ def star_values(avals_or_poly, bvals_or_poly, grid: PhaseGrid) -> np.ndarray:
         fourier.require_band_limited(avals_or_poly, ALIAS_GUARD_TOL,
                                      "star-product factor")
         return groenewold_mixed(bvals_or_poly, avals_or_poly, grid, False)
-    fourier.require_band_limited(avals_or_poly, ALIAS_GUARD_TOL,
-                                 "star-product factor")
-    fourier.require_band_limited(bvals_or_poly, ALIAS_GUARD_TOL,
-                                 "star-product factor")
-    return _twisted_product(avals_or_poly, bvals_or_poly, grid)
+    # both sampled: the symbol of the composed kernel (the interpolation
+    # guard in symbol_to_kernel refuses factors reaching the band edge)
+    Ka = symbol_to_kernel(Symbol(grid, avals_or_poly)).values
+    Kb = symbol_to_kernel(Symbol(grid, bvals_or_poly)).values
+    return kernel_to_symbol(Kernel(grid.x_grid, Ka @ Kb * grid.x_grid.spacing)).values
 
 
 def moyal_product(a: Symbol, b: Symbol) -> Symbol:
     """Star product of two symbols.
 
     Polynomial factors use the exact finite bidifferential expansion;
-    sampled factors use the spectral twisted product, rejecting inputs
-    whose spectra reach the band edge (aliasing guard).  Satisfies
+    two sampled factors take the symbol of the composed kernel,
+    kernel_to_symbol(K_a @ K_b * dx), rejecting inputs whose spectra
+    reach the band edge (interpolation guard).  Satisfies
     quantize(a*b) = quantize(a) @ quantize(b) on the lattice.
     """
     if not (grids_compatible(a.grid.x_grid, b.grid.x_grid)
@@ -489,8 +472,6 @@ def moyal_product(a: Symbol, b: Symbol) -> Symbol:
         raise GridMismatchError("star product of symbols on different grids")
     if a.is_polynomial and b.is_polynomial:
         return Symbol.polynomial(a.grid, _groenewold_poly(a.poly, b.poly))
-    if a.is_polynomial:
-        return Symbol(a.grid, star_values(a.poly, b.values, a.grid))
-    if b.is_polynomial:
-        return Symbol(a.grid, star_values(a.values, b.poly, a.grid))
-    return Symbol(a.grid, star_values(a.values, b.values, a.grid))
+    first = a.poly if a.is_polynomial else a.values
+    second = b.poly if b.is_polynomial else b.values
+    return Symbol(a.grid, star_values(first, second, a.grid))

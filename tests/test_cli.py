@@ -133,3 +133,51 @@ def test_verify_failure_exit_code(tmp_path):
     cfg.write_text("n_points = 64\ntol_isometry = 1e-30\n")
     proc = run_cli("verify", "isometry", "--config", str(cfg))
     assert proc.returncode == 1
+
+
+def test_config_gaussian_window_reaches_the_suite(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_points = 64\nwindow = gaussian:0.8,-0.4,1.0\n")
+    assert parse_config(cfg)["window"] == "gaussian:0.8,-0.4,1.0"
+    out = tmp_path / "rep.json"
+    assert main(["verify", "isometry", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["params"]["window"] == "gaussian:0.8,-0.4,1.0"
+
+
+@pytest.mark.parametrize("line", ["tol_isometri = 1e-30", "half_width = 10"])
+def test_config_unknown_key_refused(tmp_path, capsys, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"n_points = 64\n{line}\n")
+    assert main(["verify", "isometry", "--config", str(cfg)]) == 2
+    key = line.split("=")[0].strip()
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_config_accepts_every_tolerance_key(tmp_path):
+    from psqm.verify import TOLERANCES
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k} = 1e-3\n" for k in TOLERANCES))
+    assert parse_config(cfg) == dict.fromkeys(TOLERANCES, 1e-3)
+
+
+def _wigner_with_psi_csv(tmp_path, capsys, rows):
+    bad = tmp_path / "bad.csv"
+    np.savetxt(bad, rows, delimiter=",", header="x,re,im")
+    good = tmp_path / "good.csv"
+    serialize.save_config_csv(hermite_state(self_dual_phase_grid(64).x_grid, 0), good)
+    code = main(["wigner", str(bad), str(good), str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+def test_wigner_refuses_one_row_csv(tmp_path, capsys):
+    code, err = _wigner_with_psi_csv(tmp_path, capsys, [[0.0, 1.0, 0.0]])
+    assert code == 2 and "bad.csv" in err
+
+
+def test_wigner_refuses_nonuniform_csv(tmp_path, capsys):
+    g = self_dual_phase_grid(64).x_grid
+    x = g.points.copy()
+    x[10] += 0.3 * g.spacing
+    rows = np.column_stack([x, np.exp(-x ** 2 / 2), 0 * x])
+    code, err = _wigner_with_psi_csv(tmp_path, capsys, rows)
+    assert code == 2 and "bad.csv" in err and "uniform" in err

@@ -6,6 +6,7 @@ from psqm import (ConfigState, PhaseState, PhaseGrid, make_grid,
                   partial_ift_p, norm_config, norm_phase, hermite_state,
                   hermite_values, random_config_state, random_phase_state,
                   inner_config)
+from psqm import fourier
 from oracles import quadrature_ft
 
 
@@ -94,3 +95,24 @@ def test_ft_isometry_property_over_grids(rng):
         phi = random_config_state(g, rng)
         lhs = inner_config(forward_ft(psi), forward_ft(phi))
         assert abs(lhs - inner_config(psi, phi)) < 1e-12
+
+
+def test_upsample2_even_samples_exact_odd_samples_at_midpoints():
+    # trigonometric polynomial strictly inside the band of the 32-point
+    # lattice on [0, 2*pi): frequencies |k| <= 5 < 16
+    n = 32
+
+    def f(t):
+        return (0.7 + np.cos(3 * t) - 0.4j * np.sin(5 * t)
+                + (0.2 + 0.1j) * np.exp(-2j * t))
+
+    t = 2 * np.pi * np.arange(n) / n
+    up = fourier.upsample2(f(t))
+    assert up.shape == (2 * n,)
+    assert np.array_equal(up[0::2], f(t))
+    assert np.abs(up[1::2] - f(t + np.pi / n)).max() < 1e-13
+    # along the first axis of a 2-D field, columns scaled independently
+    c = np.array([1.0, 2j, -0.5])
+    up2 = fourier.upsample2(np.outer(f(t), c), axis=0)
+    assert np.array_equal(up2[0::2], np.outer(f(t), c))
+    assert np.abs(up2[1::2] - np.outer(f(t + np.pi / n), c)).max() < 1e-13

@@ -11,6 +11,7 @@ from psqm import (Symbol, PhaseState, WindowedIsometry, dilate, rotate,
                   BandLimitError, GridMismatchError)
 from psqm.states import hermite_values, gaussian_values
 from psqm.spectral import eig, evolve
+from psqm.weyl import star_values
 from psqm.reference import cross_wigner_quadrature
 from oracles import double_phase_space_quantize
 
@@ -291,6 +292,11 @@ def test_star_apply_matches_quantize_moyal(pg128, rng):
             lhs = star_apply(a, Psi)
             rhs = op.apply(Psi)
             assert norm_phase(lhs.with_values(lhs.values - rhs.values)) < 1e-6
+    # the check can fail: the reversed product Psi * a is not a * Psi
+    a = corpus[0]
+    Psi = random_phase_state(pg128, rng)
+    rev = star_values(Psi.values, a.values, pg128)
+    assert norm_phase(Psi.with_values(rev - quantize_moyal(a).apply(Psi).values)) > 1e-2
 
 
 def test_oscillator_ground_stargenfunction(pg128):
