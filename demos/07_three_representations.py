@@ -1,10 +1,12 @@
 """One quantum system, three unitarily equivalent pictures.
 
-The same oscillator is diagonalized as a configuration-space operator,
-as a phase-space operator restricted to a lifted subspace, and as a
-Moyal (star-product) operator; the three spectra coincide.  The same
-initial state is then evolved along all three routes and the evolved
-states agree after mapping back.
+The same oscillator is diagonalized as a configuration-space operator;
+its low eigenstates v_k are lifted into phase space (T v_k) and mapped
+on to the Moyal picture (U T v_k), and the phase-space and Moyal
+(star-product) operators are diagonalized on those spans by
+Rayleigh-Ritz: the three spectra coincide.  The same initial state is
+then evolved along all three routes and the evolved states agree after
+mapping back.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ chi = hermite_state(grid.p_grid, 0)
 
 rep = spectrum_report(Symbol.oscillator(grid), chi)
 print("oscillator spectra in the three representations:")
-print("  level   config         phase|range    moyal|U(range)")
+print("  level   config         phase on T v   moyal on U T v")
 for k, (a, b, c) in enumerate(zip(rep["config"], rep["phase"], rep["moyal"])):
     print(f"  {k:3d}   {a:.10f}   {b:.10f}   {c:.10f}")
 print(f"max pairwise deviation: {rep['max_deviation']:.2e}")

@@ -7,9 +7,10 @@ Subcommands:
   evolve --config PATH [--out PATH]           three-representation dynamics
 
 Config files are flat ``key = value`` lines (# comments); recognized
-keys: n_points, window, symbol, t, seed, and the tolerance overrides of
-``verify.TOLERANCES`` (tol_*); any other key is refused.  Exit codes:
-0 pass, 1 check failure, 2 usage or config error.
+keys: n_points, window, t, seed, and the tolerance overrides of
+``verify.TOLERANCES`` (tol_*), plus symbol for ``spectrum`` only; any
+other key is refused.  Exit codes: 0 pass, 1 check failure, 2 usage or
+config error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import json
 import sys
 
 from . import serialize
-from .verify import SUITE_NAMES, TOLERANCES, default_params, run_verify
+from .verify import (SUITE_NAMES, TOLERANCES, default_params, resolve_params,
+                     run_verify)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -31,11 +33,14 @@ class ConfigError(ValueError):
 
 
 CONFIG_KEYS = frozenset(default_params()) | {"t"} | frozenset(TOLERANCES)
+# the verify suites fix their symbols; only the spectrum detail reads one
+SPECTRUM_KEYS = CONFIG_KEYS | {"symbol"}
 
 
-def parse_config(path) -> dict:
+def parse_config(path, keys=CONFIG_KEYS) -> dict:
     """Flat key = value file; ints, floats, comma lists and strings
-    (``window`` is always kept as a string).  Unknown keys are refused."""
+    (``window`` is always kept as a string).  Keys outside ``keys`` are
+    refused."""
     out: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -46,9 +51,9 @@ def parse_config(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in CONFIG_KEYS:
+            if key not in keys:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
-                                  f"choose from {sorted(CONFIG_KEYS)}")
+                                  f"choose from {sorted(keys)}")
             out[key] = val.strip("'\"") if key == "window" else _parse_value(val)
     return out
 
@@ -64,10 +69,10 @@ def _parse_value(text: str):
     return text.strip("'\"")
 
 
-def _load_params(args) -> dict:
+def _load_params(args, keys=CONFIG_KEYS) -> dict:
     params = {}
     if getattr(args, "config", None):
-        params.update(parse_config(args.config))
+        params.update(parse_config(args.config, keys))
     if "t" in params and "times" not in params:
         t = params.pop("t")
         params["times"] = t if isinstance(t, list) else [t]
@@ -102,13 +107,12 @@ def cmd_wigner(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = dict(default_params())
-    params.update(_load_params(args))
+    params.update(_load_params(args, SPECTRUM_KEYS))
+    name = str(params.pop("symbol", "oscillator"))
+    _, chi, a = resolve_params(params, name)
     report = run_verify(["spectrum"], params)
-    from .verify import _grid, _window, _symbol
     from .spectral import spectrum_report
-    grid = _grid(params)
-    detail = spectrum_report(_symbol(params, grid), _window(params, grid.p_grid))
-    report["spectrum"] = detail
+    report["spectrum"] = {"symbol": name, **spectrum_report(a, chi)}
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 

@@ -248,21 +248,10 @@ class MoyalWeylOp:
         return moyal_map(self.phase_op.evolve(moyal_map_inv(Psi), t))
 
     def restrict(self, iso: WindowedIsometry) -> LinOp:
-        """Config-sized matrix on the image U(range of lift): honest
-        conjugation through the composed isometry U T."""
-        xg = self.phase_op.x_grid
-        n = xg.n_points
-        pg = PhaseGrid(xg, iso.p_grid)
-        _require_self_dual(pg, "MoyalWeylOp.restrict")
-        basis = np.eye(n)
-        cols = np.empty((n, n), complex)
-        for j in range(n):
-            psi = ConfigState(xg, basis[:, j])
-            lifted = moyal_map(iso.apply(psi))
-            image = self.apply(lifted)
-            back = iso.adjoint(moyal_map_inv(image))
-            cols[:, j] = back.values
-        return LinOp("config", xg, cols, note="moyal|U(range(lift))")
+        """Config-sized matrix of the operator compressed to the image
+        U(range of lift).  U is unitary, so compressing U A U^{-1} to
+        U(range T) gives T* A T, the phase operator's restriction."""
+        return self.phase_op.restrict(iso)
 
     def matrix(self, p_grid: Grid1D) -> LinOp:
         """Dense matrix on the product lattice via basis application

@@ -15,9 +15,8 @@ import numpy as np
 
 from .grids import Grid1D, PhaseGrid, GridMismatchError, grids_compatible
 from .states import ConfigState, PhaseState, norm_config, norm_phase, random_config_state, random_phase_state
-from .weyl import Symbol, LinOp, quantize_config, require_dense_dim
+from .weyl import Symbol, LinOp, displace, quantize_config, require_dense_dim
 from .isometry import WindowedIsometry
-from . import fourier
 
 __all__ = ["phase_heisenberg_weyl", "PhaseWeylOp", "quantize_phase",
            "intertwining_report"]
@@ -26,15 +25,7 @@ __all__ = ["phase_heisenberg_weyl", "PhaseWeylOp", "quantize_phase",
 def phase_heisenberg_weyl(z0, Psi: PhaseState) -> PhaseState:
     """Displacement acting on the x axis only:
     Psi -> exp(i*(xi0*x - xi0*x0/2)) Psi(x - x0, p)."""
-    x0, xi0 = float(z0[0]), float(z0[1])
-    g = Psi.grid.x_grid
-    steps = x0 / g.spacing
-    if abs(steps - round(steps)) < 1e-9:
-        shifted = np.roll(Psi.values, int(round(steps)), axis=0)
-    else:
-        shifted = fourier.fourier_shift(Psi.values, g, x0, axis=0)
-    phase = np.exp(1j * (xi0 * g.points - 0.5 * xi0 * x0))
-    return Psi.with_values(phase[:, None] * shifted)
+    return Psi.with_values(displace(z0, Psi.values, Psi.grid.x_grid))
 
 
 @dataclass(eq=False)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import Grid1D
-from .states import ConfigState, PhaseState, norm_config, norm_phase
+from .states import ConfigState, PhaseState, inner_phase, norm_config, norm_phase
 from .weyl import Symbol, LinOp, quantize_config
 from .isometry import WindowedIsometry
 from .phase_weyl import quantize_phase
@@ -107,20 +107,28 @@ def _distinct_levels(values: np.ndarray, n_levels: int, atol: float) -> np.ndarr
     return np.array(out)
 
 
+def _ritz_values(apply, basis) -> np.ndarray:
+    """Eigenvalues of the compression of ``apply`` to the span of the
+    orthonormal phase states ``basis`` (Rayleigh-Ritz)."""
+    H = np.empty((len(basis), len(basis)), complex)
+    for j, v in enumerate(basis):
+        Av = apply(v)
+        H[:, j] = [inner_phase(u, Av) for u in basis]
+    return np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+
+
 def spectrum_report(a: Symbol, chi: ConfigState, n_levels: int = 8) -> dict:
     """Distinct low-lying spectra of the three quantizations of a real
-    symbol (config; phase restricted to the lift range; Moyal restricted
-    to its U image) and their pairwise deviations.
+    symbol and their pairwise deviations: the config eigenvalues, and
+    the Rayleigh-Ritz values of the phase-space operator on the lifted
+    lowest ``n_levels + 1`` config eigenstates T v_k and of the Moyal
+    operator U A U^{-1} on U T v_k.
 
     Multiplication-type symbols have quasi-continuous spectra at the
-    grid resolution; the report flags those and carries eigenvalue
-    deciles instead of pass/fail distances.
+    grid resolution; the report flags those and carries the deciles of
+    the config spectrum instead of pass/fail distances.
     """
-    iso = WindowedIsometry(chi)
-    cfg = quantize_config(a)
-    w_cfg, _ = eig(cfg)
-    w_phase, _ = eig(quantize_phase(a).restrict(iso))
-    w_moyal, _ = eig(quantize_moyal(a).restrict(iso))
+    w_cfg, states = eig(quantize_config(a))
 
     span = float(w_cfg[-1] - w_cfg[0])
     # multiplication-type symbols resolve eigenvalues at the lattice
@@ -134,24 +142,28 @@ def spectrum_report(a: Symbol, chi: ConfigState, n_levels: int = 8) -> dict:
         discrete = bool(np.min(gaps) > gap_floor) if len(gaps) else True
 
     report = {"n_levels": n_levels, "discrete": discrete}
-    if discrete:
-        atol = max(1e-9, 1e-9 * max(span, 1.0))
-        lad_c = _distinct_levels(w_cfg, n_levels, atol)
-        lad_p = _distinct_levels(w_phase, n_levels, atol)
-        lad_m = _distinct_levels(w_moyal, n_levels, atol)
-        n = min(len(lad_c), len(lad_p), len(lad_m))
-        report["config"] = lad_c[:n].tolist()
-        report["phase"] = lad_p[:n].tolist()
-        report["moyal"] = lad_m[:n].tolist()
-        report["config_phase"] = float(np.abs(lad_c[:n] - lad_p[:n]).max())
-        report["config_moyal"] = float(np.abs(lad_c[:n] - lad_m[:n]).max())
-        report["phase_moyal"] = float(np.abs(lad_p[:n] - lad_m[:n]).max())
-        report["max_deviation"] = max(report["config_phase"],
-                                      report["config_moyal"],
-                                      report["phase_moyal"])
-    else:
-        qs = np.linspace(0, 1, 11)
-        report["config_quantiles"] = np.quantile(w_cfg, qs).tolist()
-        report["phase_quantiles"] = np.quantile(w_phase, qs).tolist()
-        report["moyal_quantiles"] = np.quantile(w_moyal, qs).tolist()
+    if not discrete:
+        report["config_quantiles"] = np.quantile(w_cfg, np.linspace(0, 1, 11)).tolist()
+        return report
+
+    iso = WindowedIsometry(chi)
+    basis = [iso.apply(v) for v in states[: n_levels + 1]]
+    w_phase = _ritz_values(quantize_phase(a).apply, basis)
+    basis = [moyal_map(B) for B in basis]
+    w_moyal = _ritz_values(quantize_moyal(a).apply, basis)
+
+    atol = max(1e-9, 1e-9 * max(span, 1.0))
+    lad_c = _distinct_levels(w_cfg, n_levels, atol)
+    lad_p = _distinct_levels(w_phase, n_levels, atol)
+    lad_m = _distinct_levels(w_moyal, n_levels, atol)
+    n = min(len(lad_c), len(lad_p), len(lad_m))
+    report["config"] = lad_c[:n].tolist()
+    report["phase"] = lad_p[:n].tolist()
+    report["moyal"] = lad_m[:n].tolist()
+    report["config_phase"] = float(np.abs(lad_c[:n] - lad_p[:n]).max())
+    report["config_moyal"] = float(np.abs(lad_c[:n] - lad_m[:n]).max())
+    report["phase_moyal"] = float(np.abs(lad_p[:n] - lad_m[:n]).max())
+    report["max_deviation"] = max(report["config_phase"],
+                                  report["config_moyal"],
+                                  report["phase_moyal"])
     return report

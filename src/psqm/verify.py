@@ -24,7 +24,8 @@ from .spectral import compare_representations, spectrum_report
 from .fourier import forward_ft
 from . import reference
 
-__all__ = ["SUITE_NAMES", "TOLERANCES", "default_params", "run_verify"]
+__all__ = ["SUITE_NAMES", "TOLERANCES", "default_params", "resolve_params",
+           "run_verify"]
 
 SUITE_NAMES = ("isometry", "intertwining", "unitarity", "star", "spectrum",
                "dynamics", "mixed")
@@ -46,7 +47,6 @@ def default_params() -> dict:
         "n_points": 256,
         "seed": 1234,
         "window": "hermite:0",
-        "symbol": "oscillator",
         "times": [0.1, 0.5, 1.0],
     }
 
@@ -60,35 +60,38 @@ def _tol(params: dict, key: str) -> float:
     return float(params.get(key, TOLERANCES[key]))
 
 
-def _grid(params: dict) -> PhaseGrid:
-    return self_dual_phase_grid(int(params["n_points"]))
+_SYMBOLS = {
+    "oscillator": Symbol.oscillator,
+    "x": Symbol.coordinate,
+    "xi": Symbol.momentum,
+    "xxi": lambda grid: Symbol.polynomial(grid, {(1, 1): 1.0}),
+    "free": Symbol.free_particle,
+    "unit": Symbol.unit,
+}
 
 
-def _window(params: dict, grid) -> ConfigState:
+def _symbol(grid: PhaseGrid, name: str) -> Symbol:
+    if name not in _SYMBOLS:
+        raise ValueError(f"unknown symbol {name!r}; choose from {list(_SYMBOLS)}")
+    return _SYMBOLS[name](grid)
+
+
+def resolve_params(params: dict, symbol: str = "oscillator"):
+    """(grid, window, symbol) named by a parameter set: the self-dual
+    phase grid of ``n_points``, the ``window`` spec (``hermite:K`` or
+    ``gaussian:x0,p0,w``) sampled on its p axis, and the named symbol
+    on the grid."""
+    grid = self_dual_phase_grid(int(params["n_points"]))
     spec = str(params.get("window", "hermite:0"))
     kind, _, rest = spec.partition(":")
     if kind == "hermite":
-        return hermite_state(grid, int(rest or 0))
-    if kind == "gaussian":
+        chi = hermite_state(grid.p_grid, int(rest or 0))
+    elif kind == "gaussian":
         x0, p0, w = (float(v) for v in rest.split(","))
-        return gaussian_state(grid, x0, p0, w)
-    raise ValueError(f"unknown window spec {spec!r}")
-
-
-def _symbol(params: dict, grid: PhaseGrid, name=None) -> Symbol:
-    name = str(name if name is not None else params.get("symbol", "oscillator"))
-    table = {
-        "oscillator": Symbol.oscillator,
-        "x": Symbol.coordinate,
-        "xi": Symbol.momentum,
-        "free": Symbol.free_particle,
-        "unit": Symbol.unit,
-    }
-    if name in table:
-        return table[name](grid)
-    if name == "xxi":
-        return Symbol.polynomial(grid, {(1, 1): 1.0})
-    raise ValueError(f"unknown symbol {name!r}")
+        chi = gaussian_state(grid.p_grid, x0, p0, w)
+    else:
+        raise ValueError(f"unknown window spec {spec!r}")
+    return grid, chi, _symbol(grid, str(symbol))
 
 
 def _sampled_corpus(grid: PhaseGrid) -> list:
@@ -107,8 +110,7 @@ def _sampled_corpus(grid: PhaseGrid) -> list:
 
 def suite_isometry(params: dict) -> list:
     rng = np.random.default_rng(int(params["seed"]))
-    grid = _grid(params)
-    chi = _window(params, grid.p_grid)
+    grid, chi, _ = resolve_params(params)
     iso = WindowedIsometry(chi)
     tol = _tol(params, "tol_isometry")
 
@@ -136,12 +138,12 @@ def suite_isometry(params: dict) -> list:
 
 def suite_intertwining(params: dict) -> list:
     rng = np.random.default_rng(int(params["seed"]))
-    grid = _grid(params)
-    iso = WindowedIsometry(_window(params, grid.p_grid))
+    grid, chi, _ = resolve_params(params)
+    iso = WindowedIsometry(chi)
     tol = _tol(params, "tol_intertwining")
     checks = []
     for name in ("x", "xi", "xxi", "oscillator"):
-        rep = intertwining_report(_symbol(params, grid, name), iso, 20, rng)
+        rep = intertwining_report(_symbol(grid, name), iso, 20, rng)
         checks.append(_check(f"forward[{name}]", rep["forward_residual"], tol))
         checks.append(_check(f"adjoint[{name}]", rep["adjoint_residual"], tol))
     return checks
@@ -149,7 +151,7 @@ def suite_intertwining(params: dict) -> list:
 
 def suite_unitarity(params: dict) -> list:
     rng = np.random.default_rng(int(params["seed"]))
-    grid = _grid(params)
+    grid, _, _ = resolve_params(params)
     tol_norm = _tol(params, "tol_unitarity")
     tol_wig = _tol(params, "tol_wigner")
     tol_comp = _tol(params, "tol_ucomp")
@@ -203,13 +205,13 @@ def suite_unitarity(params: dict) -> list:
 
 def suite_star(params: dict) -> list:
     rng = np.random.default_rng(int(params["seed"]))
-    grid = _grid(params)
+    grid, _, osc = resolve_params(params)
     tol_star = _tol(params, "tol_star")
     tol_bopp = _tol(params, "tol_bopp")
     tol_gen = _tol(params, "tol_stargen")
     tol_cmp = _tol(params, "tol_compose")
 
-    corpus = _sampled_corpus(grid) + [_symbol(params, grid, "oscillator")]
+    corpus = _sampled_corpus(grid) + [osc]
     act = 0.0
     for a in corpus:
         op = quantize_moyal(a)
@@ -240,7 +242,7 @@ def suite_star(params: dict) -> list:
     X, P = grid.meshes()
     W0 = PhaseState(grid, np.exp(-(X ** 2 + P ** 2)))
     W0 = W0.with_values(W0.values / norm_phase(W0))
-    gen = stargen_residual(_symbol(params, grid, "oscillator"), 0.5, W0)
+    gen = stargen_residual(osc, 0.5, W0)
 
     comp = 0.0
     sampled = _sampled_corpus(grid)
@@ -259,11 +261,10 @@ def suite_star(params: dict) -> list:
 
 
 def suite_spectrum(params: dict) -> list:
-    grid = _grid(params)
-    chi = _window(params, grid.p_grid)
+    _, chi, osc = resolve_params(params)
     tol_pair = _tol(params, "tol_spectrum")
     tol_oracle = _tol(params, "tol_spectrum_oracle")
-    rep = spectrum_report(_symbol(params, grid, "oscillator"), chi, n_levels=8)
+    rep = spectrum_report(osc, chi, n_levels=8)
     fd = reference.fd_oscillator_levels(8)
     oracle_dev = float(np.abs(np.asarray(rep["config"]) - fd).max())
     return [
@@ -273,14 +274,13 @@ def suite_spectrum(params: dict) -> list:
 
 
 def suite_dynamics(params: dict) -> list:
-    grid = _grid(params)
-    chi = _window(params, grid.p_grid)
+    grid, chi, _ = resolve_params(params)
     tol_d = _tol(params, "tol_dynamics")
     tol_n = _tol(params, "tol_norm_drift")
     psi0 = gaussian_state(grid.x_grid, 1.0, 0.5, 1.0)
     checks = []
     for name in ("oscillator", "free"):
-        a = _symbol(params, grid, name)
+        a = _symbol(grid, name)
         for t in params.get("times", (0.1, 0.5, 1.0)):
             rep = compare_representations(a, chi, float(t), psi0)
             checks.append(_check(f"distance[{name}, t={t}]", rep["max_distance"], tol_d))
@@ -289,10 +289,9 @@ def suite_dynamics(params: dict) -> list:
 
 
 def suite_mixed(params: dict) -> list:
-    grid = _grid(params)
+    grid, _, osc = resolve_params(params)
     xg, pg = grid.x_grid, grid.p_grid
     tol = _tol(params, "tol_mixed")
-    osc = _symbol(params, grid, "oscillator")
     cfg = quantize_config(osc)
     basis = measurement_basis(cfg, 8)
     phi0 = basis[0][1]

@@ -39,6 +39,7 @@ __all__ = [
     "symbol_to_kernel",
     "kernel_to_symbol",
     "quantize_config",
+    "displace",
     "heisenberg_weyl",
     "symplectic_ft",
     "moyal_product",
@@ -322,22 +323,24 @@ def quantize_config(a: Symbol) -> LinOp:
 
 # ------------------------------------------------------- displacement operator
 
+def displace(z0, values: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Displacement f -> exp(i*(xi0*x - xi0*x0/2)) f(x - x0) along axis
+    0 of ``values`` sampled on ``grid``: an exact index roll for lattice
+    steps x0, the band-limited Fourier shift otherwise."""
+    x0, xi0 = float(z0[0]), float(z0[1])
+    steps = x0 / grid.spacing
+    if abs(steps - round(steps)) < 1e-9:
+        shifted = np.roll(values, int(round(steps)), axis=0)
+    else:
+        shifted = fourier.fourier_shift(values, grid, x0, axis=0)
+    phase = np.exp(1j * (xi0 * grid.points - 0.5 * xi0 * x0))
+    return phase.reshape((-1,) + (1,) * (values.ndim - 1)) * shifted
+
+
 def heisenberg_weyl(z0, psi: ConfigState) -> ConfigState:
     """Displacement by z0 = (x0, xi0):
-    psi -> exp(i*(xi0*x - xi0*x0/2)) psi(x - x0).
-
-    Lattice displacements are exact index rolls; general displacements
-    use the band-limited Fourier shift.
-    """
-    x0, xi0 = float(z0[0]), float(z0[1])
-    g = psi.grid
-    steps = x0 / g.spacing
-    if abs(steps - round(steps)) < 1e-9:
-        shifted = np.roll(psi.values, int(round(steps)))
-    else:
-        shifted = fourier.fourier_shift(psi.values, g, x0, axis=0)
-    phase = np.exp(1j * (xi0 * g.points - 0.5 * xi0 * x0))
-    return psi.with_values(phase * shifted)
+    psi -> exp(i*(xi0*x - xi0*x0/2)) psi(x - x0)."""
+    return psi.with_values(displace(z0, psi.values, psi.grid))
 
 
 # ------------------------------------------------------ symplectic transform

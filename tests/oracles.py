@@ -8,6 +8,8 @@ package routes against each other).
 
 import numpy as np
 
+from psqm import ConfigState, moyal_map, moyal_map_inv
+
 
 def quadrature_ft(f, xi_points, x_half=30.0, n=16384):
     """(2*pi)**(-1/2) * integral exp(-i*x*xi) f(x) dx by Riemann sum on a
@@ -136,3 +138,16 @@ def double_phase_space_quantize(a_fn, grid1d):
             col = (np.arange(n) * n + l)
             M[np.ix_(row, col)] = integ * w
     return M
+
+
+def moyal_restrict_basis_loop(op, iso):
+    """Config-sized matrix of the Moyal operator ``op`` compressed to
+    U(range of ``iso``), conjugated column by column through the
+    composed isometry U T: column j is T* U^{-1} op(U T e_j).  One
+    Moyal operator application per lattice site, so small grids only."""
+    xg = op.phase_op.x_grid
+    cols = np.empty((xg.n_points, xg.n_points), complex)
+    for j, e in enumerate(np.eye(xg.n_points)):
+        image = op.apply(moyal_map(iso.apply(ConfigState(xg, e))))
+        cols[:, j] = iso.adjoint(moyal_map_inv(image)).values
+    return cols

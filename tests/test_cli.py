@@ -181,3 +181,23 @@ def test_wigner_refuses_nonuniform_csv(tmp_path, capsys):
     rows = np.column_stack([x, np.exp(-x ** 2 / 2), 0 * x])
     code, err = _wigner_with_psi_csv(tmp_path, capsys, rows)
     assert code == 2 and "bad.csv" in err and "uniform" in err
+
+
+@pytest.mark.parametrize("command", [["verify", "spectrum"], ["evolve"]])
+def test_symbol_key_refused_where_no_suite_reads_it(tmp_path, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_points = 64\nt = 0.1\nsymbol = x\n")
+    assert main([*command, "--config", str(cfg)]) == 2
+    assert "'symbol'" in capsys.readouterr().err
+
+
+def test_spectrum_command_reads_symbol(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_points = 64\nsymbol = x\n")
+    out = tmp_path / "rep.json"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert "symbol" not in rep["params"]
+    detail = rep["spectrum"]
+    assert detail["symbol"] == "x" and not detail["discrete"]
+    assert sorted(detail) == ["config_quantiles", "discrete", "n_levels", "symbol"]

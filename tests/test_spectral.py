@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import psqm.moyal
 from psqm import (Symbol, LinOp, quantize_config, eig, evolve,
                   compare_representations, spectrum_report, hermite_state,
                   gaussian_state, inner_config, norm_config,
-                  random_config_state, WindowedIsometry, self_dual_phase_grid)
+                  random_config_state, WindowedIsometry, self_dual_phase_grid,
+                  quantize_moyal, phase_heisenberg_weyl)
 from psqm.reference import fd_oscillator_levels
+from oracles import moyal_restrict_basis_loop
 
 
 def test_oscillator_eigensystem_vs_fd_oracle(pg128):
@@ -118,3 +121,27 @@ def test_spectrum_report_unit_symbol(pg128):
     assert rep["discrete"]
     assert np.abs(np.asarray(rep["config"]) - 1.0).max() < 1e-10
     assert rep["max_deviation"] < 1e-6
+
+
+def test_moyal_restrict_and_ladder_match_basis_loop(pg64):
+    iso = WindowedIsometry(hermite_state(pg64.p_grid, 0))
+    osc = Symbol.oscillator(pg64)
+    op = quantize_moyal(osc)
+    ref = moyal_restrict_basis_loop(op, iso)
+    assert np.abs(op.restrict(iso).matrix - ref).max() <= 1e-12
+    rep = spectrum_report(osc, iso.window)
+    ladder = np.asarray(rep["moyal"])
+    want = np.linalg.eigvalsh(0.5 * (ref + ref.conj().T))[:len(ladder)]
+    assert len(ladder) == 8
+    assert np.abs(ladder - want).max() <= 1e-12
+
+
+def test_moyal_ladder_detects_a_broken_inverse_map(pg64, monkeypatch):
+    # U^{-1} followed by a small x shift: U A U^{-1} is no longer
+    # equivalent to A, and the Moyal ladder must say so
+    exact = psqm.moyal.moyal_map_inv
+    monkeypatch.setattr(psqm.moyal, "moyal_map_inv",
+                        lambda Psi: phase_heisenberg_weyl((0.01, 0.0), exact(Psi)))
+    rep = spectrum_report(Symbol.oscillator(pg64), hermite_state(pg64.p_grid, 0))
+    assert rep["config_phase"] < 1e-12
+    assert rep["config_moyal"] > 1e-6
