@@ -7,20 +7,19 @@ Subcommands:
   evolve --config PATH [--out PATH]           three-representation dynamics
 
 Config files are flat ``key = value`` lines (# comments); recognized
-keys: n_points, window, t, seed, and the tolerance overrides of
-``verify.TOLERANCES`` (tol_*), plus symbol for ``spectrum`` only; any
-other key is refused.  Exit codes: 0 pass, 1 check failure, 2 usage or
-config error.
+keys: those of ``verify.PARAM_KEYS`` (n_points, seed, window, times and
+the tolerance overrides tol_* of ``verify.TOLERANCES``) and t, plus
+symbol for ``spectrum`` only; any other key is refused.  Exit codes:
+0 pass, 1 check failure, 2 usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import serialize
-from .verify import (SUITE_NAMES, TOLERANCES, default_params, resolve_params,
+from .verify import (SUITE_NAMES, PARAM_KEYS, default_params, resolve_params,
                      run_verify)
 
 EXIT_OK = 0
@@ -32,7 +31,7 @@ class ConfigError(ValueError):
     pass
 
 
-CONFIG_KEYS = frozenset(default_params()) | {"t"} | frozenset(TOLERANCES)
+CONFIG_KEYS = PARAM_KEYS | {"t"}
 # the verify suites fix their symbols; only the spectrum detail reads one
 SPECTRUM_KEYS = CONFIG_KEYS | {"symbol"}
 

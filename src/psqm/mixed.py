@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import GridMismatchError, grids_compatible, PhaseGrid
-from .states import (ConfigState, PhaseState, inner_config, inner_phase,
-                     norm_config, norm_phase)
+from .states import (ConfigState, PhaseState, inner_config, norm_config,
+                     norm_phase)
 from .weyl import LinOp
 
 __all__ = ["MixedState", "ZeroProjectionError", "mixed_to_phase",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .grids import Grid1D, PhaseGrid, GridMismatchError, grids_compatible
 from .states import ConfigState, PhaseState, norm_phase
-from .weyl import Symbol, LinOp, require_dense_dim, star_values
+from .weyl import Symbol, LinOp, flush_subnormals, require_dense_dim, star_values
 from .phase_weyl import PhaseWeylOp, quantize_phase
 from .isometry import WindowedIsometry
 from . import fourier
@@ -154,7 +154,7 @@ def cross_wigner(psi: ConfigState, phi: ConfigState) -> PhaseState:
     i = np.arange(n)
     left = fh[(2 * i[:, None] + t[None, :]) % (2 * n)]
     right = np.conj(gh[(2 * i[:, None] - t[None, :]) % (2 * n)])
-    prod = left * right                                   # (x, t)
+    prod = flush_subnormals(left * right)                 # (x, t)
     p = g.dual.points
     phase = np.exp(-1j * np.outer(t * g.spacing, p))
     vals = (g.spacing / (2 * np.pi)) * (prod @ phase)

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Grid1D, PhaseGrid, GridMismatchError, grids_compatible
-from .states import ConfigState, PhaseState, norm_config, norm_phase, random_config_state, random_phase_state
+from .states import (PhaseState, norm_config, norm_phase, random_config_state,
+                     random_phase_state)
 from .weyl import Symbol, LinOp, displace, quantize_config, require_dense_dim
 from .isometry import WindowedIsometry
 
@@ -48,11 +49,10 @@ class PhaseWeylOp:
     def evolve(self, Psi: PhaseState, t: float) -> PhaseState:
         """exp(-i t A) Psi through the spectral decomposition of the
         x-axis kernel (the operator exponential of the full phase-space
-        operator, using its product structure)."""
-        M = self.config_op.matrix
-        w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
-        U = (V * np.exp(-1j * w * t)) @ V.conj().T
-        return Psi.with_values(U @ Psi.values)
+        operator, using its product structure); the decomposition is the
+        config operator's own (:meth:`LinOp.propagate`), so non-Hermitian
+        kernels are refused."""
+        return Psi.with_values(self.config_op.propagate(Psi.values, t))
 
     def matrix(self, p_grid: Grid1D) -> LinOp:
         """Dense matrix on the full product lattice (size-guarded)."""

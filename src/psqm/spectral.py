@@ -9,8 +9,8 @@ from .grids import Grid1D
 from .states import ConfigState, PhaseState, inner_phase, norm_config, norm_phase
 from .weyl import Symbol, LinOp, quantize_config
 from .isometry import WindowedIsometry
-from .phase_weyl import quantize_phase
-from .moyal import moyal_map, moyal_map_inv, quantize_moyal
+from .phase_weyl import PhaseWeylOp
+from .moyal import MoyalWeylOp, moyal_map, moyal_map_inv
 
 __all__ = ["eig", "evolve", "compare_representations", "spectrum_report"]
 
@@ -21,13 +21,10 @@ def eig(op: LinOp, herm_tol: float = 1e-8):
     Returns (eigenvalues ascending, eigenstates normalized in the grid
     norm).  Rejects matrices whose Hermiticity defect exceeds
     ``herm_tol``; below that the matrix is symmetrized before the
-    decomposition.
+    decomposition, which the operator computes once and keeps
+    (:meth:`LinOp.eigh`).
     """
-    defect = op.hermiticity_defect()
-    if defect > herm_tol:
-        raise ValueError(f"operator is not Hermitian (defect {defect:.2e})")
-    M = 0.5 * (op.matrix + op.matrix.conj().T)
-    w, V = np.linalg.eigh(M)
+    w, V = op.eigh(herm_tol)
     if isinstance(op.grid, Grid1D):
         weight = np.sqrt(op.grid.spacing)
         states = [ConfigState(op.grid, V[:, k] / weight) for k in range(len(w))]
@@ -39,18 +36,10 @@ def eig(op: LinOp, herm_tol: float = 1e-8):
 
 
 def evolve(op: LinOp, state, t: float):
-    """exp(-i t op) applied through the spectral decomposition; norm is
-    conserved to machine precision."""
-    defect = op.hermiticity_defect()
-    if defect > 1e-8:
-        raise ValueError(f"operator is not Hermitian (defect {defect:.2e})")
-    M = 0.5 * (op.matrix + op.matrix.conj().T)
-    w, V = np.linalg.eigh(M)
-    U = (V * np.exp(-1j * w * float(t))) @ V.conj().T
-    if isinstance(state, ConfigState):
-        return state.with_values(U @ state.values)
-    flat = U @ state.values.reshape(-1)
-    return state.with_values(flat.reshape(state.grid.shape))
+    """exp(-i t op) applied through the operator's one spectral
+    decomposition (:meth:`LinOp.propagate`); norm is conserved to
+    machine precision."""
+    return state.with_values(op.propagate(state.values, t))
 
 
 def compare_representations(a: Symbol, chi: ConfigState, t: float,
@@ -61,12 +50,13 @@ def compare_representations(a: Symbol, chi: ConfigState, t: float,
 
     Config evolves under the dense Weyl matrix; the phase-space path
     lifts, evolves under the phase-space operator exponential and
-    lowers; the Moyal path maps through U on top of that.
+    lowers; the Moyal path maps through U on top of that.  All three
+    share the one eigendecomposition of the config matrix.
     """
     iso = WindowedIsometry(chi)
     cfg = quantize_config(a)
-    pw = quantize_phase(a)
-    mw = quantize_moyal(a)
+    pw = PhaseWeylOp(a, cfg)
+    mw = MoyalWeylOp(a, pw)
 
     psi_t = evolve(cfg, psi0, t)
 
@@ -128,7 +118,8 @@ def spectrum_report(a: Symbol, chi: ConfigState, n_levels: int = 8) -> dict:
     grid resolution; the report flags those and carries the deciles of
     the config spectrum instead of pass/fail distances.
     """
-    w_cfg, states = eig(quantize_config(a))
+    cfg = quantize_config(a)
+    w_cfg, states = eig(cfg)
 
     span = float(w_cfg[-1] - w_cfg[0])
     # multiplication-type symbols resolve eigenvalues at the lattice
@@ -147,10 +138,11 @@ def spectrum_report(a: Symbol, chi: ConfigState, n_levels: int = 8) -> dict:
         return report
 
     iso = WindowedIsometry(chi)
+    pw = PhaseWeylOp(a, cfg)
     basis = [iso.apply(v) for v in states[: n_levels + 1]]
-    w_phase = _ritz_values(quantize_phase(a).apply, basis)
+    w_phase = _ritz_values(pw.apply, basis)
     basis = [moyal_map(B) for B in basis]
-    w_moyal = _ritz_values(quantize_moyal(a).apply, basis)
+    w_moyal = _ritz_values(MoyalWeylOp(a, pw).apply, basis)
 
     atol = max(1e-9, 1e-9 * max(span, 1.0))
     lad_c = _distinct_levels(w_cfg, n_levels, atol)

@@ -15,7 +15,7 @@ from .states import (ConfigState, PhaseState, gaussian_state,
                      random_config_state, random_phase_state)
 from .weyl import Symbol, quantize_config, moyal_product
 from .isometry import WindowedIsometry
-from .phase_weyl import quantize_phase, intertwining_report
+from .phase_weyl import intertwining_report
 from .moyal import (bopp_apply, cross_wigner, dilate, moyal_map,
                     quantize_moyal, rotate, star_apply,
                     stargen_residual)
@@ -24,8 +24,8 @@ from .spectral import compare_representations, spectrum_report
 from .fourier import forward_ft
 from . import reference
 
-__all__ = ["SUITE_NAMES", "TOLERANCES", "default_params", "resolve_params",
-           "run_verify"]
+__all__ = ["SUITE_NAMES", "TOLERANCES", "PARAM_KEYS", "default_params",
+           "resolve_params", "run_verify"]
 
 SUITE_NAMES = ("isometry", "intertwining", "unitarity", "star", "spectrum",
                "dynamics", "mixed")
@@ -49,6 +49,10 @@ def default_params() -> dict:
         "window": "hermite:0",
         "times": [0.1, 0.5, 1.0],
     }
+
+
+# Every parameter key run_verify accepts.
+PARAM_KEYS = frozenset(default_params()) | frozenset(TOLERANCES)
 
 
 def _check(name: str, value: float, tol: float) -> dict:
@@ -356,7 +360,12 @@ _SUITES = {
 
 def run_verify(suites, params: dict | None = None) -> dict:
     """Run named suites ('all' expands to every suite) and assemble the
-    deterministic report."""
+    deterministic report.  Parameter keys outside :data:`PARAM_KEYS`
+    are refused (ValueError)."""
+    bad_keys = sorted(set(params or ()) - PARAM_KEYS)
+    if bad_keys:
+        raise ValueError(f"unknown parameter(s) {bad_keys}; choose from "
+                         f"{sorted(PARAM_KEYS)}")
     merged = default_params()
     if params:
         merged.update(params)

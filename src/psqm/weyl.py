@@ -21,7 +21,7 @@ interpolation of the samples, guarded by a band-edge spectral test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -29,13 +29,13 @@ import numpy as np
 
 from .grids import (Grid1D, PhaseGrid, GridMismatchError, grids_compatible)
 from . import fourier
-from .fourier import BandLimitError
 from .states import ConfigState
 
 __all__ = [
     "Symbol",
     "Kernel",
     "LinOp",
+    "flush_subnormals",
     "symbol_to_kernel",
     "kernel_to_symbol",
     "quantize_config",
@@ -55,6 +55,21 @@ INTERP_GUARD_TOL = 1e-5   # symbol midpoint interpolation support test
 ALIAS_GUARD_TOL = 1e-5    # sampled factor of a polynomial star product
 
 DENSE_DIM_LIMIT = 4096    # dense phase-space matrices above this are refused
+
+
+def flush_subnormals(values: np.ndarray) -> np.ndarray:
+    """Copy of ``values`` with every real and imaginary component of
+    magnitude below the smallest normal number of its dtype
+    (``finfo.tiny``, 2.2e-308 for doubles) set to 0.
+
+    Dense products (BLAS) run several times slower on subnormal
+    operands; products of decaying tails on wide boxes produce them, and
+    dropping them moves no value by more than ``tiny``."""
+    out = np.array(values, order="C")
+    parts = out.view(out.real.dtype) if np.iscomplexobj(out) else out
+    tiny = np.finfo(parts.dtype).tiny
+    parts[(parts < tiny) & (parts > -tiny)] = 0
+    return out
 
 
 def require_dense_dim(dim: int, what: str, hint: str) -> None:
@@ -177,15 +192,23 @@ class Kernel:
 @dataclass(eq=False)
 class LinOp:
     """Dense matrix realization of an operator, tagged with its
-    representation ('config', 'phase_schrodinger' or 'moyal')."""
+    representation ('config', 'phase_schrodinger' or 'moyal').
+
+    The matrix is held as a read-only view, so the Hermiticity defect
+    and the eigendecomposition, each computed once per operator on
+    first use, stay valid for its lifetime.
+    """
 
     rep: str
     grid: object
     matrix: np.ndarray
     note: str = ""
+    _defect: Optional[float] = field(default=None, init=False, repr=False)
+    _eigh: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+        self.matrix = np.asarray(self.matrix, dtype=complex).view()
+        self.matrix.flags.writeable = False
         m, n = self.matrix.shape
         if m != n:
             raise ValueError("operator matrix must be square")
@@ -208,8 +231,39 @@ class LinOp:
         raise TypeError(f"cannot apply LinOp to {type(state)!r}")
 
     def hermiticity_defect(self) -> float:
-        scale = max(np.abs(self.matrix).max(), 1e-300)
-        return float(np.abs(self.matrix - self.matrix.conj().T).max() / scale)
+        if self._defect is None:
+            scale = max(np.abs(self.matrix).max(), 1e-300)
+            skew = np.abs(self.matrix - self.matrix.conj().T).max()
+            self._defect = float(skew / scale)
+        return self._defect
+
+    def eigh(self, herm_tol: float = 1e-8):
+        """(w ascending, V) of the symmetrized matrix, computed once per
+        operator; refuses (ValueError) a Hermiticity defect above
+        ``herm_tol``.  Both arrays are read-only."""
+        defect = self.hermiticity_defect()
+        if defect > herm_tol:
+            raise ValueError(f"operator is not Hermitian (defect {defect:.2e})")
+        if self._eigh is None:
+            M = self.matrix
+            w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
+            w.flags.writeable = False
+            V.flags.writeable = False
+            self._eigh = (w, V)
+        return self._eigh
+
+    def propagate(self, values: np.ndarray, t: float) -> np.ndarray:
+        """exp(-i t M) applied to ``values`` viewed as (dim, -1): along
+        axis 0 for an x-axis kernel acting on phase-space values, on the
+        flattened array for an operator on the whole product lattice.
+        Computed as V (e^{-i t w} (V* values)) from :meth:`eigh`, which
+        refuses non-Hermitian operators, without forming the propagator;
+        the state operand of each product is flushed of subnormals."""
+        w, V = self.eigh()
+        flat = values.reshape(self.dim, -1)
+        coeffs = V.conj().T @ flush_subnormals(flat)
+        coeffs *= np.exp(-1j * w * float(t))[:, None]
+        return (V @ flush_subnormals(coeffs)).reshape(values.shape)
 
 
 # ------------------------------------------------------------ kernel machinery

@@ -151,3 +151,10 @@ def moyal_restrict_basis_loop(op, iso):
         image = op.apply(moyal_map(iso.apply(ConfigState(xg, e))))
         cols[:, j] = iso.adjoint(moyal_map_inv(image)).values
     return cols
+
+
+def explicit_propagator(matrix, t):
+    """exp(-i t M) formed as the dense product (V e^{-i t w}) V* from the
+    eigendecomposition of the symmetrized matrix."""
+    w, V = np.linalg.eigh(0.5 * (matrix + matrix.conj().T))
+    return (V * np.exp(-1j * w * t)) @ V.conj().T

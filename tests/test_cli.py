@@ -7,6 +7,7 @@ import pytest
 
 from psqm import hermite_state, self_dual_phase_grid, serialize
 from psqm.cli import main, parse_config, ConfigError
+from psqm.verify import run_verify
 
 
 def run_cli(*args):
@@ -201,3 +202,10 @@ def test_spectrum_command_reads_symbol(tmp_path):
     detail = rep["spectrum"]
     assert detail["symbol"] == "x" and not detail["discrete"]
     assert sorted(detail) == ["config_quantiles", "discrete", "n_levels", "symbol"]
+
+
+def test_run_verify_refuses_unknown_parameter_keys():
+    with pytest.raises(ValueError, match="tol_isometri") as err:
+        run_verify(["isometry"], {"n_points": 64, "symbol": "x",
+                                  "tol_isometri": 1e-30})
+    assert "'symbol'" in str(err.value)

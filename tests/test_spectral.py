@@ -5,10 +5,11 @@ import psqm.moyal
 from psqm import (Symbol, LinOp, quantize_config, eig, evolve,
                   compare_representations, spectrum_report, hermite_state,
                   gaussian_state, inner_config, norm_config,
-                  random_config_state, WindowedIsometry, self_dual_phase_grid,
-                  quantize_moyal, phase_heisenberg_weyl)
+                  random_config_state, random_phase_state, WindowedIsometry,
+                  self_dual_phase_grid, quantize_phase, quantize_moyal,
+                  phase_heisenberg_weyl)
 from psqm.reference import fd_oscillator_levels
-from oracles import moyal_restrict_basis_loop
+from oracles import explicit_propagator, moyal_restrict_basis_loop
 
 
 def test_oscillator_eigensystem_vs_fd_oracle(pg128):
@@ -35,6 +36,57 @@ def test_eig_rejects_non_hermitian(pg128):
     m[0, 1] = 0.5
     with pytest.raises(ValueError):
         eig(LinOp("config", pg128.x_grid, m))
+
+
+def test_eig_refuses_stricter_tolerance_after_cached_call(pg128):
+    m = np.diag(np.arange(128.0)).astype(complex)
+    m[0, 1] = 1e-4   # defect 1e-4 / 127
+    op = LinOp("config", pg128.x_grid, m)
+    w, _ = eig(op, herm_tol=1e-5)
+    assert len(w) == 128
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eig(op, herm_tol=1e-8)
+
+
+def test_propagator_matches_explicit_route(pg128, rng):
+    a = Symbol.oscillator(pg128)
+    cfg = quantize_config(a)
+    U = explicit_propagator(cfg.matrix, 0.7)
+    psi = random_config_state(pg128.x_grid, rng)
+    assert np.abs(evolve(cfg, psi, 0.7).values - U @ psi.values).max() <= 1e-12
+    Psi = random_phase_state(pg128, rng)
+    got = quantize_phase(a).evolve(Psi, 0.7).values
+    assert np.abs(got - U @ Psi.values).max() <= 1e-12
+
+
+def test_compare_representations_takes_one_eigendecomposition(pg128, monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rep = compare_representations(Symbol.oscillator(pg128),
+                                  hermite_state(pg128.p_grid, 0), 0.5,
+                                  gaussian_state(pg128.x_grid, 1.0, 0.5, 1.0))
+    assert rep["max_distance"] < 1e-6
+    assert len(calls) == 1
+
+
+def test_every_evolve_refuses_a_non_hermitian_symbol(pg64, rng):
+    a = Symbol.from_function(
+        pg64, lambda x, xi: 1j * x * xi * np.exp(-(x ** 2 + xi ** 2) / 4))
+    cfg = quantize_config(a)
+    assert cfg.hermiticity_defect() > 1.0
+    Psi = random_phase_state(pg64, rng)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        evolve(cfg, random_config_state(pg64.x_grid, rng), 0.5)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        quantize_phase(a).evolve(Psi, 0.5)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        quantize_moyal(a).evolve(Psi, 0.5)
 
 
 def test_evolve_identity_at_zero_time(pg128, rng):

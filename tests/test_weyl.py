@@ -5,7 +5,7 @@ from psqm import (Symbol, Kernel, make_grid, PhaseGrid, self_dual_phase_grid,
                   symbol_to_kernel, kernel_to_symbol, quantize_config,
                   heisenberg_weyl, symplectic_ft, moyal_product,
                   hermite_state, gaussian_state, random_config_state,
-                  norm_config, BandLimitError)
+                  norm_config, BandLimitError, LinOp, flush_subnormals)
 from psqm.fourier import derivative_matrix
 from psqm.states import hermite_values
 from psqm.reference import fd_oscillator_levels
@@ -277,3 +277,27 @@ def test_star_aliasing_guard(pg64):
     smooth = _sampled_corpus(pg64)[0]
     with pytest.raises(BandLimitError):
         moyal_product(saw, smooth)
+
+
+def test_flush_subnormals_zeroes_only_subnormal_components():
+    tiny = np.finfo(float).tiny
+    values = np.array([1e-310 + 2.0j, -3.5 - 1e-320j, tiny - tiny * 1j,
+                       -0.25 * tiny + 0j, 1e-300 + 7e-309j, 0.0 + 0.0j])
+    before = values.copy()
+    out = flush_subnormals(values)
+    assert np.array_equal(values.view(np.uint64), before.view(np.uint64))
+    want = np.array([2.0j, -3.5, tiny - tiny * 1j, 0, 1e-300, 0])
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+    real = np.array([5e-324, -1.0, 1e-200])
+    assert np.array_equal(flush_subnormals(real), [0.0, -1.0, 1e-200])
+
+
+def test_linop_matrix_is_a_read_only_view(weyl_grid_256_10):
+    m = np.eye(256, dtype=complex)
+    op = LinOp("config", weyl_grid_256_10.x_grid, m)
+    assert np.shares_memory(op.matrix, m)
+    assert m.flags.writeable and not op.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 2.0
+    w, V = op.eigh()
+    assert not w.flags.writeable and not V.flags.writeable
