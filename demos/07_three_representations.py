@@ -28,7 +28,7 @@ psi0 = gaussian_state(grid.x_grid, 1.0, 0.5, 1.0)
 print("\ncoherent-state dynamics, pairwise distances after mapping back:")
 for name in ("oscillator", "free"):
     sym = Symbol.oscillator(grid) if name == "oscillator" else Symbol.free_particle(grid)
-    for t in (0.1, 0.5, 1.0):
-        r = compare_representations(sym, chi, t, psi0)
+    for r in compare_representations(sym, chi, (0.1, 0.5, 1.0), psi0):
+        t = r["t"]
         print(f"  {name:10s} t={t:3.1f}: config/phase {r['config_phase']:.2e}  "
               f"config/moyal {r['config_moyal']:.2e}  norm drift {r['norm_drift']:.1e}")

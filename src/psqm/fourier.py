@@ -95,12 +95,46 @@ def fourier_shift(values: np.ndarray, grid: Grid1D, shift, axis: int = -1) -> np
     return np.fft.ifft(spec * phase, axis=axis)
 
 
+def lattice_shear(values: np.ndarray, steps, axis: int) -> np.ndarray:
+    """Shift slice j of the 2-D ``values`` along ``axis`` by ``steps[j]``
+    half cells (integers; slices run along the other axis).
+
+    The whole cells move by an exact index roll; a slice with an odd
+    count then takes the unitary half-cell Fourier shift, the length-n
+    multiplier exp(-i*pi*k/n) on the signed frequencies k.  With the
+    Nyquist term at k = -n/2 as in :func:`fourier_shift`, this is the
+    same operator as ``fourier_shift(values, g, steps * g.spacing / 2,
+    axis)`` on any grid ``g``, without its per-call n x n phase table.
+    It is not :func:`half_shift`, which splits the Nyquist term.
+    """
+    axis %= 2
+    steps = np.asarray(steps)
+    if values.ndim != 2 or steps.shape != (values.shape[1 - axis],):
+        raise ValueError("steps must match the complementary axis of a 2-D field")
+    n = values.shape[axis]
+    out = np.empty(values.shape, complex)
+    src, dst = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    for j, s in enumerate((steps // 2) % n):
+        dst[s:, j] = src[:n - s, j]
+        dst[:s, j] = src[n - s:, j]
+    odd = np.flatnonzero(steps % 2)
+    if odd.size:
+        mult = np.exp(-1j * np.pi * np.fft.fftfreq(n, 1.0 / n) / n)[:, None]
+        spec = np.fft.fft(dst[:, odd], axis=0)
+        spec *= mult
+        dst[:, odd] = np.fft.ifft(spec, axis=0)
+    return out
+
+
 def half_shift(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Band-limited interpolant at the half-cell midpoints x_k + spacing/2.
 
     The Nyquist coefficient is split evenly between the two band edges
     (its cosine vanishes at the midpoints), so real data interpolates to
-    real values and real symbols quantize to Hermitian matrices.
+    real values and real symbols quantize to Hermitian matrices.  This
+    differs from :func:`lattice_shear`'s half-cell step (and
+    :func:`fourier_shift`'s), which keeps the whole Nyquist term at
+    k = -n/2.
     """
     n = values.shape[axis]
     k = np.fft.fftfreq(n, 1.0 / n)

@@ -8,7 +8,8 @@ exact Fourier shifts.
 
 The unitary map U acts as
     U Psi(x, p) = IFT_p[ Psihat(x - xi_p/2, x + xi_p/2) ],
-implemented as a partial transform in p followed by two Fourier shears;
+implemented as a partial transform in p followed by two lattice shears
+(whole cells by index rolls, half cells by a Fourier shift);
 it carries lifted product states onto (2*pi)**(1/2) times the
 cross-Wigner function of the factors, and conjugates the phase-space
 Schrodinger operators x, -i d/dx into the Bopp operators
@@ -112,24 +113,24 @@ def moyal_map(Psi: PhaseState) -> PhaseState:
     """
     _require_self_dual(Psi.grid, "moyal_map")
     g = Psi.grid.x_grid
-    pts = g.points
-    hat = fourier.ft_array(Psi.values, g, axis=1)        # (x, xi_p)
-    # g1(a, b) = hat(a, a + b): per-row shift by -a
-    g1 = fourier.fourier_shift(hat, g, -pts, axis=1)
-    # h(u, v) = g1(u - v/2, v): per-column shift by +v/2
-    h = fourier.fourier_shift(g1, g, pts / 2, axis=0)
-    return Psi.with_values(fourier.ift_array(h, g.dual, g, axis=1))
+    steps = np.arange(g.n_points) - g.n_points // 2     # points / spacing
+    vals = fourier.ft_array(Psi.values, g, axis=1)       # hat(x, xi_p)
+    # g1(a, b) = hat(a, a + b): per-row shift by -a (whole cells)
+    vals = fourier.lattice_shear(vals, -2 * steps, axis=1)
+    # h(u, v) = g1(u - v/2, v): per-column shift by +v/2 (half cells)
+    vals = fourier.lattice_shear(vals, steps, axis=0)
+    return Psi.with_values(fourier.ift_array(vals, g.dual, g, axis=1))
 
 
 def moyal_map_inv(Psi: PhaseState) -> PhaseState:
     """Exact inverse of :func:`moyal_map` (the shears unwind)."""
     _require_self_dual(Psi.grid, "moyal_map_inv")
     g = Psi.grid.x_grid
-    pts = g.points
-    hat = fourier.ft_array(Psi.values, g, axis=1)
-    h = fourier.fourier_shift(hat, g, -pts / 2, axis=0)
-    g1 = fourier.fourier_shift(h, g, pts, axis=1)
-    return Psi.with_values(fourier.ift_array(g1, g.dual, g, axis=1))
+    steps = np.arange(g.n_points) - g.n_points // 2     # points / spacing
+    vals = fourier.ft_array(Psi.values, g, axis=1)
+    vals = fourier.lattice_shear(vals, -steps, axis=0)
+    vals = fourier.lattice_shear(vals, 2 * steps, axis=1)
+    return Psi.with_values(fourier.ift_array(vals, g.dual, g, axis=1))
 
 
 # ---------------------------------------------------------------- cross-Wigner
@@ -150,14 +151,14 @@ def cross_wigner(psi: ConfigState, phi: ConfigState) -> PhaseState:
     n = g.n_points
     fh = fourier.upsample2(psi.values, axis=0)
     gh = fourier.upsample2(phi.values, axis=0)
-    t = np.arange(-n // 2, n // 2)
+    t = np.fft.fftfreq(n, 1.0 / n).astype(int)           # offsets, FFT order
     i = np.arange(n)
     left = fh[(2 * i[:, None] + t[None, :]) % (2 * n)]
     right = np.conj(gh[(2 * i[:, None] - t[None, :]) % (2 * n)])
     prod = flush_subnormals(left * right)                 # (x, t)
-    p = g.dual.points
-    phase = np.exp(-1j * np.outer(t * g.spacing, p))
-    vals = (g.spacing / (2 * np.pi)) * (prod @ phase)
+    # sum_t exp(-i*t*dx*p_m) = exp(-i*t*dx*p_0) exp(-2*pi*i*t*m/n): one FFT
+    prod *= np.exp(-1j * t * g.spacing * g.dual.points[0])
+    vals = (g.spacing / (2 * np.pi)) * np.fft.fft(prod, axis=1)
     return PhaseState(PhaseGrid(g, g.dual), vals)
 
 

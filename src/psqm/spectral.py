@@ -42,8 +42,8 @@ def evolve(op: LinOp, state, t: float):
     return state.with_values(op.propagate(state.values, t))
 
 
-def compare_representations(a: Symbol, chi: ConfigState, t: float,
-                            psi0: ConfigState) -> dict:
+def compare_representations(a: Symbol, chi: ConfigState, t,
+                            psi0: ConfigState):
     """Evolve the same initial state in all three representations and
     report the pairwise distances after mapping everything back to
     configuration space.
@@ -51,40 +51,44 @@ def compare_representations(a: Symbol, chi: ConfigState, t: float,
     Config evolves under the dense Weyl matrix; the phase-space path
     lifts, evolves under the phase-space operator exponential and
     lowers; the Moyal path maps through U on top of that.  All three
-    share the one eigendecomposition of the config matrix.
+    share the one eigendecomposition of the config matrix.  ``t`` is a
+    time (one report dict) or a sequence of times (a list of reports,
+    sharing the quantization, the lift and its Moyal map).
     """
     iso = WindowedIsometry(chi)
     cfg = quantize_config(a)
     pw = PhaseWeylOp(a, cfg)
     mw = MoyalWeylOp(a, pw)
-
-    psi_t = evolve(cfg, psi0, t)
-
     Psi0 = iso.apply(psi0)
-    Psi_t = pw.evolve(Psi0, t)
-    psi_from_phase = iso.adjoint(Psi_t)
-
     Theta0 = moyal_map(Psi0)
-    Theta_t = mw.evolve(Theta0, t)
-    psi_from_moyal = iso.adjoint(moyal_map_inv(Theta_t))
 
     def dist(u: ConfigState, v: ConfigState) -> float:
         return norm_config(u.with_values(u.values - v.values))
 
-    report = {
-        "t": float(t),
-        "config_phase": dist(psi_t, psi_from_phase),
-        "config_moyal": dist(psi_t, psi_from_moyal),
-        "phase_moyal": dist(psi_from_phase, psi_from_moyal),
-        "norm_drift": max(
-            abs(norm_config(psi_t) - norm_config(psi0)),
-            abs(norm_phase(Psi_t) - norm_phase(Psi0)),
-            abs(norm_phase(Theta_t) - norm_phase(Theta0)),
-        ),
-    }
-    report["max_distance"] = max(report["config_phase"], report["config_moyal"],
-                                 report["phase_moyal"])
-    return report
+    def at(t: float) -> dict:
+        psi_t = evolve(cfg, psi0, t)
+        Psi_t = pw.evolve(Psi0, t)
+        psi_from_phase = iso.adjoint(Psi_t)
+        Theta_t = mw.evolve(Theta0, t)
+        psi_from_moyal = iso.adjoint(moyal_map_inv(Theta_t))
+        report = {
+            "t": float(t),
+            "config_phase": dist(psi_t, psi_from_phase),
+            "config_moyal": dist(psi_t, psi_from_moyal),
+            "phase_moyal": dist(psi_from_phase, psi_from_moyal),
+            "norm_drift": max(
+                abs(norm_config(psi_t) - norm_config(psi0)),
+                abs(norm_phase(Psi_t) - norm_phase(Psi0)),
+                abs(norm_phase(Theta_t) - norm_phase(Theta0)),
+            ),
+        }
+        report["max_distance"] = max(report["config_phase"], report["config_moyal"],
+                                     report["phase_moyal"])
+        return report
+
+    if np.ndim(t) == 0:
+        return at(t)
+    return [at(s) for s in t]
 
 
 def _distinct_levels(values: np.ndarray, n_levels: int, atol: float) -> np.ndarray:

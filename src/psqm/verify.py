@@ -283,10 +283,11 @@ def suite_dynamics(params: dict) -> list:
     tol_n = _tol(params, "tol_norm_drift")
     psi0 = gaussian_state(grid.x_grid, 1.0, 0.5, 1.0)
     checks = []
+    times = list(params.get("times", (0.1, 0.5, 1.0)))
     for name in ("oscillator", "free"):
-        a = _symbol(grid, name)
-        for t in params.get("times", (0.1, 0.5, 1.0)):
-            rep = compare_representations(a, chi, float(t), psi0)
+        reps = compare_representations(_symbol(grid, name), chi,
+                                       [float(t) for t in times], psi0)
+        for t, rep in zip(times, reps):
             checks.append(_check(f"distance[{name}, t={t}]", rep["max_distance"], tol_d))
             checks.append(_check(f"norm_drift[{name}, t={t}]", rep["norm_drift"], tol_n))
     return checks

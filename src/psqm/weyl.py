@@ -322,9 +322,10 @@ def symbol_to_kernel(a: Symbol) -> Kernel:
     n = xg.n_points
     xi = a.grid.p_grid.points
     amid = _midpoint_values(a)
-    d = np.arange(n)
-    phase = np.exp(1j * np.outer(xi, d * xg.spacing))           # (m, d)
-    B = (a.grid.p_grid.spacing / (2 * np.pi)) * (amid @ phase)  # (2N, N)
+    # sum_m a(., xi_m) exp(i*xi_m*d*dx) = exp(i*xi_0*d*dx) * n * ifft over m
+    post = np.exp(1j * xi[0] * np.arange(n) * xg.spacing)
+    B = np.fft.ifft(amid, axis=1)                                # (2N, N)
+    B *= (a.grid.p_grid.spacing * n / (2 * np.pi)) * post
     S, D = _midpoint_indices(n, torus=not a.is_polynomial)
     return Kernel(xg, B[S, D])
 
@@ -346,21 +347,21 @@ def kernel_to_symbol(K: Kernel) -> Symbol:
     i = np.arange(n)
     Dm = (i[:, None] - i[None, :]) % n
 
-    # Toeplitz part: mean over each torus diagonal, exact 1-D inversion.
-    tau = np.zeros(n, complex)
-    np.add.at(tau, Dm.ravel(), K.values.ravel())
-    tau /= n
+    # Toeplitz part: mean over each torus diagonal, exact 1-D inversion
+    # (K[i, Dm[i, d]] runs along the diagonal of offset d).
+    tau = K.values[i[:, None], Dm].mean(axis=0)
     alpha = xg.spacing * np.fft.fftshift(np.fft.fft(tau))
     rest = K.values - tau[Dm]
 
     # rest((x_i + t/2), (x_i - t/2)) on the half lattice of offsets t
     mid = fourier.half_shift(fourier.half_shift(rest, 0), 1)
-    t = np.arange(-n // 2, n // 2)
+    t = np.fft.fftfreq(n, 1.0 / n).astype(int)                  # FFT order
     U = ((2 * i[:, None] + t[None, :]) % (2 * n)) // 2
     V = ((2 * i[:, None] - t[None, :]) % (2 * n)) // 2
     vals = np.where(t % 2 == 0, rest[U, V], mid[U, V])          # (N, Nt)
-    phase = np.exp(-1j * np.outer(t * xg.spacing, xi))          # (Nt, m)
-    samples = alpha[None, :] + xg.spacing * (vals @ phase)
+    # sum_t exp(-i*t*dx*xi_m) = exp(-i*t*dx*xi_0) exp(-2*pi*i*t*m/n): one FFT
+    vals *= np.exp(-1j * t * xg.spacing * xi[0])
+    samples = alpha[None, :] + xg.spacing * np.fft.fft(vals, axis=1)
     return Symbol(grid, samples)
 
 
@@ -399,25 +400,15 @@ def heisenberg_weyl(z0, psi: ConfigState) -> ConfigState:
 
 # ------------------------------------------------------ symplectic transform
 
-@lru_cache(maxsize=16)
-def _symplectic_ft_mats(grid: PhaseGrid):
-    x = grid.x_grid.points
-    p = grid.p_grid.points
-    T1 = np.exp(-1j * np.outer(p, x)) * grid.x_grid.spacing      # (m, k)
-    T2 = np.exp(1j * np.outer(x, p)) * grid.p_grid.spacing       # (i, l)
-    T1.flags.writeable = False
-    T2.flags.writeable = False
-    return T1, T2
-
-
 def symplectic_ft(a: Symbol) -> Symbol:
     """F_sigma a(x0, xi0) = (2*pi)**(-1) * iint a(x, xi)
     exp(i*(x0*xi - xi0*x)) dx dxi, sampled back on the input lattice;
-    involutive on band-limited symbols."""
+    involutive on band-limited symbols.  Two unitary FFTs: x -> xi0,
+    then xi -> x0 on the transposed array."""
     _require_weyl_ready(a.grid)
-    T1, T2 = _symplectic_ft_mats(a.grid)
-    out = (T2 @ (T1 @ a.values).T) / (2 * np.pi)
-    return Symbol(a.grid, out)
+    xg, pg = a.grid.x_grid, a.grid.p_grid
+    hat = fourier.ft_array(a.values, xg, axis=0)                 # (xi0, xi)
+    return Symbol(a.grid, fourier.ift_array(hat.T, pg, xg, axis=0))
 
 
 # ------------------------------------------------------------- Moyal product
@@ -450,15 +441,12 @@ def _groenewold_poly(pa: dict, pb: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _poly_derivs_on_grid(poly: dict, grid: PhaseGrid, dx_order: int,
-                         dxi_order: int) -> np.ndarray:
-    d = poly
+def _poly_deriv(poly: dict, dx_order: int, dxi_order: int) -> dict:
     for _ in range(dx_order):
-        d = poly_diff(d, 0)
+        poly = poly_diff(poly, 0)
     for _ in range(dxi_order):
-        d = poly_diff(d, 1)
-    X, XI = grid.meshes()
-    return poly_eval(d, X, XI)
+        poly = poly_diff(poly, 1)
+    return poly
 
 
 def _array_deriv(values: np.ndarray, grid: PhaseGrid, dx_order: int,
@@ -475,20 +463,22 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
                      poly_on_left: bool) -> np.ndarray:
     """Star product where one factor is polynomial: the bidifferential
     series terminates at the polynomial degree.  Analytic derivatives on
-    the polynomial side, spectral on the sampled side."""
+    the polynomial side, spectral on the sampled side; a term whose
+    polynomial derivative vanishes is skipped."""
     kmax = poly_degree(poly)
     out = np.zeros(grid.shape, complex)
     for k in range(kmax + 1):
         coef = (0.5j) ** k / math.factorial(k)
         for j in range(k + 1):
             sgn = coef * _binom(k, j) * (-1) ** j
+            dpoly = _poly_deriv(poly, *((k - j, j) if poly_on_left else (j, k - j)))
+            if not dpoly:
+                continue
+            pvals = poly_eval(dpoly, *grid.meshes())
             if poly_on_left:
-                left = _poly_derivs_on_grid(poly, grid, k - j, j)
-                right = _array_deriv(values, grid, j, k - j)
+                out = out + sgn * pvals * _array_deriv(values, grid, j, k - j)
             else:
-                left = _array_deriv(values, grid, k - j, j)
-                right = _poly_derivs_on_grid(poly, grid, j, k - j)
-            out = out + sgn * left * right
+                out = out + sgn * _array_deriv(values, grid, k - j, j) * pvals
     return out
 
 

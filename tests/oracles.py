@@ -6,9 +6,11 @@ pipeline entirely (except where a test explicitly cross-checks two
 package routes against each other).
 """
 
+import math
+
 import numpy as np
 
-from psqm import ConfigState, moyal_map, moyal_map_inv
+from psqm import ConfigState, fourier, moyal_map, moyal_map_inv, weyl
 
 
 def quadrature_ft(f, xi_points, x_half=30.0, n=16384):
@@ -158,3 +160,105 @@ def explicit_propagator(matrix, t):
     eigendecomposition of the symmetrized matrix."""
     w, V = np.linalg.eigh(0.5 * (matrix + matrix.conj().T))
     return (V * np.exp(-1j * w * t)) @ V.conj().T
+
+
+# Dense phase-table routes that the lattice FFT routes replaced; each
+# builds an n x n exp table per call (references for the fast routes).
+
+def moyal_map_fourier_shift(values, grid):
+    """U on (x, p) samples by two Fourier shears of the p-transform."""
+    pts = grid.points
+    hat = fourier.ft_array(values, grid, axis=1)
+    g1 = fourier.fourier_shift(hat, grid, -pts, axis=1)
+    h = fourier.fourier_shift(g1, grid, pts / 2, axis=0)
+    return fourier.ift_array(h, grid.dual, grid, axis=1)
+
+
+def moyal_map_inv_fourier_shift(values, grid):
+    """U^{-1} on (x, p) samples: the two Fourier shears unwound."""
+    pts = grid.points
+    hat = fourier.ft_array(values, grid, axis=1)
+    h = fourier.fourier_shift(hat, grid, -pts / 2, axis=0)
+    g1 = fourier.fourier_shift(h, grid, pts, axis=1)
+    return fourier.ift_array(g1, grid.dual, grid, axis=1)
+
+
+def symbol_to_kernel_dense(a):
+    """Kernel values of a symbol with the xi quadrature as ``amid @ phase``."""
+    xg = a.grid.x_grid
+    n = xg.n_points
+    amid = weyl._midpoint_values(a)
+    phase = np.exp(1j * np.outer(a.grid.p_grid.points, np.arange(n) * xg.spacing))
+    B = (a.grid.p_grid.spacing / (2 * np.pi)) * (amid @ phase)
+    S, D = weyl._midpoint_indices(n, torus=not a.is_polynomial)
+    return B[S, D]
+
+
+def kernel_to_symbol_dense(K):
+    """Symbol samples of a kernel: diagonal means by ``np.add.at`` and
+    the y quadrature as ``vals @ phase``."""
+    xg = K.grid
+    n = xg.n_points
+    xi = xg.dual.points
+    i = np.arange(n)
+    Dm = (i[:, None] - i[None, :]) % n
+    tau = np.zeros(n, complex)
+    np.add.at(tau, Dm.ravel(), K.values.ravel())
+    tau /= n
+    alpha = xg.spacing * np.fft.fftshift(np.fft.fft(tau))
+    rest = K.values - tau[Dm]
+    mid = fourier.half_shift(fourier.half_shift(rest, 0), 1)
+    t = np.arange(-n // 2, n // 2)
+    U = ((2 * i[:, None] + t[None, :]) % (2 * n)) // 2
+    V = ((2 * i[:, None] - t[None, :]) % (2 * n)) // 2
+    vals = np.where(t % 2 == 0, rest[U, V], mid[U, V])
+    phase = np.exp(-1j * np.outer(t * xg.spacing, xi))
+    return alpha[None, :] + xg.spacing * (vals @ phase)
+
+
+def cross_wigner_dense(psi, phi):
+    """Cross-Wigner samples with the t quadrature as ``prod @ phase``."""
+    g = psi.grid
+    n = g.n_points
+    fh = fourier.upsample2(psi.values, axis=0)
+    gh = fourier.upsample2(phi.values, axis=0)
+    t = np.arange(-n // 2, n // 2)
+    i = np.arange(n)
+    prod = (fh[(2 * i[:, None] + t[None, :]) % (2 * n)]
+            * np.conj(gh[(2 * i[:, None] - t[None, :]) % (2 * n)]))
+    phase = np.exp(-1j * np.outer(t * g.spacing, g.dual.points))
+    return (g.spacing / (2 * np.pi)) * (prod @ phase)
+
+
+def groenewold_mixed_all_terms(poly, values, grid, poly_on_left):
+    """Terminating star product with one polynomial factor, evaluating
+    every term of the expansion, those whose polynomial derivative
+    vanishes included."""
+    def poly_derivs(dx_order, dxi_order):
+        d = poly
+        for _ in range(dx_order):
+            d = weyl.poly_diff(d, 0)
+        for _ in range(dxi_order):
+            d = weyl.poly_diff(d, 1)
+        X, XI = grid.meshes()
+        return weyl.poly_eval(d, X, XI)
+
+    def array_deriv(dx_order, dxi_order):
+        out = values
+        for _ in range(dx_order):
+            out = fourier.spectral_derivative(out, grid.x_grid, axis=0)
+        for _ in range(dxi_order):
+            out = fourier.spectral_derivative(out, grid.p_grid, axis=1)
+        return out
+
+    out = np.zeros(grid.shape, complex)
+    for k in range(weyl.poly_degree(poly) + 1):
+        coef = (0.5j) ** k / math.factorial(k)
+        for j in range(k + 1):
+            sgn = coef * math.comb(k, j) * (-1) ** j
+            if poly_on_left:
+                left, right = poly_derivs(k - j, j), array_deriv(j, k - j)
+            else:
+                left, right = array_deriv(k - j, j), poly_derivs(j, k - j)
+            out = out + sgn * left * right
+    return out

@@ -116,3 +116,28 @@ def test_upsample2_even_samples_exact_odd_samples_at_midpoints():
     up2 = fourier.upsample2(np.outer(f(t), c), axis=0)
     assert np.array_equal(up2[0::2], np.outer(f(t), c))
     assert np.abs(up2[1::2] - np.outer(f(t + np.pi / n), c)).max() < 1e-13
+
+
+@pytest.mark.parametrize("n", [64, 128])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_lattice_shear_is_the_half_cell_fourier_shift(n, axis, rng):
+    # full-band random complex data: the Nyquist convention shows
+    g = make_grid(n, 5.0)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    for steps in (2 * rng.integers(-n, n, n),          # whole cells only
+                  2 * rng.integers(-n, n, n) + 1,      # every count odd
+                  rng.integers(-3 * n, 3 * n, n)):     # mixed
+        got = fourier.lattice_shear(v, steps, axis)
+        want = fourier.fourier_shift(v, g, steps * g.spacing / 2, axis=axis)
+        assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+    # whole cells are exact index rolls
+    steps = 2 * rng.integers(-n, n, n)
+    got = fourier.lattice_shear(v, steps, axis)
+    j = 5
+    want = np.roll(np.take(v, j, axis=1 - axis), steps[j] // 2)
+    assert np.array_equal(np.take(got, j, axis=1 - axis), want)
+
+
+def test_lattice_shear_refuses_mismatched_steps():
+    with pytest.raises(ValueError):
+        fourier.lattice_shear(np.zeros((8, 8)), np.zeros(4, int), 0)

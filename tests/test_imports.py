@@ -1,4 +1,5 @@
-"""Every name a psqm module imports is referenced in that module."""
+"""Every name a psqm module imports is referenced in that module, and
+no psqm module uses another psqm module's private (``_name``) names."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,55 @@ def _unused_imports(path: Path) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+MODULES = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _cross_module_private_names(path: Path) -> list:
+    """``from .m import _x`` (or ``from psqm.m``) and ``m._x`` reads,
+    where ``m`` is bound to another psqm module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = set()     # local names bound to psqm modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            package = node.level > 0 or (node.module or "").split(".")[0] == "psqm"
+            if not package:
+                continue
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append(f"{path.name}:{node.lineno}: imports {alias.name}")
+                if (node.module in (None, "psqm")) and alias.name in MODULES:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("psqm.") and alias.asname:
+                    modules.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and _private(node.attr)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append(f"{path.name}:{node.lineno}: reads {node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_across_modules(path):
+    assert _cross_module_private_names(path) == []
+
+
+def test_private_name_guard_sees_imports_and_attribute_reads(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from .weyl import _midpoint_indices\n"
+                   "from . import fourier as f\n"
+                   "import psqm.grids as g\n"
+                   "x = f._ft_matrix, g._is_power_of_two, f.lattice_shear, f.__name__\n")
+    assert _cross_module_private_names(bad) == [
+        "bad.py:1: imports _midpoint_indices",
+        "bad.py:4: reads f._ft_matrix",
+        "bad.py:4: reads g._is_power_of_two",
+    ]

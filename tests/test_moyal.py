@@ -13,7 +13,13 @@ from psqm.states import hermite_values, gaussian_values
 from psqm.spectral import eig, evolve
 from psqm.weyl import star_values
 from psqm.reference import cross_wigner_quadrature
-from oracles import double_phase_space_quantize
+from psqm import fourier
+from oracles import (double_phase_space_quantize, cross_wigner_dense,
+                     moyal_map_fourier_shift, moyal_map_inv_fourier_shift)
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
 # ------------------------------------------------------------- dilations
@@ -112,6 +118,33 @@ def test_moyal_map_unitary_and_invertible(pg128, rng):
     assert np.abs(back.values - Psi.values).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_moyal_map_shears_match_fourier_shift_route(n, rng):
+    grid = self_dual_phase_grid(n)
+    v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    Psi = PhaseState(grid, v)
+    assert _rel(moyal_map(Psi).values,
+                moyal_map_fourier_shift(v, grid.x_grid)) < 1e-12
+    assert _rel(moyal_map_inv(Psi).values,
+                moyal_map_inv_fourier_shift(v, grid.x_grid)) < 1e-12
+
+
+def test_moyal_map_calls_no_fourier_shift(pg64, rng, monkeypatch):
+    calls = []
+    shift = fourier.fourier_shift
+
+    def counting_shift(*args, **kwargs):
+        calls.append(1)
+        return shift(*args, **kwargs)
+
+    monkeypatch.setattr(fourier, "fourier_shift", counting_shift)
+    Psi = random_phase_state(pg64, rng)
+    moyal_map_inv(moyal_map(Psi))
+    assert len(calls) == 0
+    rotate(Psi, 0.3)            # the general shears still use it
+    assert len(calls) == 3
+
+
 def test_moyal_map_equals_group_composition(pg256, rng):
     # the 1e-7 agreement needs the acceptance-size lattice: the two-step
     # route dilates by sqrt(2) and so needs the full boundary margin
@@ -128,6 +161,14 @@ def test_cross_wigner_ground_state(pg128):
     W = cross_wigner(h0, h0)
     X, P = pg128.meshes()
     assert np.abs(W.values - np.exp(-(X ** 2 + P ** 2)) / np.pi).max() < 1e-8
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_cross_wigner_fft_matches_dense_quadrature(n, rng):
+    g = self_dual_phase_grid(n).x_grid
+    for psi, phi in [(hermite_state(g, 3), gaussian_state(g, 0.5, -0.3, 1.1)),
+                     (random_config_state(g, rng), random_config_state(g, rng))]:
+        assert _rel(cross_wigner(psi, phi).values, cross_wigner_dense(psi, phi)) < 1e-12
 
 
 def test_cross_wigner_marginal_is_norm(pg128, rng):

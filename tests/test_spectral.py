@@ -7,7 +7,7 @@ from psqm import (Symbol, LinOp, quantize_config, eig, evolve,
                   gaussian_state, inner_config, norm_config,
                   random_config_state, random_phase_state, WindowedIsometry,
                   self_dual_phase_grid, quantize_phase, quantize_moyal,
-                  phase_heisenberg_weyl)
+                  phase_heisenberg_weyl, run_verify)
 from psqm.reference import fd_oscillator_levels
 from oracles import explicit_propagator, moyal_restrict_basis_loop
 
@@ -73,6 +73,29 @@ def test_compare_representations_takes_one_eigendecomposition(pg128, monkeypatch
                                   gaussian_state(pg128.x_grid, 1.0, 0.5, 1.0))
     assert rep["max_distance"] < 1e-6
     assert len(calls) == 1
+
+
+def test_compare_representations_over_times_equals_one_call_per_time(pg128):
+    chi = hermite_state(pg128.p_grid, 0)
+    psi0 = gaussian_state(pg128.x_grid, 1.0, 0.5, 1.0)
+    times = (0.1, 0.5, 1.0)
+    for sym in (Symbol.oscillator(pg128), Symbol.free_particle(pg128)):
+        reps = compare_representations(sym, chi, times, psi0)
+        assert reps == [compare_representations(sym, chi, t, psi0) for t in times]
+
+
+def test_verify_dynamics_takes_one_eigendecomposition_per_symbol(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    report = run_verify(["dynamics"], {"n_points": 64})
+    assert report["n_checks"] == 12
+    assert len(calls) == 2
 
 
 def test_every_evolve_refuses_a_non_hermitian_symbol(pg64, rng):

@@ -5,11 +5,18 @@ from psqm import (Symbol, Kernel, make_grid, PhaseGrid, self_dual_phase_grid,
                   symbol_to_kernel, kernel_to_symbol, quantize_config,
                   heisenberg_weyl, symplectic_ft, moyal_product,
                   hermite_state, gaussian_state, random_config_state,
-                  norm_config, BandLimitError, LinOp, flush_subnormals)
+                  norm_config, BandLimitError, LinOp, flush_subnormals,
+                  random_phase_state, star_apply)
 from psqm.fourier import derivative_matrix
+from psqm.weyl import star_values
 from psqm.states import hermite_values
 from psqm.reference import fd_oscillator_levels
-from oracles import weyl_symbol_quadrature, brute_star
+from oracles import (weyl_symbol_quadrature, brute_star, groenewold_mixed_all_terms,
+                     kernel_to_symbol_dense, symbol_to_kernel_dense)
+
+
+def _rel(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
 
 
 # ------------------------------------------------------------- quantization
@@ -128,6 +135,24 @@ def test_symbol_kernel_roundtrip_band_limited(pg128, rng):
     assert np.abs(back.values - sym.values).max() < 1e-8
 
 
+@pytest.mark.parametrize("n", [64, 128])
+def test_kernel_and_symbol_ffts_match_dense_quadratures(n, rng):
+    grid = self_dual_phase_grid(n)
+    symbols = [
+        Symbol.oscillator(grid),                                  # arithmetic midpoints
+        Symbol.from_function(
+            grid, lambda x, xi: (1 + x * xi) * np.exp(-(x ** 2 + xi ** 2) / 4)),
+        _sampled_corpus(grid)[2],                                 # interpolated
+    ]
+    for a in symbols:
+        K = symbol_to_kernel(a)
+        assert _rel(K.values, symbol_to_kernel_dense(a)) < 1e-12
+        assert _rel(kernel_to_symbol(K).values, kernel_to_symbol_dense(K)) < 1e-12
+    # full-band kernel: every diagonal and both half-lattice parities
+    K = Kernel(grid.x_grid, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    assert _rel(kernel_to_symbol(K).values, kernel_to_symbol_dense(K)) < 1e-12
+
+
 def test_rank_one_projector_symbol(pg128):
     # kernel phi(x) phi(y)* for the Gaussian ground state -> 2 e^{-(x^2+xi^2)}
     g = pg128.x_grid
@@ -221,6 +246,18 @@ def test_x_star_xi_bopp_value(pg64):
     assert np.abs(c.values - (X * XI + 0.5j)).max() < 1e-8
     c2 = moyal_product(b, a)
     assert np.abs(c2.values - (X * XI - 0.5j)).max() < 1e-8
+
+
+@pytest.mark.parametrize("poly", [{(2, 0): 0.5, (0, 2): 0.5}, {(1, 1): 1.0}],
+                         ids=["oscillator", "x_xi"])
+def test_mixed_star_product_skips_only_vanishing_terms(pg128, rng, poly):
+    # skipped terms add exact zeros: the values are bit-identical
+    Psi = random_phase_state(pg128, rng)
+    a = Symbol.polynomial(pg128, poly)
+    assert np.array_equal(star_apply(a, Psi).values,
+                          groenewold_mixed_all_terms(poly, Psi.values, pg128, True))
+    assert np.array_equal(star_values(Psi.values, poly, pg128),
+                          groenewold_mixed_all_terms(poly, Psi.values, pg128, False))
 
 
 def _sampled_corpus(grid):
