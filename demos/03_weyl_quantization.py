@@ -10,7 +10,7 @@ the star product of their symbols.
 import numpy as np
 
 from psqm import (Symbol, quantize_config, moyal_product, kernel_to_symbol,
-                  symbol_to_kernel, self_dual_phase_grid, hermite_state)
+                  self_dual_phase_grid, hermite_state)
 from psqm.reference import fd_oscillator_levels
 
 grid = self_dual_phase_grid(256)

@@ -9,8 +9,6 @@ then evolved along all three routes and the evolved states agree after
 mapping back.
 """
 
-import numpy as np
-
 from psqm import (Symbol, hermite_state, gaussian_state, spectrum_report,
                   compare_representations, self_dual_phase_grid)
 

@@ -17,7 +17,7 @@ from .isometry import WindowedIsometry
 from .phase_weyl import (phase_heisenberg_weyl, PhaseWeylOp, quantize_phase,
                          intertwining_report)
 from .moyal import (dilate, rotate, moyal_map, moyal_map_inv, cross_wigner,
-                    bopp_apply, bopp_operator, moyal_heisenberg_weyl,
+                    bopp_apply, moyal_heisenberg_weyl,
                     MoyalWeylOp, quantize_moyal, star_apply, stargen_residual)
 from .mixed import (MixedState, ZeroProjectionError, mixed_to_phase,
                     measure_probability, collapse, measurement_basis)
@@ -42,7 +42,7 @@ __all__ = [
     "phase_heisenberg_weyl", "PhaseWeylOp", "quantize_phase",
     "intertwining_report",
     "dilate", "rotate", "moyal_map", "moyal_map_inv", "cross_wigner",
-    "bopp_apply", "bopp_operator", "moyal_heisenberg_weyl",
+    "bopp_apply", "moyal_heisenberg_weyl",
     "MoyalWeylOp", "quantize_moyal", "star_apply", "stargen_residual",
     "MixedState", "ZeroProjectionError", "mixed_to_phase",
     "measure_probability", "collapse", "measurement_basis",

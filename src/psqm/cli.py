@@ -73,8 +73,7 @@ def _load_params(args, keys=CONFIG_KEYS) -> dict:
     if getattr(args, "config", None):
         params.update(parse_config(args.config, keys))
     if "t" in params and "times" not in params:
-        t = params.pop("t")
-        params["times"] = t if isinstance(t, list) else [t]
+        params["times"] = params.pop("t")
     return params
 
 
@@ -108,8 +107,8 @@ def cmd_spectrum(args) -> int:
     params = dict(default_params())
     params.update(_load_params(args, SPECTRUM_KEYS))
     name = str(params.pop("symbol", "oscillator"))
-    _, chi, a = resolve_params(params, name)
     report = run_verify(["spectrum"], params)
+    _, chi, a = resolve_params(params, name)
     from .spectral import spectrum_report
     report["spectrum"] = {"symbol": name, **spectrum_report(a, chi)}
     _emit(report, args.out)

@@ -155,29 +155,6 @@ def upsample2(values: np.ndarray, axis: int = -1) -> np.ndarray:
     return pair.reshape(shape)
 
 
-@lru_cache(maxsize=32)
-def _ft_matrix(grid: Grid1D) -> np.ndarray:
-    m = ft_array(np.eye(grid.n_points, dtype=complex), grid, axis=0)
-    m.flags.writeable = False
-    return m
-
-
-@lru_cache(maxsize=32)
-def _ift_matrix(grid: Grid1D) -> np.ndarray:
-    m = ift_array(np.eye(grid.n_points, dtype=complex), grid.dual, grid, axis=0)
-    m.flags.writeable = False
-    return m
-
-
-@lru_cache(maxsize=32)
-def derivative_matrix(grid: Grid1D) -> np.ndarray:
-    """Dense matrix of -i d/dx on the band-limited class (spectral)."""
-    xi = grid.dual.points
-    m = _ift_matrix(grid) @ (xi[:, None] * _ft_matrix(grid))
-    m.flags.writeable = False
-    return m
-
-
 def spectral_derivative(values: np.ndarray, grid: Grid1D, axis: int = -1) -> np.ndarray:
     """d/dx along ``axis`` (note: plain derivative, not -i d/dx)."""
     n = grid.n_points
@@ -194,7 +171,7 @@ def _resample_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
     E = (grid.dual.spacing / np.sqrt(2.0 * np.pi)) * np.exp(
         1j * np.outer(alpha * grid.points, xi)
     )
-    m = E @ _ft_matrix(grid)
+    m = E @ ft_array(np.eye(grid.n_points, dtype=complex), grid, axis=0)
     m.flags.writeable = False
     return m
 

@@ -104,11 +104,6 @@ def grids_compatible(a: Grid1D, b: Grid1D, rtol: float = 1e-12) -> bool:
     )
 
 
-def require_same_grid(a: Grid1D, b: Grid1D, what: str = "grids") -> None:
-    if not grids_compatible(a, b):
-        raise GridMismatchError(f"{what} differ: {a} vs {b}")
-
-
 @dataclass(frozen=True)
 class PhaseGrid:
     """Product lattice for phase-space functions Psi(x, p).

@@ -14,7 +14,7 @@ import numpy as np
 
 from .grids import PhaseGrid, GridMismatchError, grids_compatible
 from .states import ConfigState, PhaseState, norm_config
-from .weyl import LinOp, require_dense_dim
+from .weyl import LinOp
 
 __all__ = ["WindowedIsometry"]
 
@@ -56,28 +56,7 @@ class WindowedIsometry:
     def represent_apply(self, op: LinOp, Psi: PhaseState) -> PhaseState:
         """Action of the lifted operator T a T* on an arbitrary phase
         state (vanishes on the orthocomplement of the range)."""
-        if op.rep != "config":
-            raise ValueError("represent_apply needs a config-representation operator")
         return self.apply(op.apply(self.adjoint(Psi)))
-
-    def represent(self, op: LinOp) -> LinOp:
-        """Dense phase-space matrix of T a T* on the full product grid.
-
-        The matrix is kron(M, W) with W the rank-one window overlap
-        including the p-integration weight; memory grows as
-        (n_x*n_p)^2, so large grids are refused (use
-        :meth:`represent_apply` instead).
-        """
-        if op.rep != "config":
-            raise ValueError("represent needs a config-representation operator")
-        n_x = op.grid.n_points
-        n_p = self.p_grid.n_points
-        require_dense_dim(n_x * n_p, "phase operator",
-                          "use represent_apply for matrix-free action")
-        W = np.outer(np.conj(self.window.values), self.window.values) * self.p_grid.spacing
-        pg = PhaseGrid(op.grid, self.p_grid)
-        return LinOp("phase_schrodinger", pg, np.kron(op.matrix, W),
-                     note=f"lifted({op.note})" if op.note else "lifted")
 
     def transport(self, other: "WindowedIsometry", Psi: PhaseState) -> PhaseState:
         """Map from the range of ``other`` onto the range of ``self``

@@ -123,8 +123,6 @@ def measurement_basis(op: LinOp, n_levels: int, gap_tol: float = 1e-6) -> list:
     """Lowest eigenpairs of a config operator as (value, state) pairs,
     rejecting near-degenerate levels (the measurement formulas assume a
     nondegenerate eigenvalue)."""
-    if op.rep != "config":
-        raise ValueError("measurement basis requires a config operator")
     from .spectral import eig
     values, states = eig(op)
     scale = max(abs(values[0]), abs(values[-1]), 1.0)

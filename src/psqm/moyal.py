@@ -23,7 +23,7 @@ import numpy as np
 
 from .grids import Grid1D, PhaseGrid, GridMismatchError, grids_compatible
 from .states import ConfigState, PhaseState, norm_phase
-from .weyl import Symbol, LinOp, flush_subnormals, require_dense_dim, star_values
+from .weyl import Symbol, LinOp, flush_subnormals, star_values
 from .phase_weyl import PhaseWeylOp, quantize_phase
 from .isometry import WindowedIsometry
 from . import fourier
@@ -31,7 +31,7 @@ from .fourier import BandLimitError
 
 __all__ = [
     "dilate", "rotate", "moyal_map", "moyal_map_inv", "cross_wigner",
-    "bopp_apply", "bopp_operator", "moyal_heisenberg_weyl",
+    "bopp_apply", "moyal_heisenberg_weyl",
     "MoyalWeylOp", "quantize_moyal", "star_apply", "stargen_residual",
 ]
 
@@ -190,33 +190,6 @@ def bopp_apply(name: str, Psi: PhaseState) -> PhaseState:
     return Psi.with_values(out)
 
 
-def bopp_operator(name: str, grid: PhaseGrid) -> LinOp:
-    """Dense matrix of a Bopp operator on the product lattice
-    (size-guarded; use :func:`bopp_apply` on large grids).  All four are
-    Hermitian and realize the canonical commutators
-    [X, Xi_x] = i, [P, Xi_p] = i, all other pairs commuting."""
-    n_x, n_p = grid.shape
-    require_dense_dim(n_x * n_p, "Bopp operator", "use bopp_apply")
-    Dx = fourier.derivative_matrix(grid.x_grid)   # -i d/dx
-    Dp = fourier.derivative_matrix(grid.p_grid)
-    Ix = np.eye(n_x)
-    Ip = np.eye(n_p)
-    x = np.diag(grid.x_grid.points)
-    p = np.diag(grid.p_grid.points)
-    # (i/2) d/dp = (i/2)(i Dp) = -Dp/2
-    if name == "X":
-        M = np.kron(x, Ip) - 0.5 * np.kron(Ix, Dp)
-    elif name == "P":
-        M = np.kron(Ix, p) - 0.5 * np.kron(Dx, Ip)
-    elif name == "Xi_x":
-        M = np.kron(Ix, p) + 0.5 * np.kron(Dx, Ip)
-    elif name == "Xi_p":
-        M = np.kron(x, Ip) + 0.5 * np.kron(Ix, Dp)
-    else:
-        raise ValueError(f"unknown Bopp operator {name!r}; choose from {BOPP_NAMES}")
-    return LinOp("moyal", grid, M, note=f"bopp({name})")
-
-
 # --------------------------------------------------- displacement and operators
 
 def moyal_heisenberg_weyl(z0, Psi: PhaseState) -> PhaseState:
@@ -253,23 +226,6 @@ class MoyalWeylOp:
         U(range of lift).  U is unitary, so compressing U A U^{-1} to
         U(range T) gives T* A T, the phase operator's restriction."""
         return self.phase_op.restrict(iso)
-
-    def matrix(self, p_grid: Grid1D) -> LinOp:
-        """Dense matrix on the product lattice via basis application
-        (size-guarded)."""
-        xg = self.phase_op.x_grid
-        n_x, n_p = xg.n_points, p_grid.n_points
-        require_dense_dim(n_x * n_p, "Moyal operator", "use apply()")
-        pg = PhaseGrid(xg, p_grid)
-        _require_self_dual(pg, "MoyalWeylOp.matrix")
-        dim = n_x * n_p
-        M = np.empty((dim, dim), complex)
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = 1.0
-            out = self.apply(PhaseState(pg, e.reshape(n_x, n_p)))
-            M[:, j] = out.values.reshape(-1)
-        return LinOp("moyal", pg, M, note="weyl(moyal)")
 
 
 def quantize_moyal(a: Symbol) -> MoyalWeylOp:

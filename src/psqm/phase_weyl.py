@@ -16,7 +16,7 @@ import numpy as np
 from .grids import Grid1D, PhaseGrid, GridMismatchError, grids_compatible
 from .states import (PhaseState, norm_config, norm_phase, random_config_state,
                      random_phase_state)
-from .weyl import Symbol, LinOp, displace, quantize_config, require_dense_dim
+from .weyl import Symbol, LinOp, displace, quantize_config
 from .isometry import WindowedIsometry
 
 __all__ = ["phase_heisenberg_weyl", "PhaseWeylOp", "quantize_phase",
@@ -44,7 +44,7 @@ class PhaseWeylOp:
     def apply(self, Psi: PhaseState) -> PhaseState:
         if not grids_compatible(Psi.grid.x_grid, self.x_grid):
             raise GridMismatchError("state x grid does not match operator grid")
-        return Psi.with_values(self.config_op.matrix @ Psi.values)
+        return self.config_op.apply(Psi)
 
     def evolve(self, Psi: PhaseState, t: float) -> PhaseState:
         """exp(-i t A) Psi through the spectral decomposition of the
@@ -54,33 +54,21 @@ class PhaseWeylOp:
         kernels are refused."""
         return Psi.with_values(self.config_op.propagate(Psi.values, t))
 
-    def matrix(self, p_grid: Grid1D) -> LinOp:
-        """Dense matrix on the full product lattice (size-guarded)."""
-        n_x = self.x_grid.n_points
-        n_p = p_grid.n_points
-        require_dense_dim(n_x * n_p, "phase operator",
-                          "use apply() for matrix-free action")
-        pg = PhaseGrid(self.x_grid, p_grid)
-        return LinOp("phase_schrodinger", pg,
-                     np.kron(self.config_op.matrix, np.eye(n_p)),
-                     note="weyl(phase)")
-
     def restrict(self, iso: WindowedIsometry) -> LinOp:
         """Config-sized matrix of the operator compressed to the range of
         the lift: T* A T, computed by lifting the sample basis, applying
         the operator and integrating against the window."""
-        n = self.x_grid.n_points
         chi = iso.window.values
         dp = iso.p_grid.spacing
         # A (e_j (x) chi*) = (M e_j) (x) chi*; integrate against chi dp
         lifted_weight = np.sum(np.conj(chi) * chi).real * dp
         R = self.config_op.matrix * lifted_weight
-        return LinOp("config", self.x_grid, R, note="phase|range(lift)")
+        return LinOp(self.x_grid, R)
 
 
 def quantize_phase(a: Symbol) -> PhaseWeylOp:
-    """Phase-space Weyl operator of a symbol (matrix-free on the full
-    lattice; dense via .matrix() on small grids)."""
+    """Phase-space Weyl operator of a symbol: its config matrix acting
+    along x, never a matrix on the full lattice."""
     return PhaseWeylOp(a, quantize_config(a))
 
 

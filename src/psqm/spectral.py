@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Grid1D
-from .states import ConfigState, PhaseState, inner_phase, norm_config, norm_phase
+from .states import ConfigState, inner_phase, norm_config, norm_phase
 from .weyl import Symbol, LinOp, quantize_config
 from .isometry import WindowedIsometry
 from .phase_weyl import PhaseWeylOp
@@ -25,14 +24,8 @@ def eig(op: LinOp, herm_tol: float = 1e-8):
     (:meth:`LinOp.eigh`).
     """
     w, V = op.eigh(herm_tol)
-    if isinstance(op.grid, Grid1D):
-        weight = np.sqrt(op.grid.spacing)
-        states = [ConfigState(op.grid, V[:, k] / weight) for k in range(len(w))]
-    else:
-        weight = np.sqrt(op.grid.cell_area)
-        states = [PhaseState(op.grid, V[:, k].reshape(op.grid.shape) / weight)
-                  for k in range(len(w))]
-    return w, states
+    weight = np.sqrt(op.grid.spacing)
+    return w, [ConfigState(op.grid, V[:, k] / weight) for k in range(len(w))]
 
 
 def evolve(op: LinOp, state, t: float):

@@ -6,6 +6,8 @@ run through :func:`run_verify`; reports are deterministic given the seed.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from .grids import PhaseGrid, self_dual_phase_grid
@@ -147,9 +149,9 @@ def suite_intertwining(params: dict) -> list:
     tol = _tol(params, "tol_intertwining")
     checks = []
     for name in ("x", "xi", "xxi", "oscillator"):
-        rep = intertwining_report(_symbol(grid, name), iso, 20, rng)
-        checks.append(_check(f"forward[{name}]", rep["forward_residual"], tol))
-        checks.append(_check(f"adjoint[{name}]", rep["adjoint_residual"], tol))
+        report = intertwining_report(_symbol(grid, name), iso, 20, rng)
+        checks.append(_check(f"forward[{name}]", report["forward_residual"], tol))
+        checks.append(_check(f"adjoint[{name}]", report["adjoint_residual"], tol))
     return checks
 
 
@@ -268,11 +270,11 @@ def suite_spectrum(params: dict) -> list:
     _, chi, osc = resolve_params(params)
     tol_pair = _tol(params, "tol_spectrum")
     tol_oracle = _tol(params, "tol_spectrum_oracle")
-    rep = spectrum_report(osc, chi, n_levels=8)
+    report = spectrum_report(osc, chi, n_levels=8)
     fd = reference.fd_oscillator_levels(8)
-    oracle_dev = float(np.abs(np.asarray(rep["config"]) - fd).max())
+    oracle_dev = float(np.abs(np.asarray(report["config"]) - fd).max())
     return [
-        _check("ladders_pairwise[8 levels]", rep["max_deviation"], tol_pair),
+        _check("ladders_pairwise[8 levels]", report["max_deviation"], tol_pair),
         _check("config_vs_fd_oracle", oracle_dev, tol_oracle),
     ]
 
@@ -283,13 +285,15 @@ def suite_dynamics(params: dict) -> list:
     tol_n = _tol(params, "tol_norm_drift")
     psi0 = gaussian_state(grid.x_grid, 1.0, 0.5, 1.0)
     checks = []
-    times = list(params.get("times", (0.1, 0.5, 1.0)))
+    times = params["times"]
     for name in ("oscillator", "free"):
-        reps = compare_representations(_symbol(grid, name), chi,
-                                       [float(t) for t in times], psi0)
-        for t, rep in zip(times, reps):
-            checks.append(_check(f"distance[{name}, t={t}]", rep["max_distance"], tol_d))
-            checks.append(_check(f"norm_drift[{name}, t={t}]", rep["norm_drift"], tol_n))
+        reports = compare_representations(_symbol(grid, name), chi,
+                                          [float(t) for t in times], psi0)
+        for t, report in zip(times, reports):
+            checks.append(_check(f"distance[{name}, t={t}]",
+                                 report["max_distance"], tol_d))
+            checks.append(_check(f"norm_drift[{name}, t={t}]",
+                                 report["norm_drift"], tol_n))
     return checks
 
 
@@ -362,7 +366,8 @@ _SUITES = {
 def run_verify(suites, params: dict | None = None) -> dict:
     """Run named suites ('all' expands to every suite) and assemble the
     deterministic report.  Parameter keys outside :data:`PARAM_KEYS`
-    are refused (ValueError)."""
+    and non-integer ``n_points`` or ``seed`` are refused (ValueError);
+    a single ``times`` value runs as a one-element list."""
     bad_keys = sorted(set(params or ()) - PARAM_KEYS)
     if bad_keys:
         raise ValueError(f"unknown parameter(s) {bad_keys}; choose from "
@@ -370,6 +375,11 @@ def run_verify(suites, params: dict | None = None) -> dict:
     merged = default_params()
     if params:
         merged.update(params)
+    for key in ("n_points", "seed"):
+        if not isinstance(merged[key], Integral):
+            raise ValueError(f"{key} must be an integer, got {merged[key]!r}")
+    if np.ndim(merged["times"]) == 0:
+        merged["times"] = [merged["times"]]
     if isinstance(suites, str):
         suites = [suites]
     names = list(SUITE_NAMES) if "all" in suites else list(suites)

@@ -54,8 +54,6 @@ __all__ = [
 INTERP_GUARD_TOL = 1e-5   # symbol midpoint interpolation support test
 ALIAS_GUARD_TOL = 1e-5    # sampled factor of a polynomial star product
 
-DENSE_DIM_LIMIT = 4096    # dense phase-space matrices above this are refused
-
 
 def flush_subnormals(values: np.ndarray) -> np.ndarray:
     """Copy of ``values`` with every real and imaginary component of
@@ -70,13 +68,6 @@ def flush_subnormals(values: np.ndarray) -> np.ndarray:
     tiny = np.finfo(parts.dtype).tiny
     parts[(parts < tiny) & (parts > -tiny)] = 0
     return out
-
-
-def require_dense_dim(dim: int, what: str, hint: str) -> None:
-    """Refuse (MemoryError) a dense matrix of dimension ``dim`` above
-    :data:`DENSE_DIM_LIMIT`; ``hint`` names the matrix-free route."""
-    if dim > DENSE_DIM_LIMIT:
-        raise MemoryError(f"dense {what} of dimension {dim} refused; {hint}")
 
 
 # ---------------------------------------------------------------- polynomials
@@ -191,44 +182,35 @@ class Kernel:
 
 @dataclass(eq=False)
 class LinOp:
-    """Dense matrix realization of an operator, tagged with its
-    representation ('config', 'phase_schrodinger' or 'moyal').
+    """Dense config-space matrix of an operator: an (n, n) array on a
+    :class:`Grid1D`, acting along axis 0.  The phase-space operator is
+    this matrix along x, the Moyal operator its conjugate by the Moyal
+    map, so no other dense operator is needed.
 
     The matrix is held as a read-only view, so the Hermiticity defect
     and the eigendecomposition, each computed once per operator on
     first use, stay valid for its lifetime.
     """
 
-    rep: str
-    grid: object
+    grid: Grid1D
     matrix: np.ndarray
-    note: str = ""
     _defect: Optional[float] = field(default=None, init=False, repr=False)
     _eigh: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if not isinstance(self.grid, Grid1D):
+            raise GridMismatchError(
+                f"LinOp is a config-space matrix on a Grid1D, got {type(self.grid).__name__}")
         self.matrix = np.asarray(self.matrix, dtype=complex).view()
         self.matrix.flags.writeable = False
-        m, n = self.matrix.shape
-        if m != n:
-            raise ValueError("operator matrix must be square")
-        dim = (self.grid.n_points if isinstance(self.grid, Grid1D)
-               else self.grid.shape[0] * self.grid.shape[1])
-        if m != dim:
-            raise GridMismatchError("matrix dimension does not match the grid")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        n = self.grid.n_points
+        if self.matrix.shape != (n, n):
+            raise GridMismatchError(
+                f"operator matrix of shape {self.matrix.shape} on a grid of {n} points")
 
     def apply(self, state):
-        from .states import ConfigState, PhaseState
-        if isinstance(state, ConfigState):
-            return state.with_values(self.matrix @ state.values)
-        if isinstance(state, PhaseState):
-            out = self.matrix @ state.values.reshape(-1)
-            return state.with_values(out.reshape(state.grid.shape))
-        raise TypeError(f"cannot apply LinOp to {type(state)!r}")
+        """The matrix along axis 0 of a config or phase-space state."""
+        return state.with_values(self.matrix @ state.values)
 
     def hermiticity_defect(self) -> float:
         if self._defect is None:
@@ -253,14 +235,13 @@ class LinOp:
         return self._eigh
 
     def propagate(self, values: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i t M) applied to ``values`` viewed as (dim, -1): along
-        axis 0 for an x-axis kernel acting on phase-space values, on the
-        flattened array for an operator on the whole product lattice.
-        Computed as V (e^{-i t w} (V* values)) from :meth:`eigh`, which
-        refuses non-Hermitian operators, without forming the propagator;
-        the state operand of each product is flushed of subnormals."""
+        """exp(-i t M) applied along axis 0 of ``values`` (config or
+        phase-space samples).  Computed as V (e^{-i t w} (V* values))
+        from :meth:`eigh`, which refuses non-Hermitian operators, without
+        forming the propagator; the state operand of each product is
+        flushed of subnormals."""
         w, V = self.eigh()
-        flat = values.reshape(self.dim, -1)
+        flat = values.reshape(self.grid.n_points, -1)
         coeffs = V.conj().T @ flush_subnormals(flat)
         coeffs *= np.exp(-1j * w * float(t))[:, None]
         return (V @ flush_subnormals(coeffs)).reshape(values.shape)
@@ -372,8 +353,7 @@ def quantize_config(a: Symbol) -> LinOp:
     the identity matrix exactly.
     """
     K = symbol_to_kernel(a)
-    return LinOp("config", a.grid.x_grid, K.values * a.grid.x_grid.spacing,
-                 note="weyl(config)")
+    return LinOp(a.grid.x_grid, K.values * a.grid.x_grid.spacing)
 
 
 # ------------------------------------------------------- displacement operator
@@ -413,10 +393,6 @@ def symplectic_ft(a: Symbol) -> Symbol:
 
 # ------------------------------------------------------------- Moyal product
 
-def _binom(k: int, j: int) -> float:
-    return math.comb(k, j)
-
-
 def _groenewold_poly(pa: dict, pb: dict) -> dict:
     """Exact star product of two polynomial symbols (finite expansion)."""
     kmax = min(poly_degree(pa), poly_degree(pb))
@@ -435,7 +411,7 @@ def _groenewold_poly(pa: dict, pb: dict) -> dict:
             for _ in range(j):
                 db = poly_diff(db, 0)
             term = poly_mul(da, db)
-            sgn = coef * _binom(k, j) * (-1) ** j
+            sgn = coef * math.comb(k, j) * (-1) ** j
             for key, c in term.items():
                 out[key] = out.get(key, 0.0) + sgn * c
     return {k: v for k, v in out.items() if v != 0}
@@ -470,7 +446,7 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
     for k in range(kmax + 1):
         coef = (0.5j) ** k / math.factorial(k)
         for j in range(k + 1):
-            sgn = coef * _binom(k, j) * (-1) ** j
+            sgn = coef * math.comb(k, j) * (-1) ** j
             dpoly = _poly_deriv(poly, *((k - j, j) if poly_on_left else (j, k - j)))
             if not dpoly:
                 continue

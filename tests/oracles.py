@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from psqm import ConfigState, fourier, moyal_map, moyal_map_inv, weyl
+from psqm import ConfigState, PhaseState, fourier, moyal_map, moyal_map_inv, weyl
 
 
 def quadrature_ft(f, xi_points, x_half=30.0, n=16384):
@@ -262,3 +262,70 @@ def groenewold_mixed_all_terms(poly, values, grid, poly_on_left):
                 left, right = array_deriv(k - j, j), poly_derivs(j, k - j)
             out = out + sgn * left * right
     return out
+
+
+# Dense matrices on the n_x * n_p product lattice (row-major vec of the
+# (x, p) samples); memory grows as (n_x * n_p)^2, so small grids only.
+
+def derivative_matrix(grid):
+    """Dense matrix of -i d/dx on the band-limited class: inverse
+    transform after multiplication by the dual points."""
+    eye = np.eye(grid.n_points, dtype=complex)
+    ft = fourier.ft_array(eye, grid, axis=0)
+    ift = fourier.ift_array(eye, grid.dual, grid, axis=0)
+    return ift @ (grid.dual.points[:, None] * ft)
+
+
+def phase_weyl_dense(op, p_grid):
+    """Phase-space Weyl operator ``op`` as kron(M, 1): its config matrix
+    along x, the identity along p."""
+    return np.kron(op.config_op.matrix, np.eye(p_grid.n_points))
+
+
+def lifted_dense(iso, cfg):
+    """T a T* for the lift ``iso`` and config operator ``cfg``:
+    kron(M, W) with W the rank-one window overlap, p weight included."""
+    chi = iso.window.values
+    return np.kron(cfg.matrix, np.outer(np.conj(chi), chi) * iso.p_grid.spacing)
+
+
+def moyal_dense(op, grid):
+    """Moyal operator ``op`` on the phase grid ``grid``, column by column
+    from its action on the lattice basis."""
+    n_x, n_p = grid.shape
+    dim = n_x * n_p
+    M = np.empty((dim, dim), complex)
+    for j, e in enumerate(np.eye(dim)):
+        M[:, j] = op.apply(PhaseState(grid, e.reshape(n_x, n_p))).values.reshape(-1)
+    return M
+
+
+def bopp_dense(name, grid):
+    """Bopp operator ``name`` from Kronecker products of x, p and the
+    spectral derivatives:
+
+      X    = x + (i/2) d/dp        P    = p + (i/2) d/dx
+      Xi_x = p - (i/2) d/dx        Xi_p = x - (i/2) d/dp
+    """
+    Dx = derivative_matrix(grid.x_grid)   # -i d/dx
+    Dp = derivative_matrix(grid.p_grid)
+    Ix, Ip = np.eye(grid.shape[0]), np.eye(grid.shape[1])
+    x, p = np.diag(grid.x_grid.points), np.diag(grid.p_grid.points)
+    # (i/2) d/dp = (i/2)(i Dp) = -Dp/2
+    terms = {
+        "X": np.kron(x, Ip) - 0.5 * np.kron(Ix, Dp),
+        "P": np.kron(Ix, p) - 0.5 * np.kron(Dx, Ip),
+        "Xi_x": np.kron(Ix, p) + 0.5 * np.kron(Dx, Ip),
+        "Xi_p": np.kron(x, Ip) + 0.5 * np.kron(Ix, Dp),
+    }
+    return terms[name]
+
+
+def apply_dense(M, Psi):
+    """Dense product-lattice matrix ``M`` applied to a phase state."""
+    return Psi.with_values((M @ Psi.values.reshape(-1)).reshape(Psi.grid.shape))
+
+
+def hermiticity_defect(M):
+    """max |M - M*| relative to max |M|."""
+    return np.abs(M - M.conj().T).max() / np.abs(M).max()

@@ -21,7 +21,6 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines.
 """
 
-import numpy as np
 import pytest
 
 from psqm import run_verify, default_params

@@ -209,3 +209,27 @@ def test_run_verify_refuses_unknown_parameter_keys():
         run_verify(["isometry"], {"n_points": 64, "symbol": "x",
                                   "tol_isometri": 1e-30})
     assert "'symbol'" in str(err.value)
+
+
+def test_scalar_times_runs_as_one_time(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_points = 64\ntimes = 0.5\n")
+    out = tmp_path / "rep.json"
+    assert main(["verify", "dynamics", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    names = [c["name"] for c in rep["suites"][0]["checks"]]
+    assert len(names) == 4 and all(n.endswith(", t=0.5]") for n in names)
+    assert rep["params"]["times"] == [0.5]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("seed = 1.5", "seed must be an integer, got 1.5"),
+    ("n_points = sixty", "n_points must be an integer, got 'sixty'"),
+])
+def test_non_integer_seed_and_n_points_refused(tmp_path, capsys, line, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"n_points = 64\n{line}\n")
+    assert main(["verify", "isometry", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+    with pytest.raises(ValueError, match=message.split(",")[0]):
+        run_verify(["isometry"], parse_config(cfg))

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from psqm import (ConfigState, PhaseState, PhaseGrid, make_grid,
-                  self_dual_phase_grid, forward_ft, inverse_ft, partial_ft_p,
-                  partial_ift_p, norm_config, norm_phase, hermite_state,
-                  hermite_values, random_config_state, random_phase_state,
+from psqm import (ConfigState, PhaseState, make_grid, forward_ft, inverse_ft,
+                  partial_ft_p, partial_ift_p, norm_config, norm_phase,
+                  hermite_state, random_config_state, random_phase_state,
                   inner_config)
 from psqm import fourier
 from oracles import quadrature_ft

@@ -1,12 +1,14 @@
-"""Every name a psqm module imports is referenced in that module, and
-no psqm module uses another psqm module's private (``_name``) names."""
+"""Every name a psqm module, test module or demo imports is referenced
+in that file, and no psqm module uses another psqm module's private
+(``_name``) names."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "psqm"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "psqm"
 
 
 def _exported(tree: ast.Module) -> set:
@@ -37,6 +39,15 @@ def _unused_imports(path: Path) -> list:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
+
+
+SCRIPTS = sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
+
+
+@pytest.mark.parametrize("path", SCRIPTS,
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports_in_tests_and_demos(path):
     assert _unused_imports(path) == []
 
 

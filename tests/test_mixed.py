@@ -3,8 +3,8 @@ import pytest
 
 from psqm import (MixedState, ZeroProjectionError, mixed_to_phase,
                   measure_probability, collapse, measurement_basis,
-                  hermite_state, gaussian_state, ConfigState, inner_phase,
-                  norm_phase, norm_config, quantize_config, Symbol,
+                  hermite_state, ConfigState, inner_phase,
+                  norm_phase, quantize_config, Symbol,
                   WindowedIsometry, self_dual_phase_grid)
 
 

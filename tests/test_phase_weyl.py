@@ -4,10 +4,10 @@ import pytest
 from psqm import (Symbol, WindowedIsometry, phase_heisenberg_weyl,
                   quantize_phase, quantize_config, intertwining_report,
                   heisenberg_weyl, hermite_state, random_config_state,
-                  random_phase_state, norm_phase, inner_phase,
+                  random_phase_state, norm_phase,
                   self_dual_phase_grid, PhaseState)
 from psqm.spectral import eig
-from oracles import bochner_phase_weyl
+from oracles import apply_dense, bochner_phase_weyl, phase_weyl_dense
 
 
 @pytest.fixture(scope="module")
@@ -102,14 +102,11 @@ def test_commutes_with_p_multipliers(pg128, rng):
 def test_dense_matrix_small_grid_kron_structure(rng):
     pg = self_dual_phase_grid(32)
     op = quantize_phase(Symbol.oscillator(pg))
-    dense = op.matrix(pg.p_grid)
+    dense = phase_weyl_dense(op, pg.p_grid)
     Psi = random_phase_state(pg, rng)
-    lhs = dense.apply(Psi)
+    lhs = apply_dense(dense, Psi)
     rhs = op.apply(Psi)
     assert np.abs(lhs.values - rhs.values).max() < 1e-10
-    with pytest.raises(MemoryError):
-        quantize_phase(Symbol.oscillator(self_dual_phase_grid(128))).matrix(
-            self_dual_phase_grid(128).p_grid)
 
 
 def test_bochner_quadrature_consistency(pg64):

@@ -1,9 +1,8 @@
 import json
 
 import numpy as np
-import pytest
 
-from psqm import (ConfigState, MixedState, hermite_state, gaussian_state,
+from psqm import (ConfigState, MixedState, hermite_state,
                   cross_wigner, make_grid, self_dual_phase_grid,
                   grids_compatible, random_config_state, measurement_basis,
                   quantize_config, Symbol)

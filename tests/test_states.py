@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psqm import (ConfigState, make_grid, hermite_state, gaussian_state,
+from psqm import (make_grid, hermite_state, gaussian_state,
                   inner_config, inner_phase, norm_config, boundary_mass,
                   random_config_state, random_phase_state, PhaseState,
                   self_dual_phase_grid, GridMismatchError)

@@ -6,13 +6,14 @@ from psqm import (Symbol, Kernel, make_grid, PhaseGrid, self_dual_phase_grid,
                   heisenberg_weyl, symplectic_ft, moyal_product,
                   hermite_state, gaussian_state, random_config_state,
                   norm_config, BandLimitError, LinOp, flush_subnormals,
-                  random_phase_state, star_apply)
-from psqm.fourier import derivative_matrix
+                  random_phase_state, star_apply, quantize_phase,
+                  GridMismatchError)
 from psqm.weyl import star_values
 from psqm.states import hermite_values
 from psqm.reference import fd_oscillator_levels
 from oracles import (weyl_symbol_quadrature, brute_star, groenewold_mixed_all_terms,
-                     kernel_to_symbol_dense, symbol_to_kernel_dense)
+                     kernel_to_symbol_dense, symbol_to_kernel_dense,
+                     derivative_matrix)
 
 
 def _rel(got, want):
@@ -331,10 +332,25 @@ def test_flush_subnormals_zeroes_only_subnormal_components():
 
 def test_linop_matrix_is_a_read_only_view(weyl_grid_256_10):
     m = np.eye(256, dtype=complex)
-    op = LinOp("config", weyl_grid_256_10.x_grid, m)
+    op = LinOp(weyl_grid_256_10.x_grid, m)
     assert np.shares_memory(op.matrix, m)
     assert m.flags.writeable and not op.matrix.flags.writeable
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 2.0
     w, V = op.eigh()
     assert not w.flags.writeable and not V.flags.writeable
+
+
+def test_linop_is_a_config_matrix_only(pg64):
+    with pytest.raises(GridMismatchError):
+        LinOp(pg64, np.eye(64 * 64))
+    with pytest.raises(GridMismatchError):
+        LinOp(pg64.x_grid, np.eye(32))
+    with pytest.raises(GridMismatchError):
+        LinOp(pg64.x_grid, np.ones((64, 32)))
+
+
+def test_linop_apply_on_phase_state_is_the_phase_operator(pg64, rng):
+    op = quantize_phase(Symbol.oscillator(pg64))
+    Psi = random_phase_state(pg64, rng)
+    assert np.array_equal(op.config_op.apply(Psi).values, op.apply(Psi).values)
