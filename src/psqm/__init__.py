@@ -10,9 +10,9 @@ from .states import (ConfigState, PhaseState, inner_config, inner_phase,
                      random_config_state, random_phase_state)
 from .fourier import (forward_ft, inverse_ft, partial_ft_p, partial_ift_p,
                       BandLimitError)
-from .weyl import (Symbol, Kernel, LinOp, flush_subnormals, symbol_to_kernel,
-                   kernel_to_symbol, quantize_config, heisenberg_weyl,
-                   symplectic_ft, moyal_product)
+from .weyl import (Symbol, Kernel, LinOp, symbol_to_kernel, kernel_to_symbol,
+                   quantize_config, heisenberg_weyl, symplectic_ft,
+                   moyal_product)
 from .isometry import WindowedIsometry
 from .phase_weyl import (phase_heisenberg_weyl, PhaseWeylOp, quantize_phase,
                          intertwining_report)
@@ -35,8 +35,7 @@ __all__ = [
     "random_config_state", "random_phase_state",
     "forward_ft", "inverse_ft", "partial_ft_p", "partial_ift_p",
     "BandLimitError",
-    "Symbol", "Kernel", "LinOp", "flush_subnormals", "symbol_to_kernel",
-    "kernel_to_symbol",
+    "Symbol", "Kernel", "LinOp", "symbol_to_kernel", "kernel_to_symbol",
     "quantize_config", "heisenberg_weyl", "symplectic_ft", "moyal_product",
     "WindowedIsometry",
     "phase_heisenberg_weyl", "PhaseWeylOp", "quantize_phase",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .grids import Grid1D, PhaseGrid, GridMismatchError, grids_compatible
 from .states import ConfigState, PhaseState, norm_phase
-from .weyl import Symbol, LinOp, flush_subnormals, star_values
+from .weyl import Symbol, LinOp, star_values
 from .phase_weyl import PhaseWeylOp, quantize_phase
 from .isometry import WindowedIsometry
 from . import fourier
@@ -155,7 +155,7 @@ def cross_wigner(psi: ConfigState, phi: ConfigState) -> PhaseState:
     i = np.arange(n)
     left = fh[(2 * i[:, None] + t[None, :]) % (2 * n)]
     right = np.conj(gh[(2 * i[:, None] - t[None, :]) % (2 * n)])
-    prod = flush_subnormals(left * right)                 # (x, t)
+    prod = left * right                                   # (x, t)
     # sum_t exp(-i*t*dx*p_m) = exp(-i*t*dx*p_0) exp(-2*pi*i*t*m/n): one FFT
     prod *= np.exp(-1j * t * g.spacing * g.dual.points[0])
     vals = (g.spacing / (2 * np.pi)) * np.fft.fft(prod, axis=1)

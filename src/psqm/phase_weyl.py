@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Grid1D, PhaseGrid, GridMismatchError, grids_compatible
+from .grids import Grid1D, PhaseGrid
 from .states import (PhaseState, norm_config, norm_phase, random_config_state,
                      random_phase_state)
 from .weyl import Symbol, LinOp, displace, quantize_config
@@ -42,8 +42,6 @@ class PhaseWeylOp:
         return self.config_op.grid
 
     def apply(self, Psi: PhaseState) -> PhaseState:
-        if not grids_compatible(Psi.grid.x_grid, self.x_grid):
-            raise GridMismatchError("state x grid does not match operator grid")
         return self.config_op.apply(Psi)
 
     def evolve(self, Psi: PhaseState, t: float) -> PhaseState:
@@ -52,7 +50,7 @@ class PhaseWeylOp:
         operator, using its product structure); the decomposition is the
         config operator's own (:meth:`LinOp.propagate`), so non-Hermitian
         kernels are refused."""
-        return Psi.with_values(self.config_op.propagate(Psi.values, t))
+        return self.config_op.propagate(Psi, t)
 
     def restrict(self, iso: WindowedIsometry) -> LinOp:
         """Config-sized matrix of the operator compressed to the range of

@@ -32,7 +32,7 @@ def evolve(op: LinOp, state, t: float):
     """exp(-i t op) applied through the operator's one spectral
     decomposition (:meth:`LinOp.propagate`); norm is conserved to
     machine precision."""
-    return state.with_values(op.propagate(state.values, t))
+    return op.propagate(state, t)
 
 
 def compare_representations(a: Symbol, chi: ConfigState, t,

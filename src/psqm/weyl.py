@@ -35,7 +35,7 @@ __all__ = [
     "Symbol",
     "Kernel",
     "LinOp",
-    "flush_subnormals",
+    "dense_apply",
     "symbol_to_kernel",
     "kernel_to_symbol",
     "quantize_config",
@@ -55,19 +55,40 @@ INTERP_GUARD_TOL = 1e-5   # symbol midpoint interpolation support test
 ALIAS_GUARD_TOL = 1e-5    # sampled factor of a polynomial star product
 
 
-def flush_subnormals(values: np.ndarray) -> np.ndarray:
-    """Copy of ``values`` with every real and imaginary component of
-    magnitude below the smallest normal number of its dtype
-    (``finfo.tiny``, 2.2e-308 for doubles) set to 0.
+# State components below sqrt(tiny) (1.5e-154) are zeroed before a dense
+# product, so no partial product in the GEMM is subnormal (BLAS runs
+# several times slower on those).  Lifted n=1024 states carry tails near
+# 1e-300; matrix entries stay above sqrt(tiny) (the oscillator's
+# eigenvectors bottom out near 1e-29 at n=1024).
+FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
-    Dense products (BLAS) run several times slower on subnormal
-    operands; products of decaying tails on wide boxes produce them, and
-    dropping them moves no value by more than ``tiny``."""
-    out = np.array(values, order="C")
-    parts = out.view(out.real.dtype) if np.iscomplexobj(out) else out
-    tiny = np.finfo(parts.dtype).tiny
-    parts[(parts < tiny) & (parts > -tiny)] = 0
-    return out
+# H = (M + M*)/2 is decomposed in real arithmetic when max|Im H| <=
+# REAL_EIGH_TOL * max|H|.  Measured for n = 64..1024: xi-even real symbols
+# (oscillator, free particle, a sampled Gaussian) read 1.9e-15..4.5e-13,
+# growing about linearly in n; x reads 0, xi and x*xi read 1.0.  So the
+# bound is 22x above round-off and 1e11 below the complex matrices.
+REAL_EIGH_TOL = 1e-11
+
+
+def dense_apply(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``matrix @ values`` along axis 0 of config or phase-space samples:
+    the one product of a config-space matrix with a state.  Nonzero
+    components below :data:`FLUSH_BELOW` are zeroed in a copy, made only
+    if there are any, moving the result by at most n*max|matrix|*1.5e-154;
+    a real matrix multiplies complex values as one real GEMM on their
+    interleaved (n, 2m) float view."""
+    flat = np.ascontiguousarray(values.reshape(matrix.shape[1], -1))
+    parts = flat.view(flat.real.dtype) if np.iscomplexobj(flat) else flat
+    small = (parts < FLUSH_BELOW) & (parts > -FLUSH_BELOW) & (parts != 0)
+    if small.any():
+        flat = flat.copy()
+        parts = flat.view(parts.dtype)
+        parts[small] = 0
+    if np.isrealobj(matrix) and np.iscomplexobj(flat):
+        out = (matrix @ parts).view(flat.dtype)
+    else:
+        out = matrix @ flat
+    return out.reshape((matrix.shape[0],) + values.shape[1:])
 
 
 # ---------------------------------------------------------------- polynomials
@@ -208,9 +229,16 @@ class LinOp:
             raise GridMismatchError(
                 f"operator matrix of shape {self.matrix.shape} on a grid of {n} points")
 
+    def _require_grid(self, state) -> None:
+        x_grid = state.grid.x_grid if isinstance(state.grid, PhaseGrid) else state.grid
+        if not grids_compatible(x_grid, self.grid):
+            raise GridMismatchError("state x grid does not match operator grid")
+
     def apply(self, state):
-        """The matrix along axis 0 of a config or phase-space state."""
-        return state.with_values(self.matrix @ state.values)
+        """The matrix along axis 0 of a config or phase-space state on
+        the operator's x grid (:func:`dense_apply`)."""
+        self._require_grid(state)
+        return state.with_values(dense_apply(self.matrix, state.values))
 
     def hermiticity_defect(self) -> float:
         if self._defect is None:
@@ -220,31 +248,36 @@ class LinOp:
         return self._defect
 
     def eigh(self, herm_tol: float = 1e-8):
-        """(w ascending, V) of the symmetrized matrix, computed once per
+        """(w ascending, V) of the symmetrized matrix H, computed once per
         operator; refuses (ValueError) a Hermiticity defect above
-        ``herm_tol``.  Both arrays are read-only."""
+        ``herm_tol``.  V is real when H is real up to round-off
+        (:data:`REAL_EIGH_TOL`): then its real part is decomposed.  Both
+        arrays are read-only."""
         defect = self.hermiticity_defect()
         if defect > herm_tol:
             raise ValueError(f"operator is not Hermitian (defect {defect:.2e})")
         if self._eigh is None:
             M = self.matrix
-            w, V = np.linalg.eigh(0.5 * (M + M.conj().T))
+            H = 0.5 * (M + M.conj().T)
+            if np.abs(H.imag).max() <= REAL_EIGH_TOL * np.abs(H).max():
+                H = H.real
+            w, V = np.linalg.eigh(H)
             w.flags.writeable = False
             V.flags.writeable = False
             self._eigh = (w, V)
         return self._eigh
 
-    def propagate(self, values: np.ndarray, t: float) -> np.ndarray:
-        """exp(-i t M) applied along axis 0 of ``values`` (config or
-        phase-space samples).  Computed as V (e^{-i t w} (V* values))
-        from :meth:`eigh`, which refuses non-Hermitian operators, without
-        forming the propagator; the state operand of each product is
-        flushed of subnormals."""
+    def propagate(self, state, t: float):
+        """exp(-i t M) applied along axis 0 of a config or phase-space
+        state on the operator's x grid.  Computed as V (e^{-i t w} (V*
+        values)) from :meth:`eigh`, which refuses non-Hermitian
+        operators, without forming the propagator; both products go
+        through :func:`dense_apply` (one real GEMM each when V is real)."""
+        self._require_grid(state)
         w, V = self.eigh()
-        flat = values.reshape(self.grid.n_points, -1)
-        coeffs = V.conj().T @ flush_subnormals(flat)
-        coeffs *= np.exp(-1j * w * float(t))[:, None]
-        return (V @ flush_subnormals(coeffs)).reshape(values.shape)
+        coeffs = dense_apply(V.conj().T, state.values)
+        coeffs *= np.exp(-1j * w * float(t)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+        return state.with_values(dense_apply(V, coeffs))
 
 
 # ------------------------------------------------------------ kernel machinery
@@ -336,10 +369,14 @@ def kernel_to_symbol(K: Kernel) -> Symbol:
 
     # rest((x_i + t/2), (x_i - t/2)) on the half lattice of offsets t
     mid = fourier.half_shift(fourier.half_shift(rest, 0), 1)
-    t = np.fft.fftfreq(n, 1.0 / n).astype(int)                  # FFT order
-    U = ((2 * i[:, None] + t[None, :]) % (2 * n)) // 2
-    V = ((2 * i[:, None] - t[None, :]) % (2 * n)) // 2
-    vals = np.where(t % 2 == 0, rest[U, V], mid[U, V])          # (N, Nt)
+    # (N, Nt): even offsets from rest, odd ones from mid; n is even, so
+    # offset t[j] (FFT order) has the parity of its column j
+    t = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    vals = np.empty((n, n), complex)
+    for j0, src in ((0, rest), (1, mid)):
+        tj = t[j0::2]
+        vals[:, j0::2] = src[((2 * i[:, None] + tj) % (2 * n)) // 2,
+                             ((2 * i[:, None] - tj) % (2 * n)) // 2]
     # sum_t exp(-i*t*dx*xi_m) = exp(-i*t*dx*xi_0) exp(-2*pi*i*t*m/n): one FFT
     vals *= np.exp(-1j * t * xg.spacing * xi[0])
     samples = alpha[None, :] + xg.spacing * np.fft.fft(vals, axis=1)

@@ -7,7 +7,8 @@ from psqm import (Symbol, LinOp, quantize_config, eig, evolve,
                   gaussian_state, inner_config, norm_config,
                   random_config_state, random_phase_state, WindowedIsometry,
                   self_dual_phase_grid, quantize_phase, quantize_moyal,
-                  phase_heisenberg_weyl, run_verify)
+                  phase_heisenberg_weyl, run_verify, make_grid, PhaseGrid,
+                  PhaseState, GridMismatchError)
 from psqm.reference import fd_oscillator_levels
 from oracles import explicit_propagator, lifted_dense, moyal_restrict_basis_loop
 
@@ -49,14 +50,55 @@ def test_eig_refuses_stricter_tolerance_after_cached_call(pg128):
 
 
 def test_propagator_matches_explicit_route(pg128, rng):
+    # the oscillator takes the real eigenbasis; the oracle is built from
+    # the complex eigh of the symmetrized matrix
     a = Symbol.oscillator(pg128)
     cfg = quantize_config(a)
     U = explicit_propagator(cfg.matrix, 0.7)
+    w, states = eig(cfg)
+    assert np.isrealobj(cfg.eigh()[1])
+    V = np.stack([v.values for v in states], axis=1) * np.sqrt(pg128.x_grid.spacing)
+    assert np.abs((V * np.exp(-0.7j * w)) @ V.conj().T - U).max() <= 1e-12
     psi = random_config_state(pg128.x_grid, rng)
     assert np.abs(evolve(cfg, psi, 0.7).values - U @ psi.values).max() <= 1e-12
     Psi = random_phase_state(pg128, rng)
     got = quantize_phase(a).evolve(Psi, 0.7).values
     assert np.abs(got - U @ Psi.values).max() <= 1e-12
+
+
+def test_dense_products_ignore_components_below_sqrt_tiny(pg128, rng):
+    a = Symbol.oscillator(pg128)
+    op = quantize_phase(a)
+    cfg = op.config_op
+    vals = random_phase_state(pg128, rng).values
+    tails = rng.random(vals.shape) < 0.25
+    vals[tails] = 1e-300 * np.exp(2j * np.pi * rng.random(tails.sum()))
+    Psi = PhaseState(pg128, vals)
+
+    def unflushed(M, v):
+        # the products of LinOp.apply/propagate, without the flush
+        if np.iscomplexobj(M):
+            return M @ v
+        return (M @ np.ascontiguousarray(v).view(float)).view(complex)
+
+    assert np.abs(op.apply(Psi).values - unflushed(cfg.matrix, vals)).max() <= 1e-140
+    w, V = cfg.eigh()
+    coeffs = unflushed(V.conj().T, vals) * np.exp(-0.7j * w)[:, None]
+    want = unflushed(V, coeffs)
+    assert np.abs(op.evolve(Psi, 0.7).values - want).max() <= 1e-140
+
+
+def test_linop_refuses_a_state_on_another_x_grid(rng):
+    g5, g9 = make_grid(64, 5.0), make_grid(64, 9.0)
+    a = Symbol.oscillator(PhaseGrid(g5, g5.dual))
+    cfg = quantize_config(a)
+    psi = hermite_state(g9, 0)
+    Psi = random_phase_state(PhaseGrid(g9, g9.dual), rng)
+    for call in (lambda: cfg.apply(psi), lambda: evolve(cfg, psi, 0.5),
+                 lambda: quantize_phase(a).apply(Psi),
+                 lambda: quantize_phase(a).evolve(Psi, 0.5)):
+        with pytest.raises(GridMismatchError, match="x grid"):
+            call()
 
 
 def test_compare_representations_takes_one_eigendecomposition(pg128, monkeypatch):

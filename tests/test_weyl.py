@@ -5,10 +5,10 @@ from psqm import (Symbol, Kernel, make_grid, PhaseGrid, self_dual_phase_grid,
                   symbol_to_kernel, kernel_to_symbol, quantize_config,
                   heisenberg_weyl, symplectic_ft, moyal_product,
                   hermite_state, gaussian_state, random_config_state,
-                  norm_config, BandLimitError, LinOp, flush_subnormals,
+                  norm_config, BandLimitError, LinOp,
                   random_phase_state, star_apply, quantize_phase,
                   GridMismatchError)
-from psqm.weyl import star_values
+from psqm.weyl import FLUSH_BELOW, REAL_EIGH_TOL, dense_apply, star_values
 from psqm.states import hermite_values
 from psqm.reference import fd_oscillator_levels
 from oracles import (weyl_symbol_quadrature, brute_star, groenewold_mixed_all_terms,
@@ -317,17 +317,42 @@ def test_star_aliasing_guard(pg64):
         moyal_product(saw, smooth)
 
 
-def test_flush_subnormals_zeroes_only_subnormal_components():
-    tiny = np.finfo(float).tiny
-    values = np.array([1e-310 + 2.0j, -3.5 - 1e-320j, tiny - tiny * 1j,
-                       -0.25 * tiny + 0j, 1e-300 + 7e-309j, 0.0 + 0.0j])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_dense_apply_zeroes_only_components_below_sqrt_tiny(dtype):
+    small = np.sqrt(np.finfo(float).tiny)
+    assert FLUSH_BELOW == small
+    values = np.array([1e-310 + 2.0j, -3.5 - 1e-160j, small - small * 1j,
+                       -0.5 * small + 0j, 1e-300 + 7e-155j, 0.0 + 0.0j])
     before = values.copy()
-    out = flush_subnormals(values)
+    # the identity, real (one real GEMM on the interleaved view) or complex
+    out = dense_apply(np.eye(6, dtype=dtype), values)
     assert np.array_equal(values.view(np.uint64), before.view(np.uint64))
-    want = np.array([2.0j, -3.5, tiny - tiny * 1j, 0, 1e-300, 0])
+    want = np.array([2.0j, -3.5, small - small * 1j, 0, 0, 0])
     assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
-    real = np.array([5e-324, -1.0, 1e-200])
-    assert np.array_equal(flush_subnormals(real), [0.0, -1.0, 1e-200])
+    real = np.array([5e-324, -1.0, 1e-150, -1e-155, 1e-200])
+    assert np.array_equal(dense_apply(np.eye(5, dtype=dtype), real), [0, -1.0, 1e-150, 0, 0])
+
+
+@pytest.mark.parametrize("coeffs, real", [
+    ({(2, 0): 0.5, (0, 2): 0.5}, True),    # oscillator
+    ({(0, 2): 0.5}, True),                 # free particle
+    ({(1, 0): 1.0}, True),                 # x
+    ({(0, 1): 1.0}, False),                # xi
+    ({(1, 1): 1.0}, False),                # x xi
+])
+def test_eigh_takes_a_real_basis_exactly_for_real_matrices(pg128, coeffs, real):
+    w, V = quantize_config(Symbol.polynomial(pg128, coeffs)).eigh()
+    assert np.isrealobj(V) == real
+
+
+@pytest.mark.parametrize("factor, real", [(0.99, True), (1.01, False)])
+def test_eigh_real_basis_bound(pg64, factor, real):
+    m = np.diag(np.arange(1.0, 65.0)).astype(complex)     # max|H| = 64
+    m[0, 1] = 1j * factor * REAL_EIGH_TOL * 64
+    m[1, 0] = np.conj(m[0, 1])
+    w, V = LinOp(pg64.x_grid, m).eigh()
+    assert np.isrealobj(V) == real
+    assert np.abs(w - np.linalg.eigvalsh(m)).max() < 1e-12
 
 
 def test_linop_matrix_is_a_read_only_view(weyl_grid_256_10):
