@@ -14,6 +14,10 @@ __all__ = ["fd_oscillator_levels", "cross_wigner_quadrature"]
 _FD8 = {0: -205.0 / 72.0, 1: 8.0 / 5.0, 2: -1.0 / 5.0, 3: 8.0 / 315.0,
         4: -1.0 / 560.0}
 
+# x rows per integrand block of the cross-Wigner quadrature: 32 rows of
+# the 2048-point y lattice make a 1 MiB complex integrand.
+_ROW_BLOCK = 32
+
 
 def fd_oscillator_levels(n_levels: int, n_points: int = 2048,
                          half_width: float = 10.0) -> np.ndarray:
@@ -30,21 +34,32 @@ def fd_oscillator_levels(n_levels: int, n_points: int = 2048,
     return w
 
 
-def cross_wigner_quadrature(psi_fn, chi_fn, x_points: np.ndarray,
-                            p_points: np.ndarray, n_y: int = 2048,
-                            y_half: float = 40.0) -> np.ndarray:
+def cross_wigner_quadrature(pairs, x_points: np.ndarray, p_points: np.ndarray,
+                            n_y: int = 2048, y_half: float = 40.0) -> list:
     """Direct Riemann quadrature of
 
         W(psi, chi)(x, p) = (2*pi)**(-1) int exp(-i p y)
                             psi(x + y/2) chi(x - y/2)* dy
 
-    with the states given as callables evaluated off-lattice (closed
-    forms).  Used as the independent oracle for the Moyal map."""
+    for each ``(psi_fn, chi_fn)`` in ``pairs``, the states given as
+    callables evaluated off-lattice (closed forms); returns one
+    (len(x_points), len(p_points)) array per pair.  The phase table
+    exp(-i y p) is built once per call, and each pair's integrand is
+    evaluated on blocks of ``_ROW_BLOCK`` x rows, each block summed
+    over y by one matrix product with the table.  Used as the
+    independent oracle for the Moyal map."""
     y = -y_half + (2.0 * y_half / n_y) * np.arange(n_y)
     dy = y[1] - y[0]
+    half = y / 2
+    x = np.asarray(x_points, dtype=float)
     phase = np.exp(-1j * np.outer(y, p_points))
-    out = np.empty((len(x_points), len(p_points)), complex)
-    for i, xv in enumerate(x_points):
-        integrand = psi_fn(xv + y / 2) * np.conj(chi_fn(xv - y / 2))
-        out[i] = (dy / (2.0 * np.pi)) * (integrand @ phase)
+    out = []
+    for psi_fn, chi_fn in pairs:
+        W = np.empty((len(x), phase.shape[1]), complex)
+        for start in range(0, len(x), _ROW_BLOCK):
+            xb = x[start:start + _ROW_BLOCK, None]
+            integrand = psi_fn(xb + half) * np.conj(chi_fn(xb - half))
+            np.matmul(integrand, phase, out=W[start:start + _ROW_BLOCK])
+        W *= dy / (2.0 * np.pi)
+        out.append(W)
     return out

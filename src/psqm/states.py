@@ -193,13 +193,16 @@ def random_phase_state(grid: PhaseGrid, rng: np.random.Generator) -> PhaseState:
     frac = _env_fraction(min(nx, npnt))
     kx = grid.x_dual.points
     kp = grid.p_dual.points
-    spec = (rng.standard_normal((nx, npnt))
-            + 1j * rng.standard_normal((nx, npnt)))
+    spec = np.empty((nx, npnt), complex)
+    spec.real = rng.standard_normal((nx, npnt))
+    spec.imag = rng.standard_normal((nx, npnt))
     spec *= np.exp(-np.add.outer((kx / (grid.x_dual.half_width / frac)) ** 2,
                                  (kp / (grid.p_dual.half_width / frac)) ** 2))
     vals = np.fft.ifft2(np.fft.ifftshift(spec))
     X, P = grid.meshes()
     env = np.exp(-((X - grid.x_grid.center) / (grid.x_grid.half_width / frac)) ** 2
                  - ((P - grid.p_grid.center) / (grid.p_grid.half_width / frac)) ** 2)
-    state = PhaseState(grid, vals * env)
-    return state.with_values(state.values / norm_phase(state))
+    vals *= env
+    state = PhaseState(grid, vals)
+    vals /= norm_phase(state)
+    return state

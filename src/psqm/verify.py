@@ -6,15 +6,15 @@ run through :func:`run_verify`; reports are deterministic given the seed.
 
 from __future__ import annotations
 
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from .grids import PhaseGrid, self_dual_phase_grid
-from .states import (ConfigState, PhaseState, gaussian_state,
-                     gaussian_values, hermite_state, hermite_values,
-                     inner_config, inner_phase, norm_config, norm_phase,
-                     random_config_state, random_phase_state)
+from .states import (MAX_HERMITE_LEVEL, ConfigState, PhaseState,
+                     gaussian_state, gaussian_values, hermite_state,
+                     hermite_values, inner_config, inner_phase, norm_config,
+                     norm_phase, random_config_state, random_phase_state)
 from .weyl import Symbol, quantize_config, moyal_product
 from .isometry import WindowedIsometry
 from .phase_weyl import intertwining_report
@@ -57,6 +57,11 @@ def default_params() -> dict:
 PARAM_KEYS = frozenset(default_params()) | frozenset(TOLERANCES)
 
 
+def _finite_number(value) -> bool:
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and bool(np.isfinite(value)))
+
+
 def _check(name: str, value: float, tol: float) -> dict:
     return {"name": name, "value": float(value), "tolerance": float(tol),
             "passed": bool(value < tol)}
@@ -88,16 +93,33 @@ def resolve_params(params: dict, symbol: str = "oscillator"):
     ``gaussian:x0,p0,w``) sampled on its p axis, and the named symbol
     on the grid."""
     grid = self_dual_phase_grid(int(params["n_points"]))
-    spec = str(params.get("window", "hermite:0"))
-    kind, _, rest = spec.partition(":")
+    kind, args = _window_spec(params.get("window", "hermite:0"))
     if kind == "hermite":
-        chi = hermite_state(grid.p_grid, int(rest or 0))
-    elif kind == "gaussian":
-        x0, p0, w = (float(v) for v in rest.split(","))
-        chi = gaussian_state(grid.p_grid, x0, p0, w)
+        chi = hermite_state(grid.p_grid, *args)
     else:
-        raise ValueError(f"unknown window spec {spec!r}")
+        chi = gaussian_state(grid.p_grid, *args)
     return grid, chi, _symbol(grid, str(symbol))
+
+
+def _window_spec(spec) -> tuple:
+    """('hermite', (K,)) or ('gaussian', (x0, p0, w)) from a ``window``
+    value; anything else is refused (ValueError naming the key)."""
+    kind, _, rest = str(spec).partition(":")
+    fields = rest.split(",")
+    try:
+        if kind == "hermite" and len(fields) == 1:
+            args = (int(fields[0]),)
+            if 0 <= args[0] <= MAX_HERMITE_LEVEL:
+                return kind, args
+        elif kind == "gaussian" and len(fields) == 3:
+            args = tuple(float(v) for v in fields)
+            if np.isfinite(args).all() and args[2] > 0:
+                return kind, args
+    except ValueError:
+        pass
+    raise ValueError(f"window must be 'hermite:K' (K in 0..{MAX_HERMITE_LEVEL}) "
+                     f"or 'gaussian:x0,p0,w' (three finite numbers, w > 0), "
+                     f"got {spec!r}")
 
 
 def _sampled_corpus(grid: PhaseGrid) -> list:
@@ -182,14 +204,15 @@ def suite_unitarity(params: dict) -> list:
         return (gaussian_state(xg, x0, p0, w),
                 lambda t, a=x0, b=p0, c=w: gaussian_values(t, a, b, c))
 
+    fixtures = [(make(kp, ap), make(kc, ac)) for kp, ap, kc, ac in pairs]
+    quadratures = reference.cross_wigner_quadrature(
+        [(psi_fn, chi_fn) for (_, psi_fn), (_, chi_fn) in fixtures],
+        xg.points, xg.points)
     wig_err = 0.0
     xw_err = 0.0
-    for kp, ap, kc, ac in pairs:
-        psi, psi_fn = make(kp, ap)
-        chi, chi_fn = make(kc, ac)
+    for ((psi, _), (chi, _)), Wq in zip(fixtures, quadratures):
         lifted = WindowedIsometry(forward_ft(chi)).apply(psi)
         U_lift = moyal_map(lifted)
-        Wq = reference.cross_wigner_quadrature(psi_fn, chi_fn, xg.points, xg.points)
         wig_err = max(wig_err, np.abs(U_lift.values - np.sqrt(2 * np.pi) * Wq).max())
         Wd = cross_wigner(psi, chi)
         xw_err = max(xw_err, np.abs(U_lift.values
@@ -365,9 +388,13 @@ _SUITES = {
 
 def run_verify(suites, params: dict | None = None) -> dict:
     """Run named suites ('all' expands to every suite) and assemble the
-    deterministic report.  Parameter keys outside :data:`PARAM_KEYS`
-    and non-integer ``n_points`` or ``seed`` are refused (ValueError);
-    a single ``times`` value runs as a one-element list."""
+    deterministic report.  Every parameter is checked before any suite
+    runs; a ValueError naming the key and its value refuses keys
+    outside :data:`PARAM_KEYS`, non-integer ``n_points`` or ``seed``,
+    ``times`` entries that are not finite numbers, ``tol_*`` values
+    that are not positive finite numbers and ``window`` specs other
+    than ``hermite:K`` or ``gaussian:x0,p0,w``.  A single ``times``
+    value runs as a one-element list."""
     bad_keys = sorted(set(params or ()) - PARAM_KEYS)
     if bad_keys:
         raise ValueError(f"unknown parameter(s) {bad_keys}; choose from "
@@ -380,6 +407,14 @@ def run_verify(suites, params: dict | None = None) -> dict:
             raise ValueError(f"{key} must be an integer, got {merged[key]!r}")
     if np.ndim(merged["times"]) == 0:
         merged["times"] = [merged["times"]]
+    for t in merged["times"]:
+        if not _finite_number(t):
+            raise ValueError(f"times entries must be finite numbers, got {t!r}")
+    for key in sorted(TOLERANCES.keys() & merged.keys()):
+        if not (_finite_number(merged[key]) and merged[key] > 0):
+            raise ValueError(f"{key} must be a positive finite number, "
+                             f"got {merged[key]!r}")
+    _window_spec(merged["window"])
     if isinstance(suites, str):
         suites = [suites]
     names = list(SUITE_NAMES) if "all" in suites else list(suites)

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from psqm import ConfigState, PhaseState, fourier, moyal_map, moyal_map_inv, weyl
+from psqm import (ConfigState, PhaseState, fourier, moyal_map, moyal_map_inv,
+                  norm_phase, weyl)
 
 
 def quadrature_ft(f, xi_points, x_half=30.0, n=16384):
@@ -329,3 +330,22 @@ def apply_dense(M, Psi):
 def hermiticity_defect(M):
     """max |M - M*| relative to max |M|."""
     return np.abs(M - M.conj().T).max() / np.abs(M).max()
+
+
+def random_phase_state_sum(grid, rng):
+    """``states.random_phase_state`` in its original form: the complex
+    draw built as ``a + 1j*b`` and the envelope applied out of place."""
+    nx, npnt = grid.shape
+    frac = max(3.0, float(np.sqrt(np.pi * min(nx, npnt) / 10.0)))
+    kx = grid.x_dual.points
+    kp = grid.p_dual.points
+    spec = (rng.standard_normal((nx, npnt))
+            + 1j * rng.standard_normal((nx, npnt)))
+    spec *= np.exp(-np.add.outer((kx / (grid.x_dual.half_width / frac)) ** 2,
+                                 (kp / (grid.p_dual.half_width / frac)) ** 2))
+    vals = np.fft.ifft2(np.fft.ifftshift(spec))
+    X, P = grid.meshes()
+    env = np.exp(-((X - grid.x_grid.center) / (grid.x_grid.half_width / frac)) ** 2
+                 - ((P - grid.p_grid.center) / (grid.p_grid.half_width / frac)) ** 2)
+    state = PhaseState(grid, vals * env)
+    return state.with_values(state.values / norm_phase(state))

@@ -233,3 +233,26 @@ def test_non_integer_seed_and_n_points_refused(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
     with pytest.raises(ValueError, match=message.split(",")[0]):
         run_verify(["isometry"], parse_config(cfg))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("times = abc", "times entries must be finite numbers, got 'abc'"),
+    ("times = 0.1, nan", "times entries must be finite numbers, got nan"),
+    ("tol_isometry = tiny", "tol_isometry must be a positive finite number, got 'tiny'"),
+    ("tol_wigner = -1e-7", "tol_wigner must be a positive finite number, got -1e-07"),
+    ("tol_star = inf", "tol_star must be a positive finite number, got inf"),
+    ("window = gaussian:1,2", "window must be 'hermite:K'"),
+    ("window = gaussian:1,2,0", "got 'gaussian:1,2,0'"),
+    ("window = hermite:13", "got 'hermite:13'"),
+    ("window = lorentz:1", "got 'lorentz:1'"),
+])
+def test_bad_parameter_values_refused_before_any_suite(tmp_path, capsys,
+                                                      line, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"n_points = 64\n{line}\n")
+    out = tmp_path / "rep.json"
+    assert main(["verify", "isometry", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match=line.split(" = ")[0]):
+        run_verify(["isometry"], parse_config(cfg))

@@ -101,3 +101,33 @@ def test_private_name_guard_sees_imports_and_attribute_reads(tmp_path):
         "bad.py:4: reads f._ft_matrix",
         "bad.py:4: reads g._is_power_of_two",
     ]
+
+
+# The quadrature oracles stay an independent route: numpy and scipy only.
+ORACLE_DEPENDENCIES = {"__future__", "numpy", "scipy"}
+
+
+def _imported_roots(path: Path) -> set:
+    """Top-level packages a file imports; relative imports count as psqm."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            roots.add("psqm" if node.level > 0 else node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+    return roots
+
+
+def test_reference_imports_only_numpy_and_scipy():
+    assert _imported_roots(SRC / "reference.py") <= ORACLE_DEPENDENCIES
+
+
+def test_oracle_import_guard_sees_package_imports(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import numpy as np\n"
+                   "from scipy.linalg import eig_banded\n"
+                   "from . import fourier\n"
+                   "from psqm.moyal import cross_wigner\n"
+                   "import psqm.weyl\n")
+    assert _imported_roots(bad) == {"numpy", "scipy", "psqm"}

@@ -102,14 +102,15 @@ def test_moyal_map_of_lifted_ground_state(pg128):
 def test_moyal_map_matches_wigner_quadrature(pg128):
     pairs = [(2, 0), (3, 1), (4, 4)]
     xg = pg128.x_grid
-    for np_, nc in pairs:
+    quadratures = cross_wigner_quadrature(
+        [(lambda t, k=np_: hermite_values(t, k),
+          lambda t, k=nc: hermite_values(t, k)) for np_, nc in pairs],
+        xg.points, xg.points)
+    for (np_, nc), Wq in zip(pairs, quadratures):
         psi = hermite_state(xg, np_)
         chi = hermite_state(pg128.p_grid, nc)
         lifted = WindowedIsometry(forward_ft(chi)).apply(psi)
         W = moyal_map(lifted)
-        Wq = cross_wigner_quadrature(lambda t, k=np_: hermite_values(t, k),
-                                     lambda t, k=nc: hermite_values(t, k),
-                                     xg.points, xg.points)
         assert np.abs(W.values - np.sqrt(2 * np.pi) * Wq).max() < 1e-7
 
 

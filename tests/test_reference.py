@@ -1,0 +1,54 @@
+"""The quadrature cross-Wigner oracle: row blocks and pair batching do
+not change its values, and each entry is the plain Riemann sum over y."""
+
+import numpy as np
+import pytest
+
+from psqm.reference import cross_wigner_quadrature
+from psqm.states import gaussian_values, hermite_values
+
+N_Y, Y_HALF = 2048, 40.0
+# 100 x rows: three full row blocks of 32 and a partial one of 4
+X = np.linspace(-6.0, 6.0, 100)
+P = np.linspace(-5.0, 5.0, 37)
+PAIRS = [
+    (lambda t: hermite_values(t, 3), lambda t: hermite_values(t, 1)),
+    (lambda t: gaussian_values(t, 0.8, -0.4, 1.0), lambda t: hermite_values(t, 0)),
+    (lambda t: hermite_values(t, 5), lambda t: gaussian_values(t, -0.5, 0.2, 1.1)),
+]
+
+
+@pytest.fixture(scope="module")
+def batched():
+    return cross_wigner_quadrature(PAIRS, X, P)
+
+
+def test_batched_call_equals_one_call_per_pair(batched):
+    assert len(batched) == len(PAIRS)
+    for pair, W in zip(PAIRS, batched):
+        assert W.shape == (len(X), len(P))
+        (single,) = cross_wigner_quadrature([pair], X, P)
+        assert np.array_equal(W, single)
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (31, 18), (32, 5), (63, 36),
+                                  (96, 20), (99, 11)])
+def test_entries_equal_the_riemann_sum_over_y(batched, i, j):
+    y = -Y_HALF + (2.0 * Y_HALF / N_Y) * np.arange(N_Y)
+    dy = y[1] - y[0]
+    for (psi_fn, chi_fn), W in zip(PAIRS, batched):
+        direct = dy / (2 * np.pi) * np.sum(np.exp(-1j * P[j] * y)
+                                           * psi_fn(X[i] + y / 2)
+                                           * np.conj(chi_fn(X[i] - y / 2)))
+        assert abs(W[i, j] - direct) <= 1e-15
+
+
+def test_gaussian_pair_matches_closed_form():
+    # W(g, g) of the unit-width Gaussian centred at (x0, p0) is
+    # exp(-(x - x0)^2 - (p - p0)^2) / pi
+    def g(t):
+        return gaussian_values(t, 0.8, -0.4, 1.0)
+
+    (W,) = cross_wigner_quadrature([(g, g)], X, P)
+    want = np.exp(-(X[:, None] - 0.8) ** 2 - (P[None, :] + 0.4) ** 2) / np.pi
+    assert np.abs(W - want).max() < 1e-12

@@ -6,7 +6,8 @@ from psqm import (make_grid, hermite_state, gaussian_state,
                   random_config_state, random_phase_state, PhaseState,
                   self_dual_phase_grid, GridMismatchError)
 from psqm.states import hermite_values
-from oracles import quadrature_inner, quadrature_moment
+from oracles import (quadrature_inner, quadrature_moment,
+                     random_phase_state_sum)
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +117,13 @@ def test_random_states_are_admissible(rng):
     assert abs(norm_config(psi) - 1) < 1e-12
     assert boundary_mass(psi) < 1e-12
     assert boundary_mass(Psi) < 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("seed", [5, 1234])
+def test_random_phase_state_matches_the_sum_formula(n, seed):
+    pg = self_dual_phase_grid(n)
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        assert np.array_equal(random_phase_state(pg, new).values,
+                              random_phase_state_sum(pg, old).values)
