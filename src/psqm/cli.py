@@ -19,6 +19,8 @@ import argparse
 import sys
 
 from . import serialize
+from .moyal import cross_wigner
+from .spectral import spectrum_report
 from .verify import (SUITE_NAMES, PARAM_KEYS, default_params, resolve_params,
                      run_verify)
 
@@ -96,7 +98,6 @@ def cmd_verify(args) -> int:
 def cmd_wigner(args) -> int:
     psi = serialize.load_config_csv(args.psi)
     chi = serialize.load_config_csv(args.chi)
-    from .moyal import cross_wigner
     W = cross_wigner(psi, chi)
     serialize.save_phase_csv(W, args.out + ".csv")
     serialize.save_gnuplot_matrix(W, args.out + ".gp")
@@ -109,7 +110,6 @@ def cmd_spectrum(args) -> int:
     name = str(params.pop("symbol", "oscillator"))
     report = run_verify(["spectrum"], params)
     _, chi, a = resolve_params(params, name)
-    from .spectral import spectrum_report
     report["spectrum"] = {"symbol": name, **spectrum_report(a, chi)}
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL

@@ -185,15 +185,15 @@ def resample_scaled(values: np.ndarray, grid: Grid1D, alpha: float,
     return np.moveaxis(out, 0, axis)
 
 
-def band_edge_fraction(values: np.ndarray, octave: float = 0.25) -> float:
-    """Relative spectral amplitude in the outer ``octave`` of the band,
+def band_edge_fraction(values: np.ndarray) -> float:
+    """Relative spectral amplitude in the outer quarter of the band,
     maximized over axes; the aliasing guards test this."""
     worst = 0.0
     for axis in range(values.ndim):
         n = values.shape[axis]
         spec = np.fft.fftshift(np.fft.fft(values, axis=axis), axes=axis)
         k = np.abs(np.arange(n) - n // 2)
-        outer = k >= (1.0 - octave) * (n // 2)
+        outer = k >= 0.75 * (n // 2)
         sl_out = np.compress(outer, spec, axis=axis)
         total = np.abs(spec).max()
         if total == 0:
@@ -202,8 +202,7 @@ def band_edge_fraction(values: np.ndarray, octave: float = 0.25) -> float:
     return worst
 
 
-def require_band_limited(values: np.ndarray, tol: float = 1e-7,
-                         what: str = "input") -> None:
+def require_band_limited(values: np.ndarray, tol: float, what: str) -> None:
     frac = band_edge_fraction(values)
     if frac > tol:
         raise BandLimitError(

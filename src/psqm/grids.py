@@ -93,14 +93,14 @@ def self_dual_grid(n_points: int) -> Grid1D:
     return Grid1D(int(n_points), 0.5 * n_points * dx, 0.0)
 
 
-def grids_compatible(a: Grid1D, b: Grid1D, rtol: float = 1e-12) -> bool:
-    """Floating-point tolerant grid equality."""
+def grids_compatible(a: Grid1D, b: Grid1D) -> bool:
+    """Grid equality up to a relative 1e-12 in half width and center."""
     if a.n_points != b.n_points:
         return False
     scale = max(abs(a.half_width), abs(b.half_width), 1.0)
     return (
-        abs(a.half_width - b.half_width) <= rtol * scale
-        and abs(a.center - b.center) <= rtol * scale
+        abs(a.half_width - b.half_width) <= 1e-12 * scale
+        and abs(a.center - b.center) <= 1e-12 * scale
     )
 
 

@@ -20,6 +20,7 @@ from .grids import GridMismatchError, grids_compatible, PhaseGrid
 from .states import (ConfigState, PhaseState, inner_config, norm_config,
                      norm_phase)
 from .weyl import LinOp
+from .spectral import eig
 
 __all__ = ["MixedState", "ZeroProjectionError", "mixed_to_phase",
            "measure_probability", "collapse", "measurement_basis"]
@@ -119,15 +120,14 @@ def collapse(M: MixedState, phi_alpha: ConfigState) -> PhaseState:
     return out.with_values(out.values / nrm)
 
 
-def measurement_basis(op: LinOp, n_levels: int, gap_tol: float = 1e-6) -> list:
+def measurement_basis(op: LinOp, n_levels: int) -> list:
     """Lowest eigenpairs of a config operator as (value, state) pairs,
-    rejecting near-degenerate levels (the measurement formulas assume a
-    nondegenerate eigenvalue)."""
-    from .spectral import eig
+    rejecting levels closer than 1e-6 of the spectral scale (the
+    measurement formulas assume a nondegenerate eigenvalue)."""
     values, states = eig(op)
     scale = max(abs(values[0]), abs(values[-1]), 1.0)
     for k in range(min(n_levels, len(values) - 1)):
-        if abs(values[k + 1] - values[k]) < gap_tol * scale:
+        if abs(values[k + 1] - values[k]) < 1e-6 * scale:
             raise ValueError(
                 f"eigenvalue {values[k]:.6g} is (numerically) degenerate; "
                 "degenerate measurements are not supported")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .grids import Grid1D, PhaseGrid, GridMismatchError, grids_compatible
 from .states import ConfigState, PhaseState, norm_phase
-from .weyl import Symbol, LinOp, star_values
+from .weyl import Symbol, LinOp, displace, moyal_product
 from .phase_weyl import PhaseWeylOp, quantize_phase
 from .isometry import WindowedIsometry
 from . import fourier
@@ -194,15 +194,14 @@ def bopp_apply(name: str, Psi: PhaseState) -> PhaseState:
 
 def moyal_heisenberg_weyl(z0, Psi: PhaseState) -> PhaseState:
     """Moyal-representation displacement:
-    Psi -> exp(-i*(x0*p - xi0*x)) Psi(x - x0/2, p - xi0/2);
-    equals the conjugation of the phase-space displacement by U."""
+    Psi -> exp(-i*(x0*p - xi0*x)) Psi(x - x0/2, p - xi0/2), the
+    conjugation of the phase-space displacement by U: :func:`displace`
+    by (x0/2, xi0) along x, then by (xi0/2, -x0) along p."""
     _require_self_dual(Psi.grid, "moyal_heisenberg_weyl")
     x0, xi0 = float(z0[0]), float(z0[1])
     g = Psi.grid.x_grid
-    vals = fourier.fourier_shift(Psi.values, g, x0 / 2, axis=0)
-    vals = fourier.fourier_shift(vals, g, xi0 / 2, axis=1)
-    X, P = Psi.grid.meshes()
-    return Psi.with_values(np.exp(-1j * (x0 * P - xi0 * X)) * vals)
+    vals = displace((x0 / 2, xi0), Psi.values, g)
+    return Psi.with_values(displace((xi0 / 2, -x0), vals.T, g).T)
 
 
 @dataclass(eq=False)
@@ -235,19 +234,12 @@ def quantize_moyal(a: Symbol) -> MoyalWeylOp:
 
 
 def star_apply(a: Symbol, Psi: PhaseState) -> PhaseState:
-    """Left star-product action a * Psi.
-
-    Polynomial symbols act through the exact finite bidifferential
-    expansion; sampled symbols through the symbol of the composed
-    kernels of a and Psi (interpolation-guarded).  Agrees with
+    """Left star-product action a * Psi: the :func:`moyal_product` of a
+    with the state's values as a sampled symbol.  Agrees with
     quantize_moyal(a).apply, which routes through the Moyal map.
     """
     _require_self_dual(Psi.grid, "star_apply")
-    if not (grids_compatible(a.grid.x_grid, Psi.grid.x_grid)
-            and grids_compatible(a.grid.p_grid, Psi.grid.p_grid)):
-        raise GridMismatchError("symbol and state live on different phase grids")
-    first = a.poly if a.is_polynomial else a.values
-    return Psi.with_values(star_values(first, Psi.values, Psi.grid))
+    return Psi.with_values(moyal_product(a, Symbol(Psi.grid, Psi.values)).values)
 
 
 def stargen_residual(a: Symbol, lam: float, Psi: PhaseState) -> float:

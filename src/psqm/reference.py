@@ -19,10 +19,11 @@ _FD8 = {0: -205.0 / 72.0, 1: 8.0 / 5.0, 2: -1.0 / 5.0, 3: 8.0 / 315.0,
 _ROW_BLOCK = 32
 
 
-def fd_oscillator_levels(n_levels: int, n_points: int = 2048,
-                         half_width: float = 10.0) -> np.ndarray:
+def fd_oscillator_levels(n_levels: int) -> np.ndarray:
     """Lowest eigenvalues of -(1/2) d^2/dx^2 + x^2/2 by a banded
-    high-order finite-difference discretization (Dirichlet box)."""
+    high-order finite-difference discretization on 2048 points of the
+    Dirichlet box [-10, 10)."""
+    n_points, half_width = 2048, 10.0
     dx = 2.0 * half_width / n_points
     x = -half_width + dx * np.arange(n_points)
     bands = np.zeros((5, n_points))
@@ -34,20 +35,20 @@ def fd_oscillator_levels(n_levels: int, n_points: int = 2048,
     return w
 
 
-def cross_wigner_quadrature(pairs, x_points: np.ndarray, p_points: np.ndarray,
-                            n_y: int = 2048, y_half: float = 40.0) -> list:
+def cross_wigner_quadrature(pairs, x_points: np.ndarray, p_points: np.ndarray) -> list:
     """Direct Riemann quadrature of
 
         W(psi, chi)(x, p) = (2*pi)**(-1) int exp(-i p y)
                             psi(x + y/2) chi(x - y/2)* dy
 
-    for each ``(psi_fn, chi_fn)`` in ``pairs``, the states given as
-    callables evaluated off-lattice (closed forms); returns one
-    (len(x_points), len(p_points)) array per pair.  The phase table
-    exp(-i y p) is built once per call, and each pair's integrand is
-    evaluated on blocks of ``_ROW_BLOCK`` x rows, each block summed
-    over y by one matrix product with the table.  Used as the
-    independent oracle for the Moyal map."""
+    on 2048 points of y in [-40, 40), for each ``(psi_fn, chi_fn)`` in
+    ``pairs``, the states given as callables evaluated off-lattice
+    (closed forms); returns one (len(x_points), len(p_points)) array
+    per pair.  The phase table exp(-i y p) is built once per call, and
+    each pair's integrand is evaluated on blocks of ``_ROW_BLOCK`` x
+    rows, each block summed over y by one matrix product with the
+    table.  Used as the independent oracle for the Moyal map."""
+    n_y, y_half = 2048, 40.0
     y = -y_half + (2.0 * y_half / n_y) * np.arange(n_y)
     dy = y[1] - y[0]
     half = y / 2

@@ -104,17 +104,18 @@ def _ritz_values(apply, basis) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (H + H.conj().T))
 
 
-def spectrum_report(a: Symbol, chi: ConfigState, n_levels: int = 8) -> dict:
-    """Distinct low-lying spectra of the three quantizations of a real
-    symbol and their pairwise deviations: the config eigenvalues, and
-    the Rayleigh-Ritz values of the phase-space operator on the lifted
-    lowest ``n_levels + 1`` config eigenstates T v_k and of the Moyal
-    operator U A U^{-1} on U T v_k.
+def spectrum_report(a: Symbol, chi: ConfigState) -> dict:
+    """Distinct low-lying spectra (8 levels) of the three quantizations
+    of a real symbol and their pairwise deviations: the config
+    eigenvalues, and the Rayleigh-Ritz values of the phase-space
+    operator on the lifted lowest 9 config eigenstates T v_k and of the
+    Moyal operator U A U^{-1} on U T v_k.
 
     Multiplication-type symbols have quasi-continuous spectra at the
     grid resolution; the report flags those and carries the deciles of
     the config spectrum instead of pass/fail distances.
     """
+    n_levels = 8
     cfg = quantize_config(a)
     w_cfg, states = eig(cfg)
 

@@ -49,9 +49,6 @@ class ConfigState:
     def with_values(self, values: np.ndarray) -> "ConfigState":
         return ConfigState(self.grid, values)
 
-    def norm(self) -> float:
-        return norm_config(self)
-
 
 @dataclass(eq=False)
 class PhaseState:
@@ -69,9 +66,6 @@ class PhaseState:
 
     def with_values(self, values: np.ndarray) -> "PhaseState":
         return PhaseState(self.grid, values)
-
-    def norm(self) -> float:
-        return norm_phase(self)
 
 
 def inner_config(a: ConfigState, b: ConfigState) -> complex:
@@ -109,14 +103,8 @@ def hermite_values(x: np.ndarray, level: int) -> np.ndarray:
     h_k = sqrt(2/k) x h_{k-1} - sqrt((k-1)/k) h_{k-2}.
     """
     x = np.asarray(x, dtype=float)
-    h0 = np.pi ** -0.25 * np.exp(-x ** 2 / 2)
-    if level == 0:
-        return h0
-    h1 = np.sqrt(2.0) * x * h0
-    if level == 1:
-        return h1
-    hm2, hm1 = h0, h1
-    for k in range(2, level + 1):
+    hm2, hm1 = 0.0, np.pi ** -0.25 * np.exp(-x ** 2 / 2)
+    for k in range(1, level + 1):
         hm2, hm1 = hm1, np.sqrt(2.0 / k) * x * hm1 - np.sqrt((k - 1) / k) * hm2
     return hm1
 

@@ -293,7 +293,7 @@ def suite_spectrum(params: dict) -> list:
     _, chi, osc = resolve_params(params)
     tol_pair = _tol(params, "tol_spectrum")
     tol_oracle = _tol(params, "tol_spectrum_oracle")
-    report = spectrum_report(osc, chi, n_levels=8)
+    report = spectrum_report(osc, chi)
     fd = reference.fd_oscillator_levels(8)
     oracle_dev = float(np.abs(np.asarray(report["config"]) - fd).max())
     return [

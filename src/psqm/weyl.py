@@ -430,28 +430,18 @@ def symplectic_ft(a: Symbol) -> Symbol:
 
 # ------------------------------------------------------------- Moyal product
 
-def _groenewold_poly(pa: dict, pb: dict) -> dict:
-    """Exact star product of two polynomial symbols (finite expansion)."""
-    kmax = min(poly_degree(pa), poly_degree(pb))
-    out: dict = {}
+def _groenewold_terms(kmax: int):
+    """Terms of the Groenewold series up to order ``kmax``, where a
+    polynomial factor's series terminates:
+
+        a * b = sum_k (i/2)**k / k! sum_j C(k, j) (-1)**j
+                (d_x^(k-j) d_xi^j a) (d_x^j d_xi^(k-j) b),
+
+    as (coefficient, (x, xi) orders on a, (x, xi) orders on b)."""
     for k in range(kmax + 1):
         coef = (0.5j) ** k / math.factorial(k)
         for j in range(k + 1):
-            da = pa
-            for _ in range(k - j):
-                da = poly_diff(da, 0)
-            for _ in range(j):
-                da = poly_diff(da, 1)
-            db = pb
-            for _ in range(k - j):
-                db = poly_diff(db, 1)
-            for _ in range(j):
-                db = poly_diff(db, 0)
-            term = poly_mul(da, db)
-            sgn = coef * math.comb(k, j) * (-1) ** j
-            for key, c in term.items():
-                out[key] = out.get(key, 0.0) + sgn * c
-    return {k: v for k, v in out.items() if v != 0}
+            yield coef * math.comb(k, j) * (-1) ** j, (k - j, j), (j, k - j)
 
 
 def _poly_deriv(poly: dict, dx_order: int, dxi_order: int) -> dict:
@@ -460,6 +450,16 @@ def _poly_deriv(poly: dict, dx_order: int, dxi_order: int) -> dict:
     for _ in range(dxi_order):
         poly = poly_diff(poly, 1)
     return poly
+
+
+def _groenewold_poly(pa: dict, pb: dict) -> dict:
+    """Exact star product of two polynomial symbols (finite expansion)."""
+    out: dict = {}
+    for sgn, left, right in _groenewold_terms(min(poly_degree(pa), poly_degree(pb))):
+        term = poly_mul(_poly_deriv(pa, *left), _poly_deriv(pb, *right))
+        for key, c in term.items():
+            out[key] = out.get(key, 0.0) + sgn * c
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def _array_deriv(values: np.ndarray, grid: PhaseGrid, dx_order: int,
@@ -478,36 +478,28 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
     series terminates at the polynomial degree.  Analytic derivatives on
     the polynomial side, spectral on the sampled side; a term whose
     polynomial derivative vanishes is skipped."""
-    kmax = poly_degree(poly)
+    X, XI = grid.meshes()
     out = np.zeros(grid.shape, complex)
-    for k in range(kmax + 1):
-        coef = (0.5j) ** k / math.factorial(k)
-        for j in range(k + 1):
-            sgn = coef * math.comb(k, j) * (-1) ** j
-            dpoly = _poly_deriv(poly, *((k - j, j) if poly_on_left else (j, k - j)))
-            if not dpoly:
-                continue
-            pvals = poly_eval(dpoly, *grid.meshes())
-            if poly_on_left:
-                out = out + sgn * pvals * _array_deriv(values, grid, j, k - j)
-            else:
-                out = out + sgn * _array_deriv(values, grid, k - j, j) * pvals
+    for sgn, left, right in _groenewold_terms(poly_degree(poly)):
+        dpoly = _poly_deriv(poly, *(left if poly_on_left else right))
+        if not dpoly:
+            continue
+        pvals = poly_eval(dpoly, X, XI)
+        if poly_on_left:
+            out = out + sgn * pvals * _array_deriv(values, grid, *right)
+        else:
+            out = out + sgn * _array_deriv(values, grid, *left) * pvals
     return out
 
 
 def star_values(avals_or_poly, bvals_or_poly, grid: PhaseGrid) -> np.ndarray:
-    """Array-level star product used by both symbol products and the
-    star action on phase-space states."""
-    a_poly = isinstance(avals_or_poly, dict)
-    b_poly = isinstance(bvals_or_poly, dict)
-    if a_poly and b_poly:
-        X, XI = grid.meshes()
-        return poly_eval(_groenewold_poly(avals_or_poly, bvals_or_poly), X, XI)
-    if a_poly:
+    """Array-level star product of sampled values with sampled values or
+    a polynomial dict (two polynomials multiply in :func:`moyal_product`)."""
+    if isinstance(avals_or_poly, dict):
         fourier.require_band_limited(bvals_or_poly, ALIAS_GUARD_TOL,
                                      "star-product factor")
         return groenewold_mixed(avals_or_poly, bvals_or_poly, grid, True)
-    if b_poly:
+    if isinstance(bvals_or_poly, dict):
         fourier.require_band_limited(avals_or_poly, ALIAS_GUARD_TOL,
                                      "star-product factor")
         return groenewold_mixed(bvals_or_poly, avals_or_poly, grid, False)

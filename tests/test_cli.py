@@ -175,6 +175,13 @@ def test_wigner_refuses_one_row_csv(tmp_path, capsys):
     assert code == 2 and "bad.csv" in err
 
 
+def test_wigner_refuses_non_power_of_two_csv(tmp_path, capsys):
+    x = 0.1 * np.arange(100)
+    rows = np.column_stack([x, np.exp(-(x - 5) ** 2), 0 * x])
+    code, err = _wigner_with_psi_csv(tmp_path, capsys, rows)
+    assert code == 2 and "bad.csv" in err and "power of two" in err
+
+
 def test_wigner_refuses_nonuniform_csv(tmp_path, capsys):
     g = self_dual_phase_grid(64).x_grid
     x = g.points.copy()
@@ -211,6 +218,11 @@ def test_run_verify_refuses_unknown_parameter_keys():
     assert "'symbol'" in str(err.value)
 
 
+def test_run_verify_refuses_unknown_suite():
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_verify(["nonsense"], {"n_points": 64})
+
+
 def test_scalar_times_runs_as_one_time(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("n_points = 64\ntimes = 0.5\n")
@@ -244,6 +256,7 @@ def test_non_integer_seed_and_n_points_refused(tmp_path, capsys, line, message):
     ("window = gaussian:1,2", "window must be 'hermite:K'"),
     ("window = gaussian:1,2,0", "got 'gaussian:1,2,0'"),
     ("window = hermite:13", "got 'hermite:13'"),
+    ("window = hermite:abc", "got 'hermite:abc'"),
     ("window = lorentz:1", "got 'lorentz:1'"),
 ])
 def test_bad_parameter_values_refused_before_any_suite(tmp_path, capsys,

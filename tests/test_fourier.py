@@ -4,7 +4,7 @@ import pytest
 from psqm import (ConfigState, PhaseState, make_grid, forward_ft, inverse_ft,
                   partial_ft_p, partial_ift_p, norm_config, norm_phase,
                   hermite_state, random_config_state, random_phase_state,
-                  inner_config)
+                  inner_config, PhaseGrid, GridMismatchError)
 from psqm import fourier
 from oracles import quadrature_ft
 
@@ -140,3 +140,21 @@ def test_lattice_shear_is_the_half_cell_fourier_shift(n, axis, rng):
 def test_lattice_shear_refuses_mismatched_steps():
     with pytest.raises(ValueError):
         fourier.lattice_shear(np.zeros((8, 8)), np.zeros(4, int), 0)
+
+
+def test_transforms_refuse_wrong_axis_length():
+    g = make_grid(64, 8.0)
+    with pytest.raises(GridMismatchError):
+        fourier.ft_array(np.zeros(32), g)
+    with pytest.raises(GridMismatchError):
+        fourier.ift_array(np.zeros(32), g.dual, g)
+
+
+def test_inverse_transforms_refuse_non_dual_grids():
+    g = make_grid(64, 8.0)
+    other = make_grid(64, 9.0)
+    with pytest.raises(GridMismatchError):
+        inverse_ft(forward_ft(hermite_state(g, 0)), other)
+    Psi = partial_ft_p(PhaseState(PhaseGrid(g, g), np.zeros((64, 64))))
+    with pytest.raises(GridMismatchError):
+        partial_ift_p(Psi, other)

@@ -1,6 +1,6 @@
 """Every name a psqm module, test module or demo imports is referenced
-in that file, and no psqm module uses another psqm module's private
-(``_name``) names."""
+in that file, no psqm module uses another psqm module's private
+(``_name``) names, and psqm modules import at module level only."""
 
 import ast
 from pathlib import Path
@@ -101,6 +101,33 @@ def test_private_name_guard_sees_imports_and_attribute_reads(tmp_path):
         "bad.py:4: reads f._ft_matrix",
         "bad.py:4: reads g._is_power_of_two",
     ]
+
+
+def _function_level_imports(path: Path) -> list:
+    """``import`` statements inside a function or method body."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(f"{path.name}:{inner.lineno}: in {node.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for inner in ast.walk(node)
+                  if isinstance(inner, (ast.Import, ast.ImportFrom)))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    assert _function_level_imports(path) == []
+
+
+def test_function_import_guard_sees_nested_imports(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import numpy as np\n"
+                   "def f():\n"
+                   "    from .spectral import eig\n"
+                   "class A:\n"
+                   "    def g(self):\n"
+                   "        if True:\n"
+                   "            import json\n")
+    assert _function_level_imports(bad) == ["bad.py:3: in f", "bad.py:7: in g"]
 
 
 # The quadrature oracles stay an independent route: numpy and scipy only.

@@ -5,7 +5,7 @@ from psqm import (MixedState, ZeroProjectionError, mixed_to_phase,
                   measure_probability, collapse, measurement_basis,
                   hermite_state, ConfigState, inner_phase,
                   norm_phase, quantize_config, Symbol,
-                  WindowedIsometry, self_dual_phase_grid)
+                  WindowedIsometry, self_dual_phase_grid, GridMismatchError)
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +145,19 @@ def test_too_many_components(setting):
              for k in range(9)]
     with pytest.raises(ValueError):
         MixedState(comps)
+
+
+def test_components_on_two_grids_refused(setting):
+    pg, _, basis = setting
+    psi_other = hermite_state(self_dual_phase_grid(64).x_grid, 1)
+    with pytest.raises(GridMismatchError, match="share the two grids"):
+        MixedState([(basis[0][1], weighted(hermite_state(pg.p_grid, 0), 0.5)),
+                    (psi_other, weighted(hermite_state(pg.p_grid, 1), 0.5))])
+
+
+def test_dependent_windows_refused(setting):
+    pg, _, basis = setting
+    chi = hermite_state(pg.p_grid, 0)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        MixedState([(basis[0][1], weighted(chi, 0.5)),
+                    (basis[1][1], weighted(chi, 0.5))])

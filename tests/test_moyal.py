@@ -4,7 +4,7 @@ import pytest
 from psqm import (Symbol, PhaseState, WindowedIsometry, dilate, rotate,
                   moyal_map, moyal_map_inv, cross_wigner, bopp_apply,
                   moyal_heisenberg_weyl, quantize_moyal,
-                  quantize_config, star_apply, stargen_residual,
+                  quantize_config, star_apply, stargen_residual, moyal_product,
                   phase_heisenberg_weyl, forward_ft, hermite_state,
                   gaussian_state, random_phase_state, random_config_state,
                   norm_phase, self_dual_phase_grid,
@@ -87,6 +87,16 @@ def test_rotate_unitary_and_additive(pg128, rng):
     assert np.abs(a.values - b.values).max() < 1e-9
 
 
+def test_rotate_past_quarter_turn_splits(pg128):
+    # beyond pi/2 the three-shear rotation is split in halves
+    x = pg128.x_grid.points
+    h0, h1 = hermite_values(x, 0), hermite_values(x, 1)
+    radial = PhaseState(pg128, np.outer(h0, h0))
+    assert np.abs(rotate(radial, 3 * np.pi / 4).values - radial.values).max() < 1e-9
+    odd = PhaseState(pg128, np.outer(h1, h0))
+    assert np.abs(rotate(odd, np.pi).values + odd.values).max() < 1e-9
+
+
 # ---------------------------------------------------------- the Moyal map
 
 def test_moyal_map_of_lifted_ground_state(pg128):
@@ -157,6 +167,11 @@ def test_moyal_map_equals_group_composition(pg256, rng):
 
 
 # ------------------------------------------------------------ cross-Wigner
+
+def test_cross_wigner_refuses_two_grids(pg64, pg128):
+    with pytest.raises(GridMismatchError):
+        cross_wigner(hermite_state(pg64.x_grid, 0), hermite_state(pg128.x_grid, 0))
+
 
 def test_cross_wigner_ground_state(pg128):
     g = pg128.x_grid
@@ -322,6 +337,14 @@ def test_star_apply_unit_and_coordinate(pg128, rng):
     out2 = star_apply(Symbol.coordinate(pg128), Psi)
     want = bopp_apply("X", Psi)
     assert np.abs(out2.values - want.values).max() < 1e-8
+
+
+def test_star_product_refuses_another_phase_grid(pg64, pg128, rng):
+    a = Symbol.oscillator(pg64)
+    with pytest.raises(GridMismatchError):
+        star_apply(a, random_phase_state(pg128, rng))
+    with pytest.raises(GridMismatchError):
+        moyal_product(a, Symbol.oscillator(pg128))
 
 
 def test_star_apply_matches_quantize_moyal(pg128, rng):

@@ -4,7 +4,7 @@ import pytest
 from psqm import (make_grid, hermite_state, gaussian_state,
                   inner_config, inner_phase, norm_config, boundary_mass,
                   random_config_state, random_phase_state, PhaseState,
-                  self_dual_phase_grid, GridMismatchError)
+                  self_dual_phase_grid, GridMismatchError, PhaseGrid)
 from psqm.states import hermite_values
 from oracles import (quadrature_inner, quadrature_moment,
                      random_phase_state_sum)
@@ -102,6 +102,10 @@ def test_grid_mismatch_raises(g256):
     b = hermite_state(other, 0)
     with pytest.raises(GridMismatchError):
         inner_config(a, b)
+    A = PhaseState(PhaseGrid(g256, g256), np.zeros((256, 256)))
+    B = PhaseState(PhaseGrid(g256, other), np.zeros((256, 256)))
+    with pytest.raises(GridMismatchError):
+        inner_phase(A, B)
 
 
 def test_boundary_mass_flags_confinement(g256):
