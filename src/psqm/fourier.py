@@ -99,31 +99,43 @@ def lattice_shear(values: np.ndarray, steps, axis: int) -> np.ndarray:
     """Shift slice j of the 2-D ``values`` along ``axis`` by ``steps[j]``
     half cells (integers; slices run along the other axis).
 
-    The whole cells move by an exact index roll; a slice with an odd
-    count then takes the unitary half-cell Fourier shift, the length-n
-    multiplier exp(-i*pi*k/n) on the signed frequencies k.  With the
-    Nyquist term at k = -n/2 as in :func:`fourier_shift`, this is the
-    same operator as ``fourier_shift(values, g, steps * g.spacing / 2,
-    axis)`` on any grid ``g``, without its per-call n x n phase table.
-    It is not :func:`half_shift`, which splits the Nyquist term.
+    Slice j is row j of a C-contiguous array (along axis 0 a transposed
+    copy, whose buffer then takes the transposed result), so every copy
+    is contiguous.  Its whole cells move by an exact index roll; a
+    slice with an odd count then takes the unitary half-cell Fourier
+    shift, the length-n multiplier exp(-i*pi*k/n) on the signed
+    frequencies k.  With the Nyquist term at k = -n/2 as in
+    :func:`fourier_shift`, this is the same operator as
+    ``fourier_shift(values, g, steps * g.spacing / 2, axis)`` on any
+    grid ``g``, without its per-call n x n phase table.  It is not
+    :func:`half_shift`, which splits the Nyquist term.
     """
     axis %= 2
     steps = np.asarray(steps)
     if values.ndim != 2 or steps.shape != (values.shape[1 - axis],):
         raise ValueError("steps must match the complementary axis of a 2-D field")
-    n = values.shape[axis]
-    out = np.empty(values.shape, complex)
-    src, dst = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    if axis == 1:
+        src = np.ascontiguousarray(values)
+    else:
+        src = np.array(values.T, complex, order="C")
+    n = src.shape[1]
+    out = np.empty(src.shape, complex)
     for j, s in enumerate((steps // 2) % n):
-        dst[s:, j] = src[:n - s, j]
-        dst[:s, j] = src[n - s:, j]
+        out[j, s:] = src[j, :n - s]
+        out[j, :s] = src[j, n - s:]
     odd = np.flatnonzero(steps % 2)
-    if odd.size:
-        mult = np.exp(-1j * np.pi * np.fft.fftfreq(n, 1.0 / n) / n)[:, None]
-        spec = np.fft.fft(dst[:, odd], axis=0)
-        spec *= mult
-        dst[:, odd] = np.fft.ifft(spec, axis=0)
-    return out
+    mult = np.exp(-1j * np.pi * np.fft.fftfreq(n, 1.0 / n) / n)
+    for lo in range(0, odd.size, 64):       # 64 rows at a time: bounded scratch
+        sel = odd[lo:lo + 64]
+        rows = out[sel]
+        np.fft.fft(rows, axis=1, out=rows)
+        rows *= mult
+        out[sel] = np.fft.ifft(rows, axis=1, out=rows)
+    if axis == 1:
+        return out
+    src = src.reshape(values.shape)
+    src[...] = out.T
+    return src
 
 
 def half_shift(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -185,25 +197,29 @@ def resample_scaled(values: np.ndarray, grid: Grid1D, alpha: float,
     return np.moveaxis(out, 0, axis)
 
 
-def band_edge_fraction(values: np.ndarray) -> float:
+def band_edge_fraction(values: np.ndarray, spectra=None) -> float:
     """Relative spectral amplitude in the outer quarter of the band,
-    maximized over axes; the aliasing guards test this."""
+    maximized over axes; the aliasing guards test this.  ``spectra``
+    may give the unshifted FFT of ``values`` along each axis in turn,
+    for a caller that transforms them anyway; the value is the same
+    bit for bit."""
+    if spectra is None:
+        spectra = (np.fft.fft(values, axis=axis) for axis in range(values.ndim))
     worst = 0.0
-    for axis in range(values.ndim):
-        n = values.shape[axis]
-        spec = np.fft.fftshift(np.fft.fft(values, axis=axis), axes=axis)
-        k = np.abs(np.arange(n) - n // 2)
-        outer = k >= 0.75 * (n // 2)
-        sl_out = np.compress(outer, spec, axis=axis)
+    for axis, spec in enumerate(spectra):
+        n = spec.shape[axis]
+        k = np.abs((np.arange(n) + n // 2) % n - n // 2)   # |frequency|, FFT order
         total = np.abs(spec).max()
         if total == 0:
             continue
-        worst = max(worst, np.abs(sl_out).max() / total)
+        outer = np.compress(k >= 0.75 * (n // 2), spec, axis=axis)
+        worst = max(worst, np.abs(outer).max() / total)
     return worst
 
 
-def require_band_limited(values: np.ndarray, tol: float, what: str) -> None:
-    frac = band_edge_fraction(values)
+def require_band_limited(values: np.ndarray, tol: float, what: str,
+                         spectra=None) -> None:
+    frac = band_edge_fraction(values, spectra)
     if frac > tol:
         raise BandLimitError(
             f"{what} is not band-limited enough: relative band-edge "

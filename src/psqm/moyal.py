@@ -8,9 +8,10 @@ exact Fourier shifts.
 
 The unitary map U acts as
     U Psi(x, p) = IFT_p[ Psihat(x - xi_p/2, x + xi_p/2) ],
-implemented as a partial transform in p followed by two lattice shears
-(whole cells by index rolls, half cells by a Fourier shift);
-it carries lifted product states onto (2*pi)**(1/2) times the
+implemented as one FFT pair along p around two lattice shears (whole
+cells by index rolls, half cells by a Fourier shift): on the self-dual
+lattice the transforms' phase tables and scales cancel to signs.  It
+carries lifted product states onto (2*pi)**(1/2) times the
 cross-Wigner function of the factors, and conjugates the phase-space
 Schrodinger operators x, -i d/dx into the Bopp operators
 x + (i/2) d/dp and p - (i/2) d/dx.
@@ -106,31 +107,41 @@ def rotate(Psi: PhaseState, theta: float) -> PhaseState:
 
 
 def moyal_map(Psi: PhaseState) -> PhaseState:
-    """The unitary U: closed-form shear route.
+    """The unitary U: closed-form shear route, one FFT pair along p.
 
-    Equals dilate(rotate(Psi, -pi/4), -ln sqrt 2) on confined states;
-    the closed form is the primary path because it resamples once.
+    On the self-dual lattice the unitary transforms' phases and scales
+    cancel: U = (-1)**p IFFT_p S_0 (-1)**a R FFT_p, where R rolls row a
+    by -a cells (the row shear hat(a, a + b), with the forward
+    transform's fftshift folded in) and S_0 shifts column b by
+    b - n/2 half cells.  Equals dilate(rotate(Psi, -pi/4), -ln sqrt 2)
+    on confined states; the closed form is the primary path because it
+    resamples once.
     """
     _require_self_dual(Psi.grid, "moyal_map")
-    g = Psi.grid.x_grid
-    steps = np.arange(g.n_points) - g.n_points // 2     # points / spacing
-    vals = fourier.ft_array(Psi.values, g, axis=1)       # hat(x, xi_p)
-    # g1(a, b) = hat(a, a + b): per-row shift by -a (whole cells)
-    vals = fourier.lattice_shear(vals, -2 * steps, axis=1)
-    # h(u, v) = g1(u - v/2, v): per-column shift by +v/2 (half cells)
-    vals = fourier.lattice_shear(vals, steps, axis=0)
-    return Psi.with_values(fourier.ift_array(vals, g.dual, g, axis=1))
+    n = Psi.grid.x_grid.n_points
+    a = np.arange(n)
+    vals = fourier.lattice_shear(np.fft.fft(Psi.values, axis=1), -2 * a, axis=1)
+    vals[1::2] *= -1
+    vals = fourier.lattice_shear(vals, a - n // 2, axis=0)
+    np.fft.ifft(vals, axis=1, out=vals)
+    vals[:, 1::2] *= -1
+    return Psi.with_values(vals)
 
 
 def moyal_map_inv(Psi: PhaseState) -> PhaseState:
-    """Exact inverse of :func:`moyal_map` (the shears unwind)."""
+    """Exact inverse of :func:`moyal_map`, its factors unwound in reverse:
+    U^{-1} = IFFT_p R^{-1} (-1)**a S_0^{-1} FFT_p (-1)**p."""
     _require_self_dual(Psi.grid, "moyal_map_inv")
-    g = Psi.grid.x_grid
-    steps = np.arange(g.n_points) - g.n_points // 2     # points / spacing
-    vals = fourier.ft_array(Psi.values, g, axis=1)
-    vals = fourier.lattice_shear(vals, -steps, axis=0)
-    vals = fourier.lattice_shear(vals, 2 * steps, axis=1)
-    return Psi.with_values(fourier.ift_array(vals, g.dual, g, axis=1))
+    n = Psi.grid.x_grid.n_points
+    a = np.arange(n)
+    vals = np.array(Psi.values, dtype=complex)
+    vals[:, 1::2] *= -1
+    np.fft.fft(vals, axis=1, out=vals)
+    vals = fourier.lattice_shear(vals, n // 2 - a, axis=0)
+    vals[1::2] *= -1
+    vals = fourier.lattice_shear(vals, 2 * a, axis=1)
+    np.fft.ifft(vals, axis=1, out=vals)
+    return Psi.with_values(vals)
 
 
 # ---------------------------------------------------------------- cross-Wigner

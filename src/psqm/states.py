@@ -9,6 +9,7 @@ accurate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -176,20 +177,31 @@ def random_config_state(grid: Grid1D, rng: np.random.Generator) -> ConfigState:
     return state.with_values(vals / norm_config(state))
 
 
-def random_phase_state(grid: PhaseGrid, rng: np.random.Generator) -> PhaseState:
+@lru_cache(maxsize=4)
+def _phase_envelopes(grid: PhaseGrid) -> tuple:
+    """(spectral, spatial) Gaussian envelopes of :func:`random_phase_state`
+    on ``grid``, built once per grid (read-only)."""
     nx, npnt = grid.shape
     frac = _env_fraction(min(nx, npnt))
     kx = grid.x_dual.points
     kp = grid.p_dual.points
-    spec = np.empty((nx, npnt), complex)
-    spec.real = rng.standard_normal((nx, npnt))
-    spec.imag = rng.standard_normal((nx, npnt))
-    spec *= np.exp(-np.add.outer((kx / (grid.x_dual.half_width / frac)) ** 2,
-                                 (kp / (grid.p_dual.half_width / frac)) ** 2))
-    vals = np.fft.ifft2(np.fft.ifftshift(spec))
+    spec_env = np.exp(-np.add.outer((kx / (grid.x_dual.half_width / frac)) ** 2,
+                                    (kp / (grid.p_dual.half_width / frac)) ** 2))
     X, P = grid.meshes()
     env = np.exp(-((X - grid.x_grid.center) / (grid.x_grid.half_width / frac)) ** 2
                  - ((P - grid.p_grid.center) / (grid.p_grid.half_width / frac)) ** 2)
+    spec_env.flags.writeable = False
+    env.flags.writeable = False
+    return spec_env, env
+
+
+def random_phase_state(grid: PhaseGrid, rng: np.random.Generator) -> PhaseState:
+    spec_env, env = _phase_envelopes(grid)
+    spec = np.empty(grid.shape, complex)
+    spec.real = rng.standard_normal(grid.shape)
+    spec.imag = rng.standard_normal(grid.shape)
+    spec *= spec_env
+    vals = np.fft.ifft2(np.fft.ifftshift(spec))
     vals *= env
     state = PhaseState(grid, vals)
     vals /= norm_phase(state)

@@ -390,10 +390,10 @@ def run_verify(suites, params: dict | None = None) -> dict:
     """Run named suites ('all' expands to every suite) and assemble the
     deterministic report.  Every parameter is checked before any suite
     runs; a ValueError naming the key and its value refuses keys
-    outside :data:`PARAM_KEYS`, non-integer ``n_points`` or ``seed``,
-    ``times`` entries that are not finite numbers, ``tol_*`` values
-    that are not positive finite numbers and ``window`` specs other
-    than ``hermite:K`` or ``gaussian:x0,p0,w``.  A single ``times``
+    outside :data:`PARAM_KEYS`, non-integer ``n_points`` or ``seed``, a
+    negative ``seed``, ``times`` entries that are not finite numbers,
+    ``tol_*`` values that are not positive finite numbers and ``window``
+    specs other than ``hermite:K`` or ``gaussian:x0,p0,w``.  A single ``times``
     value runs as a one-element list."""
     bad_keys = sorted(set(params or ()) - PARAM_KEYS)
     if bad_keys:
@@ -405,6 +405,8 @@ def run_verify(suites, params: dict | None = None) -> dict:
     for key in ("n_points", "seed"):
         if not isinstance(merged[key], Integral):
             raise ValueError(f"{key} must be an integer, got {merged[key]!r}")
+    if merged["seed"] < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {merged['seed']!r}")
     if np.ndim(merged["times"]) == 0:
         merged["times"] = [merged["times"]]
     for t in merged["times"]:

@@ -240,32 +240,52 @@ class LinOp:
         self._require_grid(state)
         return state.with_values(dense_apply(self.matrix, state.values))
 
+    def _hermitian_part(self):
+        """(defect, H) from one pass over row blocks of M and M*: the
+        Hermiticity defect max|M - M*| / max|M| and the symmetrized
+        matrix H = (M + M*)/2, as its real part when max|Im H| <=
+        REAL_EIGH_TOL * max|H|."""
+        M = self.matrix
+        H = np.empty_like(M)
+        big = skew = imag = top = 0.0
+        for r in range(0, M.shape[0], 64):
+            rows, adj, h = M[r:r + 64], M[:, r:r + 64].conj().T, H[r:r + 64]
+            big = max(big, np.abs(rows).max())
+            skew = max(skew, np.abs(rows - adj).max())
+            np.add(rows, adj, out=h)
+            h *= 0.5
+            imag = max(imag, np.abs(h.imag).max())
+            top = max(top, np.abs(h).max())
+        defect = float(skew / max(big, 1e-300))
+        return defect, (H.real if imag <= REAL_EIGH_TOL * top else H)
+
     def hermiticity_defect(self) -> float:
         if self._defect is None:
-            scale = max(np.abs(self.matrix).max(), 1e-300)
-            skew = np.abs(self.matrix - self.matrix.conj().T).max()
-            self._defect = float(skew / scale)
+            self._defect = self._hermitian_part()[0]
         return self._defect
 
     def eigh(self, herm_tol: float = 1e-8):
         """(w ascending, V) of the symmetrized matrix H, computed once per
         operator; refuses (ValueError) a Hermiticity defect above
-        ``herm_tol``.  V is real when H is real up to round-off
-        (:data:`REAL_EIGH_TOL`): then its real part is decomposed.  Both
-        arrays are read-only."""
-        defect = self.hermiticity_defect()
-        if defect > herm_tol:
-            raise ValueError(f"operator is not Hermitian (defect {defect:.2e})")
+        ``herm_tol`` on every call.  V is real when H is real up to
+        round-off (:data:`REAL_EIGH_TOL`): then its real part is
+        decomposed.  The defect, H and that test come from one pass
+        (:meth:`_hermitian_part`).  Both arrays are read-only."""
+        H = None
+        if self._defect is None:
+            self._defect, H = self._hermitian_part()
+        if self._defect > herm_tol:
+            raise ValueError(f"operator is not Hermitian (defect {self._defect:.2e})")
         if self._eigh is None:
-            M = self.matrix
-            H = 0.5 * (M + M.conj().T)
-            if np.abs(H.imag).max() <= REAL_EIGH_TOL * np.abs(H).max():
-                H = H.real
+            if H is None:
+                H = self._hermitian_part()[1]
             w, V = np.linalg.eigh(H)
-            w.flags.writeable = False
-            V.flags.writeable = False
-            self._eigh = (w, V)
-        return self._eigh
+            # V* for propagate: a view when V is real, one cached copy otherwise
+            Vh = V.conj().T
+            for arr in (w, V, Vh):
+                arr.flags.writeable = False
+            self._eigh = (w, V, Vh)
+        return self._eigh[:2]
 
     def propagate(self, state, t: float):
         """exp(-i t M) applied along axis 0 of a config or phase-space
@@ -274,8 +294,9 @@ class LinOp:
         operators, without forming the propagator; both products go
         through :func:`dense_apply` (one real GEMM each when V is real)."""
         self._require_grid(state)
-        w, V = self.eigh()
-        coeffs = dense_apply(V.conj().T, state.values)
+        self.eigh()
+        w, V, Vh = self._eigh
+        coeffs = dense_apply(Vh, state.values)
         coeffs *= np.exp(-1j * w * float(t)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
         return state.with_values(dense_apply(V, coeffs))
 
@@ -462,52 +483,101 @@ def _groenewold_poly(pa: dict, pb: dict) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _array_deriv(values: np.ndarray, grid: PhaseGrid, dx_order: int,
-                 dxi_order: int) -> np.ndarray:
-    out = values
-    for _ in range(dx_order):
-        out = fourier.spectral_derivative(out, grid.x_grid, axis=0)
-    for _ in range(dxi_order):
-        out = fourier.spectral_derivative(out, grid.p_grid, axis=1)
-    return out
+def _outer_sum(src: np.ndarray, base, terms: dict, in_place: bool) -> np.ndarray:
+    """sum of c * base[0]**e0 * base[1]**e1 * src over ``terms``
+    {(e0, e1): c}, with base[0] a column and base[1] a row: one
+    broadcast multiply per distinct e1.  The last product overwrites
+    ``src`` when ``in_place``."""
+    cols: dict = {}
+    for (e0, e1), c in terms.items():
+        cols[e1] = cols.get(e1, 0.0) + c * base[0] ** e0
+    acc = None
+    for i, (e1, col) in enumerate(cols.items()):
+        if in_place and i == len(cols) - 1:
+            t = src
+            t *= col
+        else:
+            t = src * col
+        if e1:
+            t *= base[1] ** e1
+        if acc is None:
+            acc = t
+        else:
+            acc += t
+    return acc
 
 
 def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
                      poly_on_left: bool) -> np.ndarray:
     """Star product where one factor is polynomial: the bidifferential
     series terminates at the polynomial degree.  Analytic derivatives on
-    the polynomial side, spectral on the sampled side; a term whose
-    polynomial derivative vanishes is skipped."""
-    X, XI = grid.meshes()
-    out = np.zeros(grid.shape, complex)
+    the polynomial side, spectral on the sampled side.
+
+    The sampled factor is transformed once along each axis, and the
+    :data:`ALIAS_GUARD_TOL` band-edge guard reads those spectra.  A term
+    c x**u xi**v (d_x**j d_xi**l values) needs the transform along each
+    axis it differentiates; the coordinate along an untransformed axis
+    commutes with that transform and joins the 1-D multipliers.  Terms
+    with the same transformed axes and the same coordinate powers along
+    them share one inverse transform, so a quadratic factor costs two
+    forward and two inverse one-axis passes, plus one 2-D pass when a
+    term carries d_x d_xi.
+    """
+    spectra = {(0,): np.fft.fft(values, axis=0), (1,): np.fft.fft(values, axis=1)}
+    fourier.require_band_limited(values, ALIAS_GUARD_TOL, "star-product factor",
+                                 (spectra[(0,)], spectra[(1,)]))
+    coords = (grid.x_grid.points[:, None], grid.p_grid.points[None, :])
+    ik = (1j * np.fft.ifftshift(grid.x_grid.dual.points)[:, None],
+          1j * np.fft.ifftshift(grid.p_grid.dual.points)[None, :])
+    # groups[transformed axes][coordinate powers along them] =
+    #     {(exponent along x, exponent along xi): coefficient}
+    groups: dict = {}
     for sgn, left, right in _groenewold_terms(poly_degree(poly)):
-        dpoly = _poly_deriv(poly, *(left if poly_on_left else right))
-        if not dpoly:
-            continue
-        pvals = poly_eval(dpoly, X, XI)
-        if poly_on_left:
-            out = out + sgn * pvals * _array_deriv(values, grid, *right)
-        else:
-            out = out + sgn * _array_deriv(values, grid, *left) * pvals
+        on_poly, on_values = (left, right) if poly_on_left else (right, left)
+        axes = tuple(d for d in (0, 1) if on_values[d])
+        for powers, c in _poly_deriv(poly, *on_poly).items():
+            after = tuple(powers[d] if on_values[d] else 0 for d in (0, 1))
+            exps = tuple(on_values[d] or powers[d] for d in (0, 1))
+            terms = groups.setdefault(axes, {}).setdefault(after, {})
+            terms[exps] = terms.get(exps, 0.0) + sgn * c
+    out = np.zeros(grid.shape, complex)
+    for axes in ((), (0,), (0, 1), (1,)):
+        todo = list(groups.get(axes, {}).items())
+        if axes == (0, 1) and todo:
+            spec = spectra[(0,)]
+            spectra[axes] = np.fft.fft(spec, axis=1, out=spec)
+        src = spectra.get(axes, values)
+        # the caller's values, and the x spectrum while the 2-D one is
+        # still to be built from it, are not overwritten
+        keep = axes == () or (axes == (0,) and (0, 1) in groups)
+        base = tuple(ik[d] if d in axes else coords[d] for d in (0, 1))
+        for i, (after, terms) in enumerate(todo):
+            acc = _outer_sum(src, base, terms, not keep and i == len(todo) - 1)
+            if axes:
+                np.fft.ifftn(acc, axes=axes, out=acc)
+            for d in (0, 1):
+                if after[d]:
+                    acc *= coords[d] ** after[d]
+            out += acc
     return out
 
 
 def star_values(avals_or_poly, bvals_or_poly, grid: PhaseGrid) -> np.ndarray:
     """Array-level star product of sampled values with sampled values or
-    a polynomial dict (two polynomials multiply in :func:`moyal_product`)."""
+    a polynomial dict (two polynomials multiply in :func:`moyal_product`).
+    A sampled factor of a polynomial one is refused (BandLimitError)
+    when its spectrum reaches the band edge."""
     if isinstance(avals_or_poly, dict):
-        fourier.require_band_limited(bvals_or_poly, ALIAS_GUARD_TOL,
-                                     "star-product factor")
         return groenewold_mixed(avals_or_poly, bvals_or_poly, grid, True)
     if isinstance(bvals_or_poly, dict):
-        fourier.require_band_limited(avals_or_poly, ALIAS_GUARD_TOL,
-                                     "star-product factor")
         return groenewold_mixed(bvals_or_poly, avals_or_poly, grid, False)
     # both sampled: the symbol of the composed kernel (the interpolation
-    # guard in symbol_to_kernel refuses factors reaching the band edge)
-    Ka = symbol_to_kernel(Symbol(grid, avals_or_poly)).values
-    Kb = symbol_to_kernel(Symbol(grid, bvals_or_poly)).values
-    return kernel_to_symbol(Kernel(grid.x_grid, Ka @ Kb * grid.x_grid.spacing)).values
+    # guard in symbol_to_kernel refuses factors reaching the band edge);
+    # the factors' kernels are dropped before kernel_to_symbol runs
+    Kab = symbol_to_kernel(Symbol(grid, avals_or_poly)).values
+    Kab = Kab @ symbol_to_kernel(Symbol(grid, bvals_or_poly)).values
+    Kab *= grid.x_grid.spacing
+    return kernel_to_symbol(Kernel(grid.x_grid, Kab)).values
 
 
 def moyal_product(a: Symbol, b: Symbol) -> Symbol:

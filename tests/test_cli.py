@@ -247,6 +247,20 @@ def test_non_integer_seed_and_n_points_refused(tmp_path, capsys, line, message):
         run_verify(["isometry"], parse_config(cfg))
 
 
+@pytest.mark.parametrize("suite", ["mixed", "isometry"])
+def test_negative_seed_refused_before_any_suite(tmp_path, capsys, suite):
+    # the mixed suite draws no random state and isometry fails inside
+    # numpy's generator: both must be refused up front, naming the key
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_points = 64\nseed = -3\n")
+    out = tmp_path / "rep.json"
+    assert main(["verify", suite, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "seed must be a non-negative integer, got -3" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        run_verify([suite], parse_config(cfg))
+
+
 @pytest.mark.parametrize("line, message", [
     ("times = abc", "times entries must be finite numbers, got 'abc'"),
     ("times = 0.1, nan", "times entries must be finite numbers, got nan"),

@@ -137,6 +137,39 @@ def test_lattice_shear_is_the_half_cell_fourier_shift(n, axis, rng):
     assert np.array_equal(np.take(got, j, axis=1 - axis), want)
 
 
+@pytest.mark.parametrize("shape", [(8, 16), (16, 8)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_lattice_shear_on_real_and_non_square_fields(shape, axis, rng):
+    n = shape[axis]
+    g = make_grid(n, 3.0)
+    v = rng.standard_normal(shape)
+    steps = rng.integers(-3 * n, 3 * n, shape[1 - axis])
+    got = fourier.lattice_shear(v, steps, axis)
+    want = fourier.fourier_shift(v, g, steps * g.spacing / 2, axis=axis)
+    assert got.shape == shape and got.flags.c_contiguous
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+    assert np.array_equal(fourier.lattice_shear(np.asfortranarray(v + 0j), steps, axis), got)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (9, 12), (15, 7)])
+def test_band_edge_fraction_from_given_spectra_is_bit_identical(shape, rng):
+    # noise with a Gaussian-damped spectrum: a band-edge fraction
+    # strictly between 0 and 1
+    k = [np.fft.fftfreq(m, 1.0 / m) / (m / 4) for m in shape]
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v = np.fft.ifft2(np.fft.fft2(noise) * np.exp(-np.add.outer(k[0] ** 2, k[1] ** 2)))
+    # reference: the outer quarter read from the centred (fftshift) spectra
+    want = 0.0
+    for axis, m in enumerate(shape):
+        spec = np.fft.fftshift(np.fft.fft(v, axis=axis), axes=axis)
+        outer = np.compress(np.abs(np.arange(m) - m // 2) >= 0.75 * (m // 2), spec, axis=axis)
+        want = max(want, np.abs(outer).max() / np.abs(spec).max())
+    assert 0.0 < want < 1.0
+    assert fourier.band_edge_fraction(v) == want
+    spectra = (np.fft.fft(v, axis=0), np.fft.fft(v, axis=1))
+    assert fourier.band_edge_fraction(v, spectra) == want
+
+
 def test_lattice_shear_refuses_mismatched_steps():
     with pytest.raises(ValueError):
         fourier.lattice_shear(np.zeros((8, 8)), np.zeros(4, int), 0)

@@ -8,6 +8,7 @@ from psqm import (Symbol, Kernel, make_grid, PhaseGrid, self_dual_phase_grid,
                   norm_config, BandLimitError, LinOp,
                   random_phase_state, star_apply, quantize_phase,
                   GridMismatchError)
+from psqm import fourier
 from psqm.weyl import FLUSH_BELOW, REAL_EIGH_TOL, dense_apply, star_values
 from psqm.states import hermite_values
 from psqm.reference import fd_oscillator_levels
@@ -252,13 +253,45 @@ def test_x_star_xi_bopp_value(pg64):
 @pytest.mark.parametrize("poly", [{(2, 0): 0.5, (0, 2): 0.5}, {(1, 1): 1.0}],
                          ids=["oscillator", "x_xi"])
 def test_mixed_star_product_skips_only_vanishing_terms(pg128, rng, poly):
-    # skipped terms add exact zeros: the values are bit-identical
+    # the grouped route (one transform per axis, multipliers folded)
+    # against every series term taken separately: equal up to round-off,
+    # measured at <= 3.8e-16 relative here
     Psi = random_phase_state(pg128, rng)
     a = Symbol.polynomial(pg128, poly)
-    assert np.array_equal(star_apply(a, Psi).values,
-                          groenewold_mixed_all_terms(poly, Psi.values, pg128, True))
-    assert np.array_equal(star_values(Psi.values, poly, pg128),
-                          groenewold_mixed_all_terms(poly, Psi.values, pg128, False))
+    for got, left in ((star_apply(a, Psi).values, True),
+                      (star_values(Psi.values, poly, pg128), False)):
+        ref = groenewold_mixed_all_terms(poly, Psi.values, pg128, left)
+        assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
+
+
+def test_mixed_star_guard_reads_the_series_spectra(pg128, rng, monkeypatch):
+    # both one-polynomial branches hand the guard the per-axis spectra the
+    # series uses; the value is the stand-alone band-edge fraction, bit for bit
+    Psi = random_phase_state(pg128, rng)
+    seen = []
+    band_edge = fourier.band_edge_fraction
+
+    def spy(values, spectra=None):
+        frac = band_edge(values, spectra)
+        seen.append((spectra is not None, frac))
+        return frac
+
+    monkeypatch.setattr(fourier, "band_edge_fraction", spy)
+    star_values({(2, 0): 0.5, (0, 2): 0.5}, Psi.values, pg128)
+    star_values(Psi.values, {(1, 1): 1.0}, pg128)
+    want = band_edge(Psi.values)
+    assert want > 0.0
+    assert seen == [(True, want), (True, want)]
+
+
+@pytest.mark.parametrize("poly_on_left", [True, False], ids=["poly_left", "poly_right"])
+def test_mixed_star_product_refuses_band_edge_factor(pg64, poly_on_left):
+    X, XI = pg64.meshes()
+    saw = X + 0.0 * XI                                  # full-band sawtooth
+    poly = {(2, 0): 0.5, (0, 2): 0.5}
+    args = (poly, saw) if poly_on_left else (saw, poly)
+    with pytest.raises(BandLimitError, match="star-product factor"):
+        star_values(*args, pg64)
 
 
 def _sampled_corpus(grid):
