@@ -10,7 +10,8 @@ Config files are flat ``key = value`` lines (# comments); recognized
 keys: those of ``verify.PARAM_KEYS`` (n_points, seed, window, times and
 the tolerance overrides tol_* of ``verify.TOLERANCES``) and t, plus
 symbol for ``spectrum`` only; any other key is refused.  Exit codes:
-0 pass, 1 check failure, 2 usage or config error.
+0 pass, 1 check failure, 2 usage or config error, 3 internal error (any
+other exception, reported on stderr by type and message).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .verify import (SUITE_NAMES, PARAM_KEYS, default_params, resolve_params,
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class ConfigError(ValueError):
@@ -167,6 +169,9 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"psqm: error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:
+        sys.stderr.write(f"psqm: internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -138,30 +138,41 @@ def lattice_shear(values: np.ndarray, steps, axis: int) -> np.ndarray:
     return src
 
 
-def half_shift(values: np.ndarray, axis: int = -1) -> np.ndarray:
+def axis_spectrum(values: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``np.fft.rfft`` (real values) or ``np.fft.fft`` along ``axis``, bit
+    for bit, taken along the rows of a contiguous copy with ``axis``
+    last (for axis 0 of a 2-D field it comes back as a transposed view)."""
+    fft = np.fft.rfft if np.isrealobj(values) else np.fft.fft
+    return np.moveaxis(fft(np.ascontiguousarray(np.moveaxis(values, axis, -1))), -1, axis)
+
+
+def half_shift(values: np.ndarray, axis: int = -1, spectrum=None) -> np.ndarray:
     """Band-limited interpolant at the half-cell midpoints x_k + spacing/2.
 
     The Nyquist coefficient is split evenly between the two band edges
     (its cosine vanishes at the midpoints), so real data interpolates to
-    real values and real symbols quantize to Hermitian matrices.  This
+    real values (real values take the real transform pair).  This
     differs from :func:`lattice_shear`'s half-cell step (and
     :func:`fourier_shift`'s), which keeps the whole Nyquist term at
-    k = -n/2.
+    k = -n/2.  ``spectrum`` may give :func:`axis_spectrum` of
+    ``values``; the work runs with ``axis`` last, as there.
     """
     n = values.shape[axis]
-    k = np.fft.fftfreq(n, 1.0 / n)
+    if spectrum is None:
+        spectrum = axis_spectrum(values, axis)
+    k = np.fft.fftfreq(n, 1.0 / n)[:spectrum.shape[axis]]    # rfft: 0 .. n//2
     mult = np.where(k == -n / 2, 0.0, np.exp(1j * np.pi * k / n))
-    shp = [1] * values.ndim
-    shp[axis] = n
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shp), axis=axis)
+    spec = np.multiply(np.moveaxis(spectrum, axis, -1), mult, order="C")
+    out = np.fft.irfft(spec, n) if np.isrealobj(values) else np.fft.ifft(spec, out=spec)
+    return np.moveaxis(out, -1, axis)
 
 
-def upsample2(values: np.ndarray, axis: int = -1) -> np.ndarray:
+def upsample2(values: np.ndarray, axis: int = -1, spectrum=None) -> np.ndarray:
     """Evaluate the band-limited interpolant on the half-spacing lattice
     (2N points over the same box): the samples interleaved with their
-    :func:`half_shift`."""
+    :func:`half_shift` (``spectrum`` as there)."""
     axis %= values.ndim
-    pair = np.stack([values, half_shift(values, axis)], axis=axis + 1)
+    pair = np.stack([values, half_shift(values, axis, spectrum)], axis=axis + 1)
     shape = list(values.shape)
     shape[axis] *= 2
     return pair.reshape(shape)
@@ -200,15 +211,15 @@ def resample_scaled(values: np.ndarray, grid: Grid1D, alpha: float,
 def band_edge_fraction(values: np.ndarray, spectra=None) -> float:
     """Relative spectral amplitude in the outer quarter of the band,
     maximized over axes; the aliasing guards test this.  ``spectra``
-    may give the unshifted FFT of ``values`` along each axis in turn,
-    for a caller that transforms them anyway; the value is the same
-    bit for bit."""
+    may give the unshifted FFT (or rfft) of ``values`` along each axis
+    in turn, for a caller that transforms them anyway; the value is the
+    same bit for bit."""
     if spectra is None:
-        spectra = (np.fft.fft(values, axis=axis) for axis in range(values.ndim))
+        spectra = (axis_spectrum(values, axis) for axis in range(values.ndim))
     worst = 0.0
     for axis, spec in enumerate(spectra):
-        n = spec.shape[axis]
-        k = np.abs((np.arange(n) + n // 2) % n - n // 2)   # |frequency|, FFT order
+        n = values.shape[axis]
+        k = np.abs(np.fft.fftfreq(n, 1.0 / n))[:spec.shape[axis]]
         total = np.abs(spec).max()
         if total == 0:
             continue

@@ -159,17 +159,21 @@ def cross_wigner(psi: ConfigState, phi: ConfigState) -> PhaseState:
     if not grids_compatible(psi.grid, phi.grid):
         raise GridMismatchError("cross_wigner needs both states on one grid")
     g = psi.grid
-    n = g.n_points
+    n, h = g.n_points, g.n_points // 2
+    # row i reads psi at 2i + t and phi at 2i - t (t = -n/2 .. n/2 - 1) on
+    # the doubled lattice: windows of the cyclically padded samples
     fh = fourier.upsample2(psi.values, axis=0)
     gh = fourier.upsample2(phi.values, axis=0)
-    t = np.fft.fftfreq(n, 1.0 / n).astype(int)           # offsets, FFT order
-    i = np.arange(n)
-    left = fh[(2 * i[:, None] + t[None, :]) % (2 * n)]
-    right = np.conj(gh[(2 * i[:, None] - t[None, :]) % (2 * n)])
-    prod = left * right                                   # (x, t)
-    # sum_t exp(-i*t*dx*p_m) = exp(-i*t*dx*p_0) exp(-2*pi*i*t*m/n): one FFT
+    fe = np.concatenate([fh[-h:], fh, fh[:h]])            # fe[k] = fh[k - h]
+    ge = np.concatenate([gh[-h:], gh, gh[:h]])[::-1]      # ge[k] = gh[2n + h - 1 - k]
+    windows = np.lib.stride_tricks.sliding_window_view
+    prod = np.conj(windows(ge, n)[2 * n - 1::-2])         # gh[2i - t]
+    prod *= windows(fe, n)[:2 * n:2]                      # fh[2i + t]: (x, t)
+    # sum_t exp(-i*t*dx*p_m) = exp(-i*t*dx*p_0) (-1)**m FFT(t + n/2 -> m)
+    t = np.arange(-h, h)
     prod *= np.exp(-1j * t * g.spacing * g.dual.points[0])
-    vals = (g.spacing / (2 * np.pi)) * np.fft.fft(prod, axis=1)
+    vals = np.fft.fft(prod, axis=1, out=prod)
+    vals *= (g.spacing / (2 * np.pi)) * (-1.0) ** np.arange(n)
     return PhaseState(PhaseGrid(g, g.dual), vals)
 
 

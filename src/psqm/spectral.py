@@ -24,8 +24,10 @@ def eig(op: LinOp, herm_tol: float = 1e-8):
     (:meth:`LinOp.eigh`).
     """
     w, V = op.eigh(herm_tol)
-    weight = np.sqrt(op.grid.spacing)
-    return w, [ConfigState(op.grid, V[:, k] / weight) for k in range(len(w))]
+    # state k is row k of one contiguous scaled complex copy of V.T
+    rows = np.empty(V.shape[::-1], complex)
+    np.divide(V.T, np.sqrt(op.grid.spacing), out=rows)
+    return w, [ConfigState(op.grid, row) for row in rows]
 
 
 def evolve(op: LinOp, state, t: float):

@@ -64,9 +64,9 @@ FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
 # H = (M + M*)/2 is decomposed in real arithmetic when max|Im H| <=
 # REAL_EIGH_TOL * max|H|.  Measured for n = 64..1024: xi-even real symbols
-# (oscillator, free particle, a sampled Gaussian) read 1.9e-15..4.5e-13,
-# growing about linearly in n; x reads 0, xi and x*xi read 1.0.  So the
-# bound is 22x above round-off and 1e11 below the complex matrices.
+# (oscillator, free particle, a sampled Gaussian) read 8.8e-17..5.1e-15;
+# x reads 0, xi and x*xi read 1.0.  So the bound is 2000x above
+# round-off and 1e11 below the complex matrices.
 REAL_EIGH_TOL = 1e-11
 
 
@@ -95,9 +95,11 @@ def dense_apply(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
 # Polynomial symbols are dicts {(i, j): coeff} meaning coeff * x**i * xi**j.
 
 def poly_eval(poly: dict, X: np.ndarray, XI: np.ndarray) -> np.ndarray:
-    out = np.zeros(np.broadcast(X, XI).shape, complex)
+    """Values at real points: in float when every coefficient is real."""
+    real = all(complex(c).imag == 0 for c in poly.values())
+    out = np.zeros(np.broadcast(X, XI).shape, float if real else complex)
     for (i, j), c in poly.items():
-        out = out + c * X ** i * XI ** j
+        out = out + (c.real if real else c) * X ** i * XI ** j
     return out
 
 
@@ -193,6 +195,8 @@ class Kernel:
 
     grid: Grid1D
     values: np.ndarray
+    # values == values.conj().T bit for bit (symbol_to_kernel, real symbol)
+    _hermitian: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -210,7 +214,8 @@ class LinOp:
 
     The matrix is held as a read-only view, so the Hermiticity defect
     and the eigendecomposition, each computed once per operator on
-    first use, stay valid for its lifetime.
+    first use, stay valid for its lifetime.  A real symbol's matrix,
+    Hermitian by construction, gets defect 0 from :func:`quantize_config`.
     """
 
     grid: Grid1D
@@ -243,21 +248,17 @@ class LinOp:
     def _hermitian_part(self):
         """(defect, H) from one pass over row blocks of M and M*: the
         Hermiticity defect max|M - M*| / max|M| and the symmetrized
-        matrix H = (M + M*)/2, as its real part when max|Im H| <=
-        REAL_EIGH_TOL * max|H|."""
+        matrix H = (M + M*)/2."""
         M = self.matrix
         H = np.empty_like(M)
-        big = skew = imag = top = 0.0
+        big = skew = 0.0
         for r in range(0, M.shape[0], 64):
             rows, adj, h = M[r:r + 64], M[:, r:r + 64].conj().T, H[r:r + 64]
             big = max(big, np.abs(rows).max())
             skew = max(skew, np.abs(rows - adj).max())
             np.add(rows, adj, out=h)
             h *= 0.5
-            imag = max(imag, np.abs(h.imag).max())
-            top = max(top, np.abs(h).max())
-        defect = float(skew / max(big, 1e-300))
-        return defect, (H.real if imag <= REAL_EIGH_TOL * top else H)
+        return float(skew / max(big, 1e-300)), H
 
     def hermiticity_defect(self) -> float:
         if self._defect is None:
@@ -267,10 +268,11 @@ class LinOp:
     def eigh(self, herm_tol: float = 1e-8):
         """(w ascending, V) of the symmetrized matrix H, computed once per
         operator; refuses (ValueError) a Hermiticity defect above
-        ``herm_tol`` on every call.  V is real when H is real up to
-        round-off (:data:`REAL_EIGH_TOL`): then its real part is
-        decomposed.  The defect, H and that test come from one pass
-        (:meth:`_hermitian_part`).  Both arrays are read-only."""
+        ``herm_tol`` on every call.  The defect and H come from one pass
+        (:meth:`_hermitian_part`), or H is M when the defect is 0 (M = M*
+        bit for bit).  V is real when H is real up to round-off
+        (:data:`REAL_EIGH_TOL`): then its real part is decomposed.  Both
+        arrays are read-only."""
         H = None
         if self._defect is None:
             self._defect, H = self._hermitian_part()
@@ -278,7 +280,9 @@ class LinOp:
             raise ValueError(f"operator is not Hermitian (defect {self._defect:.2e})")
         if self._eigh is None:
             if H is None:
-                H = self._hermitian_part()[1]
+                H = self._hermitian_part()[1] if self._defect else self.matrix
+            if np.abs(H.imag).max() <= REAL_EIGH_TOL * np.abs(H).max():
+                H = H.real
             w, V = np.linalg.eigh(H)
             # V* for propagate: a view when V is real, one cached copy otherwise
             Vh = V.conj().T
@@ -312,94 +316,118 @@ def _require_weyl_ready(grid: PhaseGrid) -> None:
 
 
 @lru_cache(maxsize=32)
-def _midpoint_indices(n: int, torus: bool):
-    """Half-lattice index of the midpoint of (x_i, x_j) plus the periodic
-    difference index (i - j) mod n.
+def _midpoint_indices(n: int, torus: bool) -> np.ndarray:
+    """Flat index S*n + D into the (2N, N) table of the half-lattice
+    midpoint index S of (x_i, x_j) and the periodic difference index
+    D = (i - j) mod n: entry (i, j) of the kernel.
 
     ``torus`` selects the torus-geodesic midpoint (short-path midpoint,
     shifted by the half period for wrapped pairs): the right choice for
     decaying symbols, making the composition correspondence exact on the
     lattice.  Unbounded polynomial symbols instead use the arithmetic
     midpoint, which reproduces the canonical symmetrized operator
-    products exactly.
+    products exactly.  S is symmetric; (j, i) has index (n - D) mod n.
     """
     i = np.arange(n)
     S = i[:, None] + i[None, :]
     if torus:
         wrap = np.abs(i[:, None] - i[None, :]) > n // 2
         S = np.where(wrap, (S + n) % (2 * n), S)
-    D = (i[:, None] - i[None, :]) % n
-    S.flags.writeable = False
-    D.flags.writeable = False
-    return S, D
+    flat = S * n + (i[:, None] - i[None, :]) % n
+    flat.flags.writeable = False
+    return flat
 
 
 def _midpoint_values(a: Symbol) -> np.ndarray:
     """Symbol values on the half lattice (2N x N), exact when an
-    evaluator is attached; interpolation is guarded by the residual
-    self-test for sample-only symbols."""
+    evaluator is attached; interpolation is guarded by the band-edge
+    test for sample-only symbols, and reuses its x spectrum.  The table
+    is real when its imaginary part is 0 (real samples take the real
+    half shift)."""
     xg = a.grid.x_grid
     n = xg.n_points
     if a.evaluator is not None:
         xh = xg.points[0] + 0.5 * xg.spacing * np.arange(2 * n)
-        return np.asarray(
-            a.evaluator(xh[:, None], a.grid.p_grid.points[None, :]), dtype=complex
-        )
-    fourier.require_band_limited(a.values, INTERP_GUARD_TOL,
-                                 "sampled symbol (midpoint interpolation)")
-    return fourier.upsample2(a.values, axis=0)
+        amid = np.asarray(a.evaluator(xh[:, None], a.grid.p_grid.points[None, :]))
+        return amid.real if np.iscomplexobj(amid) and not amid.imag.any() else amid
+    values = a.values if a.values.imag.any() else a.values.real
+    spec_x = fourier.axis_spectrum(values, 0)
+    fourier.require_band_limited(values, INTERP_GUARD_TOL,
+                                 "sampled symbol (midpoint interpolation)",
+                                 (spec_x, fourier.axis_spectrum(values, 1)))
+    return fourier.upsample2(values, 0, spec_x)
 
 
 def symbol_to_kernel(a: Symbol) -> Kernel:
-    """Symbol -> operator kernel via the midpoint/oscillatory integral."""
+    """Symbol -> operator kernel via the midpoint/oscillatory integral.
+    A real midpoint table is transformed over the offsets 0..n/2 only;
+    offsets n/2+1..n-1 are their conjugates and offsets 0 and n/2 are
+    set real, so the kernel equals its conjugate transpose bit for bit."""
     _require_weyl_ready(a.grid)
     xg = a.grid.x_grid
     n = xg.n_points
     xi = a.grid.p_grid.points
     amid = _midpoint_values(a)
     # sum_m a(., xi_m) exp(i*xi_m*d*dx) = exp(i*xi_0*d*dx) * n * ifft over m
-    post = np.exp(1j * xi[0] * np.arange(n) * xg.spacing)
-    B = np.fft.ifft(amid, axis=1)                                # (2N, N)
-    B *= (a.grid.p_grid.spacing * n / (2 * np.pi)) * post
-    S, D = _midpoint_indices(n, torus=not a.is_polynomial)
-    return Kernel(xg, B[S, D])
+    post = (a.grid.p_grid.spacing * n / (2 * np.pi)) * np.exp(
+        1j * xi[0] * np.arange(n) * xg.spacing)
+    real = np.isrealobj(amid)
+    if real:
+        h = n // 2 + 1
+        B = np.empty((2 * n, n), complex)                         # (2N, N)
+        np.multiply(np.fft.ihfft(amid, axis=1), post[:h], out=B[:, :h])
+        np.conjugate(B[:, h - 2:0:-1], out=B[:, h:])
+        B.imag[:, [0, n // 2]] = 0.0
+    else:
+        B = np.fft.ifft(amid, axis=1)
+        B *= post
+    K = Kernel(xg, B.take(_midpoint_indices(n, torus=not a.is_polynomial)))
+    K._hermitian = real
+    return K
+
+
+@lru_cache(maxsize=8)
+def _offset_indices(n: int) -> np.ndarray:
+    """Flat indices of (x_i + t/2, x_i - t/2), offsets t in FFT order:
+    [0] even t, into the kernel at (i + t/2, i - t/2); [1] odd t, into
+    the transposed half-cell shifted kernel at (i - (t+1)/2, i + (t-1)/2)."""
+    i = np.arange(n)[:, None]
+    t = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    u, v = (i + t // 2) % n, (i - (t + 1) // 2) % n
+    idx = np.stack([u[:, 0::2] * n + v[:, 0::2], v[:, 1::2] * n + u[:, 1::2]])
+    idx.flags.writeable = False
+    return idx
 
 
 def kernel_to_symbol(K: Kernel) -> Symbol:
     """Operator kernel -> Weyl symbol (inverse of :func:`symbol_to_kernel`).
 
-    The translation-invariant (torus-Toeplitz) part of the kernel is
-    inverted exactly, including the Nyquist frequency that the
-    half-lattice quadrature cannot see on an even lattice; the remainder
-    goes through the y-quadrature on the band-limited interpolant of the
-    kernel, which needs only the samples themselves (even offsets) and
-    the samples shifted by half a cell on both axes (odd offsets).
+    The y-quadrature runs on the band-limited interpolant of the kernel,
+    which needs only the samples themselves (even offsets) and the
+    samples shifted by half a cell on both axes (odd offsets), gathered
+    as vals[i, t] = K(x_i + t/2, x_i - t/2).  The translation-invariant
+    (torus-Toeplitz) part, whose Nyquist frequency the half-lattice
+    quadrature cannot see on an even lattice, is inverted exactly
+    instead.  Column t of vals covers the torus diagonal of offset t
+    once, so its mean is that part there: the diagonal mean tau[t] for
+    even t, tau[t] + N for odd t, N being tau's Nyquist coefficient,
+    which the half shift drops.
     """
     xg = K.grid
     n = xg.n_points
     grid = PhaseGrid(xg, xg.dual)
     xi = grid.p_grid.points
-    i = np.arange(n)
-    Dm = (i[:, None] - i[None, :]) % n
-
-    # Toeplitz part: mean over each torus diagonal, exact 1-D inversion
-    # (K[i, Dm[i, d]] runs along the diagonal of offset d).
-    tau = K.values[i[:, None], Dm].mean(axis=0)
-    alpha = xg.spacing * np.fft.fftshift(np.fft.fft(tau))
-    rest = K.values - tau[Dm]
-
-    # rest((x_i + t/2), (x_i - t/2)) on the half lattice of offsets t
-    mid = fourier.half_shift(fourier.half_shift(rest, 0), 1)
-    # (N, Nt): even offsets from rest, odd ones from mid; n is even, so
-    # offset t[j] (FFT order) has the parity of its column j
-    t = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    # the second shift runs on the transposed layout, so mid.T is contiguous
+    mid_t = np.ascontiguousarray(fourier.half_shift(fourier.half_shift(K.values, 1), 0).T)
+    even, odd = _offset_indices(n)
     vals = np.empty((n, n), complex)
-    for j0, src in ((0, rest), (1, mid)):
-        tj = t[j0::2]
-        vals[:, j0::2] = src[((2 * i[:, None] + tj) % (2 * n)) // 2,
-                             ((2 * i[:, None] - tj) % (2 * n)) // 2]
+    vals[:, 0::2], vals[:, 1::2] = K.values.take(even), mid_t.take(odd)
+    tau = vals.mean(axis=0)
+    vals -= tau
+    tau[1::2] -= 2.0 / n * (tau[0::2].sum() - tau[1::2].sum())  # N
+    alpha = xg.spacing * np.fft.fftshift(np.fft.fft(tau))
     # sum_t exp(-i*t*dx*xi_m) = exp(-i*t*dx*xi_0) exp(-2*pi*i*t*m/n): one FFT
-    vals *= np.exp(-1j * t * xg.spacing * xi[0])
+    vals *= np.exp(-1j * np.fft.fftfreq(n, 1.0 / n) * xg.spacing * xi[0])
     samples = alpha[None, :] + xg.spacing * np.fft.fft(vals, axis=1)
     return Symbol(grid, samples)
 
@@ -407,11 +435,17 @@ def kernel_to_symbol(K: Kernel) -> Symbol:
 def quantize_config(a: Symbol) -> LinOp:
     """Dense matrix of the Weyl operator of ``a`` on the x grid.
 
-    Real symbols yield Hermitian matrices; the identity symbol yields
-    the identity matrix exactly.
+    A real symbol (real polynomial coefficients, closed form or samples)
+    yields a matrix equal to its conjugate transpose bit for bit: its
+    :class:`LinOp` takes the Hermiticity defect as 0 and decomposes the
+    matrix itself, with no symmetrizing pass.  The identity symbol
+    yields the identity matrix exactly.
     """
     K = symbol_to_kernel(a)
-    return LinOp(a.grid.x_grid, K.values * a.grid.x_grid.spacing)
+    K.values *= a.grid.x_grid.spacing
+    op = LinOp(a.grid.x_grid, K.values)
+    op._defect = 0.0 if K._hermitian else None
+    return op
 
 
 # ------------------------------------------------------- displacement operator
@@ -523,7 +557,11 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
     forward and two inverse one-axis passes, plus one 2-D pass when a
     term carries d_x d_xi.
     """
-    spectra = {(0,): np.fft.fft(values, axis=0), (1,): np.fft.fft(values, axis=1)}
+    # the x spectrum is taken along the rows of a transposed copy and kept
+    # in that layout (a transposed view), so the x passes, forward and
+    # inverse, read contiguous memory
+    spectra = {(0,): np.fft.fft(np.ascontiguousarray(values.T), axis=1).T,
+               (1,): np.fft.fft(values, axis=1)}
     fourier.require_band_limited(values, ALIAS_GUARD_TOL, "star-product factor",
                                  (spectra[(0,)], spectra[(1,)]))
     coords = (grid.x_grid.points[:, None], grid.p_grid.points[None, :])

@@ -191,8 +191,7 @@ def symbol_to_kernel_dense(a):
     amid = weyl._midpoint_values(a)
     phase = np.exp(1j * np.outer(a.grid.p_grid.points, np.arange(n) * xg.spacing))
     B = (a.grid.p_grid.spacing / (2 * np.pi)) * (amid @ phase)
-    S, D = weyl._midpoint_indices(n, torus=not a.is_polynomial)
-    return B[S, D]
+    return B.take(weyl._midpoint_indices(n, torus=not a.is_polynomial))
 
 
 def kernel_to_symbol_dense(K):

@@ -7,6 +7,7 @@ import pytest
 
 from psqm import hermite_state, self_dual_phase_grid, serialize
 from psqm.cli import main, parse_config, ConfigError
+from psqm import verify
 from psqm.verify import run_verify
 
 
@@ -134,6 +135,17 @@ def test_verify_failure_exit_code(tmp_path):
     cfg.write_text("n_points = 64\ntol_isometry = 1e-30\n")
     proc = run_cli("verify", "isometry", "--config", str(cfg))
     assert proc.returncode == 1
+
+
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a crash is not a failed check: exit 3 with the exception on stderr
+    def boom(params):
+        raise RuntimeError("suite exploded")
+
+    monkeypatch.setitem(verify._SUITES, "isometry", boom)
+    code = main(["verify", "isometry", "--out", str(tmp_path / "r.json")])
+    assert code == 3
+    assert capsys.readouterr().err == "psqm: internal error: RuntimeError: suite exploded\n"
 
 
 def test_config_gaussian_window_reaches_the_suite(tmp_path):

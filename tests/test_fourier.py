@@ -117,6 +117,46 @@ def test_upsample2_even_samples_exact_odd_samples_at_midpoints():
     assert np.abs(up2[1::2] - np.outer(f(t + np.pi / n), c)).max() < 1e-13
 
 
+def _half_shift_c2c(values, axis):
+    # the plain complex route: one FFT pair along ``axis``, Nyquist dropped
+    n = values.shape[axis]
+    k = np.fft.fftfreq(n, 1.0 / n)
+    mult = np.where(k == -n / 2, 0.0, np.exp(1j * np.pi * k / n))
+    shp = [1] * values.ndim
+    shp[axis] = n
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shp), axis=axis)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (128, 64), (9, 12)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_half_shift_and_upsample2_equal_the_complex_route_bit_for_bit(shape, axis, rng):
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = _half_shift_c2c(v, axis)
+    pair = np.stack([v, want], axis=axis + 1).reshape(
+        tuple(2 * m if d == axis else m for d, m in enumerate(shape)))
+    for spectrum in (None, fourier.axis_spectrum(v, axis)):
+        assert np.array_equal(fourier.half_shift(v, axis, spectrum), want)
+        assert np.array_equal(fourier.upsample2(v, axis, spectrum), pair)
+    assert np.array_equal(fourier.axis_spectrum(v, axis), np.fft.fft(v, axis=axis))
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (128, 64), (9, 12)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_half_shift_of_real_values_is_real(shape, axis, rng):
+    v = rng.standard_normal(shape)
+    spectrum = fourier.axis_spectrum(v, axis)
+    assert np.array_equal(spectrum, np.fft.rfft(v, axis=axis))
+    got = fourier.half_shift(v, axis)
+    assert got.dtype == np.float64
+    assert np.array_equal(fourier.half_shift(v, axis, spectrum), got)
+    assert np.abs(got - _half_shift_c2c(v, axis)).max() < 1e-14
+    up = fourier.upsample2(v, axis)
+    assert up.dtype == np.float64
+    assert np.array_equal(np.take(up, np.arange(0, 2 * shape[axis], 2), axis=axis), v)
+    # the band-edge guard reads rfft halves of real values
+    assert abs(fourier.band_edge_fraction(v) - fourier.band_edge_fraction(v + 0j)) < 1e-14
+
+
 @pytest.mark.parametrize("n", [64, 128])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_lattice_shear_is_the_half_cell_fourier_shift(n, axis, rng):

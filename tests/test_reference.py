@@ -52,3 +52,34 @@ def test_gaussian_pair_matches_closed_form():
     (W,) = cross_wigner_quadrature([(g, g)], X, P)
     want = np.exp(-(X[:, None] - 0.8) ** 2 - (P[None, :] + 0.4) ** 2) / np.pi
     assert np.abs(W - want).max() < 1e-12
+
+
+def test_integrand_blocks_carry_no_subnormal_components(monkeypatch):
+    # far-apart Gaussians: the integrand tails reach subnormal magnitudes;
+    # they are zeroed before each product, moving W by at most ~1e-150
+    def psi(t):
+        return gaussian_values(t, 6.0, 0.3, 1.0)
+
+    def chi(t):
+        return gaussian_values(t, -6.0, -0.2, 1.0)
+
+    tiny = np.sqrt(np.finfo(float).tiny)
+    blocks = []
+    matmul = np.matmul
+
+    def spy(a, b, out=None):
+        blocks.append(a.copy())
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    (W,) = cross_wigner_quadrature([(psi, chi)], X, P)
+    monkeypatch.undo()
+    parts = np.concatenate([b.view(np.float64).ravel() for b in blocks])
+    assert not ((parts != 0) & (np.abs(parts) < tiny)).any()
+
+    y = -Y_HALF + (2.0 * Y_HALF / N_Y) * np.arange(N_Y)
+    raw = psi(X[:, None] + y / 2) * np.conj(chi(X[:, None] - y / 2))
+    raw_parts = raw.view(np.float64)
+    assert ((raw_parts != 0) & (np.abs(raw_parts) < tiny)).any()
+    want = (raw @ np.exp(-1j * np.outer(y, P))) * ((y[1] - y[0]) / (2 * np.pi))
+    assert np.abs(W - want).max() <= 1e-150

@@ -262,3 +262,15 @@ def test_moyal_ladder_detects_a_broken_inverse_map(pg64, monkeypatch):
     rep = spectrum_report(Symbol.oscillator(pg64), hermite_state(pg64.p_grid, 0))
     assert rep["config_phase"] < 1e-12
     assert rep["config_moyal"] > 1e-6
+
+
+@pytest.mark.parametrize("coeffs", [{(2, 0): 0.5, (0, 2): 0.5}, {(0, 1): 1.0}],
+                         ids=["real V", "complex V"])
+def test_eig_states_are_the_scaled_eigenvector_columns_bit_for_bit(pg64, coeffs):
+    op = quantize_config(Symbol.polynomial(pg64, coeffs))
+    _, V = op.eigh()
+    _, states = eig(op)
+    weight = np.sqrt(pg64.x_grid.spacing)
+    for k, s in enumerate(states):
+        want = np.asarray(V[:, k] / weight, dtype=complex)
+        assert np.array_equal(s.values.view(np.uint64), want.view(np.uint64))

@@ -8,7 +8,7 @@ from psqm import (Symbol, Kernel, make_grid, PhaseGrid, self_dual_phase_grid,
                   norm_config, BandLimitError, LinOp,
                   random_phase_state, star_apply, quantize_phase,
                   GridMismatchError)
-from psqm import fourier
+from psqm import fourier, weyl
 from psqm.weyl import FLUSH_BELOW, REAL_EIGH_TOL, dense_apply, star_values
 from psqm.states import hermite_values
 from psqm.reference import fd_oscillator_levels
@@ -412,3 +412,103 @@ def test_linop_apply_on_phase_state_is_the_phase_operator(pg64, rng):
     op = quantize_phase(Symbol.oscillator(pg64))
     Psi = random_phase_state(pg64, rng)
     assert np.array_equal(op.config_op.apply(Psi).values, op.apply(Psi).values)
+
+
+# ------------------------------------------- Hermitian by construction
+
+def _real_symbols(grid):
+    X, XI = grid.meshes()
+    return {
+        "oscillator": Symbol.oscillator(grid),
+        "x": Symbol.coordinate(grid),
+        "xi": Symbol.momentum(grid),
+        "x xi": Symbol.polynomial(grid, {(1, 1): 1.0}),
+        "free": Symbol.free_particle(grid),
+        "sampled gaussian": Symbol.from_samples(grid, np.exp(-(X ** 2 + XI ** 2) / 6.0)),
+    }
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 1024])
+def test_real_symbols_quantize_to_bitwise_hermitian_matrices(n):
+    grid = self_dual_phase_grid(n)
+    for name, a in _real_symbols(grid).items():
+        op = quantize_config(a)
+        M = op.matrix
+        assert np.array_equal(M, M.conj().T), name
+        assert op.hermiticity_defect() == 0.0
+        if n <= 128:
+            # the same operator as the full complex transform, to round-off
+            want = symbol_to_kernel_dense(a) * grid.x_grid.spacing
+            assert _rel(M, want) < 1e-12, name
+
+
+def _damped_complex(grid):
+    # the grid-1024 benchmark's kind of symbol: a 1j * xi**2 term
+    X, XI = grid.meshes()
+    poly = 0.3 - 0.2 * X + 0.7 * XI + 0.4 * X * XI - 0.6 * X ** 2 + 0.5j * XI ** 2
+    return Symbol.from_samples(grid, poly * np.exp(-((X - 0.2) ** 2 + (XI + 0.4) ** 2) / 8.0))
+
+
+@pytest.mark.parametrize("make", [
+    _damped_complex,
+    lambda g: Symbol.from_function(
+        g, lambda x, xi: 1j * x * xi * np.exp(-(x ** 2 + xi ** 2) / 4.0)),
+], ids=["damped 1j xi^2", "1j x xi gaussian"])
+def test_complex_symbols_keep_the_general_path(pg128, monkeypatch, make):
+    a = make(pg128)
+    calls = []
+    ihfft = np.fft.ihfft
+    monkeypatch.setattr(np.fft, "ihfft", lambda *args, **kw: calls.append(1) or ihfft(*args, **kw))
+    op = quantize_config(a)
+    assert calls == []
+    assert op.hermiticity_defect() > 1e-2
+    with pytest.raises(ValueError, match="not Hermitian"):
+        op.eigh()
+    want = symbol_to_kernel_dense(a) * pg128.x_grid.spacing
+    assert _rel(op.matrix, want) < 1e-12
+
+
+def test_oscillator_eigh_takes_one_half_transform_and_no_symmetrizing_pass(
+        pg256, monkeypatch):
+    # the perf property of real symbols: the midpoint table is transformed
+    # once over offsets 0..n/2, and LinOp never measures or symmetrizes
+    n = 256
+    shapes = []
+    for name in ("fft", "ifft", "ihfft", "rfft", "irfft"):
+        fn = getattr(np.fft, name)
+
+        def spy(a, *args, _fn=fn, _name=name, **kw):
+            shapes.append((_name, np.shape(a)))
+            return _fn(a, *args, **kw)
+
+        monkeypatch.setattr(np.fft, name, spy)
+
+    def refuse(self):
+        raise AssertionError("LinOp._hermitian_part called")
+
+    monkeypatch.setattr(LinOp, "_hermitian_part", refuse)
+    w, V = quantize_config(Symbol.oscillator(pg256)).eigh()
+    assert shapes == [("ihfft", (2 * n, n))]
+    assert np.isrealobj(V)
+    assert np.abs(w[:5] - (np.arange(5) + 0.5)).max() < 1e-6
+
+
+def test_zero_defect_matrix_is_decomposed_as_given(pg64):
+    # a caller-supplied matrix with defect exactly 0: after
+    # hermiticity_defect() the eigh pass takes M itself
+    m = np.diag(np.arange(1.0, 65.0)).astype(complex)
+    m[0, 1], m[1, 0] = 0.5j, -0.5j
+    op = LinOp(pg64.x_grid, m)
+    assert op.hermiticity_defect() == 0.0
+    w, V = op.eigh()
+    assert np.iscomplexobj(V)
+    assert np.abs(w - np.linalg.eigvalsh(m)).max() < 1e-12
+
+
+def test_real_polynomials_evaluate_in_float(pg64):
+    X, XI = pg64.meshes()
+    assert weyl.poly_eval({(2, 0): 0.5, (0, 2): 0.5 + 0j}, X, XI).dtype == float
+    assert weyl.poly_eval({(1, 1): 0.5j}, X, XI).dtype == complex
+    assert np.isrealobj(weyl._midpoint_values(Symbol.oscillator(pg64)))
+    assert np.isrealobj(weyl._midpoint_values(_real_symbols(pg64)["sampled gaussian"]))
+    assert np.iscomplexobj(weyl._midpoint_values(_damped_complex(pg64)))
