@@ -9,7 +9,8 @@ Subcommands:
 Config files are flat ``key = value`` lines (# comments); recognized
 keys: those of ``verify.PARAM_KEYS`` (n_points, seed, window, times and
 the tolerance overrides tol_* of ``verify.TOLERANCES``) and t, plus
-symbol for ``spectrum`` only; any other key is refused.  Exit codes:
+symbol for ``spectrum`` only; any other key, a key given twice and t
+with times are refused.  Exit codes:
 0 pass, 1 check failure, 2 usage or config error, 3 internal error (any
 other exception, reported on stderr by type and message).
 """
@@ -43,7 +44,7 @@ SPECTRUM_KEYS = CONFIG_KEYS | {"symbol"}
 def parse_config(path, keys=CONFIG_KEYS) -> dict:
     """Flat key = value file; ints, floats, comma lists and strings
     (``window`` is always kept as a string).  Keys outside ``keys`` are
-    refused."""
+    refused, and so is a key given twice."""
     out: dict = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -57,6 +58,8 @@ def parse_config(path, keys=CONFIG_KEYS) -> dict:
             if key not in keys:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}; "
                                   f"choose from {sorted(keys)}")
+            if key in out:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} given twice")
             out[key] = val.strip("'\"") if key == "window" else _parse_value(val)
     return out
 
@@ -76,7 +79,9 @@ def _load_params(args, keys=CONFIG_KEYS) -> dict:
     params = {}
     if getattr(args, "config", None):
         params.update(parse_config(args.config, keys))
-    if "t" in params and "times" not in params:
+    if "t" in params:
+        if "times" in params:
+            raise ConfigError(f"{args.config}: give 't' or 'times', not both")
         params["times"] = params.pop("t")
     return params
 
@@ -110,8 +115,9 @@ def cmd_spectrum(args) -> int:
     params = dict(default_params())
     params.update(_load_params(args, SPECTRUM_KEYS))
     name = str(params.pop("symbol", "oscillator"))
+    run_verify([], params)  # checks every value; runs no suite
+    _, chi, a = resolve_params(params, name)  # refuses an unknown symbol
     report = run_verify(["spectrum"], params)
-    _, chi, a = resolve_params(params, name)
     report["spectrum"] = {"symbol": name, **spectrum_report(a, chi)}
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL

@@ -220,11 +220,12 @@ def band_edge_fraction(values: np.ndarray, spectra=None) -> float:
     for axis, spec in enumerate(spectra):
         n = values.shape[axis]
         k = np.abs(np.fft.fftfreq(n, 1.0 / n))[:spec.shape[axis]]
-        total = np.abs(spec).max()
+        mag = np.abs(spec)  # one magnitude pass
+        total = mag.max()
         if total == 0:
             continue
-        outer = np.compress(k >= 0.75 * (n // 2), spec, axis=axis)
-        worst = max(worst, np.abs(outer).max() / total)
+        outer = np.compress(k >= 0.75 * (n // 2), mag, axis=axis)
+        worst = max(worst, outer.max() / total)
     return worst
 
 

@@ -9,7 +9,7 @@ accurate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -137,18 +137,14 @@ def boundary_mass(state) -> float:
     """Probability mass in the outermost 5% of samples (per axis), times
     the grid cell size; admissible spectral-test states keep this below
     1e-10."""
-    if isinstance(state, ConfigState):
-        n = state.grid.n_points
-        edge = max(1, int(np.ceil(0.05 * n)))
-        m = np.abs(state.values[:edge]) ** 2
-        m2 = np.abs(state.values[-edge:]) ** 2
-        return float((m.sum() + m2.sum()) * state.grid.spacing)
     vals = np.abs(state.values) ** 2
-    nx, npnt = vals.shape
-    ex = max(1, int(np.ceil(0.05 * nx)))
-    ep = max(1, int(np.ceil(0.05 * npnt)))
-    strip = vals[:ex, :].sum() + vals[-ex:, :].sum() + vals[:, :ep].sum() + vals[:, -ep:].sum()
-    return float(strip * state.grid.cell_area)
+    strip = 0.0
+    for axis, n in enumerate(vals.shape):
+        edge = max(1, int(np.ceil(0.05 * n)))
+        ends = np.moveaxis(vals, axis, 0)
+        strip = strip + ends[:edge].sum() + ends[-edge:].sum()
+    cell = state.grid.cell_area if isinstance(state, PhaseState) else state.grid.spacing
+    return float(strip * cell)
 
 
 # ------------------------------------------------- random band-limited states
@@ -160,49 +156,40 @@ def boundary_mass(state) -> float:
 # lattice, set by the dilation-by-sqrt(2) margin inside the Moyal-map
 # composition check).
 
-def _env_fraction(n: int) -> float:
-    return max(3.0, float(np.sqrt(np.pi * n / 10.0)))
-
-
-def random_config_state(grid: Grid1D, rng: np.random.Generator) -> ConfigState:
-    n = grid.n_points
-    frac = _env_fraction(n)
-    xi = grid.dual.points
-    spec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    spec *= np.exp(-(xi / (grid.dual.half_width / frac)) ** 2)
-    vals = np.fft.ifft(np.fft.ifftshift(spec))
-    x = grid.points
-    vals = vals * np.exp(-((x - grid.center) / (grid.half_width / frac)) ** 2)
-    state = ConfigState(grid, vals)
-    return state.with_values(vals / norm_config(state))
-
-
 @lru_cache(maxsize=4)
-def _phase_envelopes(grid: PhaseGrid) -> tuple:
-    """(spectral, spatial) Gaussian envelopes of :func:`random_phase_state`
-    on ``grid``, built once per grid (read-only)."""
-    nx, npnt = grid.shape
-    frac = _env_fraction(min(nx, npnt))
-    kx = grid.x_dual.points
-    kp = grid.p_dual.points
-    spec_env = np.exp(-np.add.outer((kx / (grid.x_dual.half_width / frac)) ** 2,
-                                    (kp / (grid.p_dual.half_width / frac)) ** 2))
-    X, P = grid.meshes()
-    env = np.exp(-((X - grid.x_grid.center) / (grid.x_grid.half_width / frac)) ** 2
-                 - ((P - grid.p_grid.center) / (grid.p_grid.half_width / frac)) ** 2)
+def _envelopes(grid) -> tuple:
+    """(spectral, spatial) Gaussian envelopes, products over the axes, of a
+    random state on a :class:`Grid1D` or :class:`PhaseGrid` (read-only)."""
+    axes = (grid.x_grid, grid.p_grid) if isinstance(grid, PhaseGrid) else (grid,)
+    frac = max(3.0, float(np.sqrt(np.pi * min(g.n_points for g in axes) / 10.0)))
+    spec_env = np.exp(-reduce(np.add.outer, [
+        (g.dual.points / (g.dual.half_width / frac)) ** 2 for g in axes]))
+    env = np.exp(-reduce(np.add.outer, [
+        ((g.points - g.center) / (g.half_width / frac)) ** 2 for g in axes]))
     spec_env.flags.writeable = False
     env.flags.writeable = False
     return spec_env, env
 
 
-def random_phase_state(grid: PhaseGrid, rng: np.random.Generator) -> PhaseState:
-    spec_env, env = _phase_envelopes(grid)
-    spec = np.empty(grid.shape, complex)
-    spec.real = rng.standard_normal(grid.shape)
-    spec.imag = rng.standard_normal(grid.shape)
+def _random_state(state_type, grid, rng: np.random.Generator):
+    """A normalized ``state_type`` on ``grid``: a complex normal draw
+    (real parts, then imaginary parts) damped by the spectral envelope,
+    inverse transformed, then damped by the spatial one."""
+    spec_env, env = _envelopes(grid)
+    spec = np.empty(spec_env.shape, complex)
+    spec.real = rng.standard_normal(spec.shape)
+    spec.imag = rng.standard_normal(spec.shape)
     spec *= spec_env
-    vals = np.fft.ifft2(np.fft.ifftshift(spec))
+    vals = np.fft.ifftn(np.fft.ifftshift(spec))
     vals *= env
-    state = PhaseState(grid, vals)
-    vals /= norm_phase(state)
+    state = state_type(grid, vals)
+    vals /= norm_phase(state) if state_type is PhaseState else norm_config(state)
     return state
+
+
+def random_config_state(grid: Grid1D, rng: np.random.Generator) -> ConfigState:
+    return _random_state(ConfigState, grid, rng)
+
+
+def random_phase_state(grid: PhaseGrid, rng: np.random.Generator) -> PhaseState:
+    return _random_state(PhaseState, grid, rng)

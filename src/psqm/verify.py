@@ -390,7 +390,7 @@ def run_verify(suites, params: dict | None = None) -> dict:
     """Run named suites ('all' expands to every suite) and assemble the
     deterministic report.  Every parameter is checked before any suite
     runs; a ValueError naming the key and its value refuses keys
-    outside :data:`PARAM_KEYS`, non-integer ``n_points`` or ``seed``, a
+    outside :data:`PARAM_KEYS`, non-integer (or bool) ``n_points`` or ``seed``, a
     negative ``seed``, ``times`` entries that are not finite numbers,
     ``tol_*`` values that are not positive finite numbers and ``window``
     specs other than ``hermite:K`` or ``gaussian:x0,p0,w``.  A single ``times``
@@ -403,7 +403,7 @@ def run_verify(suites, params: dict | None = None) -> dict:
     if params:
         merged.update(params)
     for key in ("n_points", "seed"):
-        if not isinstance(merged[key], Integral):
+        if isinstance(merged[key], bool) or not isinstance(merged[key], Integral):
             raise ValueError(f"{key} must be an integer, got {merged[key]!r}")
     if merged["seed"] < 0:
         raise ValueError(f"seed must be a non-negative integer, got {merged['seed']!r}")

@@ -94,23 +94,30 @@ def dense_apply(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------- polynomials
 # Polynomial symbols are dicts {(i, j): coeff} meaning coeff * x**i * xi**j.
 
+def _xi_columns(terms: dict, x):
+    """(e1, sum of c * x**e0 over the terms {(e0, e1): c}) for each power
+    e1 of xi in turn: one product by xi**e1 per power, none for e1 = 0."""
+    for e1 in dict.fromkeys(e1 for _, e1 in terms):
+        yield e1, sum(c * x ** e0 for (e0, f1), c in terms.items() if f1 == e1)
+
+
 def poly_eval(poly: dict, X: np.ndarray, XI: np.ndarray) -> np.ndarray:
     """Values at real points: in float when every coefficient is real."""
     real = all(complex(c).imag == 0 for c in poly.values())
+    if real:
+        poly = {key: c.real for key, c in poly.items()}
     out = np.zeros(np.broadcast(X, XI).shape, float if real else complex)
-    for (i, j), c in poly.items():
-        out = out + (c.real if real else c) * X ** i * XI ** j
+    for e1, col in _xi_columns(poly, X):
+        out += col * XI ** e1 if e1 else col
     return out
 
 
-def poly_diff(poly: dict, var: int) -> dict:
-    out: dict = {}
-    for (i, j), c in poly.items():
-        if var == 0 and i > 0:
-            out[(i - 1, j)] = out.get((i - 1, j), 0.0) + c * i
-        elif var == 1 and j > 0:
-            out[(i, j - 1)] = out.get((i, j - 1), 0.0) + c * j
-    return out
+def _poly_deriv(poly: dict, dx_order: int, dxi_order: int) -> dict:
+    """d_x**dx_order d_xi**dxi_order of a polynomial: each surviving
+    monomial times the falling factorials of its exponents."""
+    return {(i - dx_order, j - dxi_order):
+            c * math.perm(i, dx_order) * math.perm(j, dxi_order)
+            for (i, j), c in poly.items() if i >= dx_order and j >= dxi_order}
 
 
 def poly_mul(p: dict, q: dict) -> dict:
@@ -159,8 +166,8 @@ class Symbol:
     @classmethod
     def polynomial(cls, grid: PhaseGrid, coeffs: dict) -> "Symbol":
         coeffs = dict(coeffs)
-        X, XI = grid.meshes()
-        return cls(grid, poly_eval(coeffs, X, XI),
+        col, row = grid.x_grid.points[:, None], grid.p_grid.points[None, :]
+        return cls(grid, poly_eval(coeffs, col, row),
                    evaluator=lambda x, xi: poly_eval(coeffs, x, xi),
                    poly=coeffs)
 
@@ -212,10 +219,10 @@ class LinOp:
     this matrix along x, the Moyal operator its conjugate by the Moyal
     map, so no other dense operator is needed.
 
-    The matrix is held as a read-only view, so the Hermiticity defect
-    and the eigendecomposition, each computed once per operator on
-    first use, stay valid for its lifetime.  A real symbol's matrix,
-    Hermitian by construction, gets defect 0 from :func:`quantize_config`.
+    The matrix is held as a read-only view, so its Hermiticity defect
+    max|M - M*|/max|M| and eigendecomposition, each computed once on first
+    use, stay valid for its lifetime.  A real symbol's matrix, Hermitian by
+    construction, gets defect 0 from :func:`quantize_config` unmeasured.
     """
 
     grid: Grid1D
@@ -245,42 +252,26 @@ class LinOp:
         self._require_grid(state)
         return state.with_values(dense_apply(self.matrix, state.values))
 
-    def _hermitian_part(self):
-        """(defect, H) from one pass over row blocks of M and M*: the
-        Hermiticity defect max|M - M*| / max|M| and the symmetrized
-        matrix H = (M + M*)/2."""
-        M = self.matrix
-        H = np.empty_like(M)
-        big = skew = 0.0
-        for r in range(0, M.shape[0], 64):
-            rows, adj, h = M[r:r + 64], M[:, r:r + 64].conj().T, H[r:r + 64]
-            big = max(big, np.abs(rows).max())
-            skew = max(skew, np.abs(rows - adj).max())
-            np.add(rows, adj, out=h)
-            h *= 0.5
-        return float(skew / max(big, 1e-300)), H
-
     def hermiticity_defect(self) -> float:
+        """max|M - M*| / max|M|, computed once per operator."""
         if self._defect is None:
-            self._defect = self._hermitian_part()[0]
+            M = self.matrix
+            self._defect = float(np.abs(M - M.conj().T).max()
+                                 / max(np.abs(M).max(), 1e-300))
         return self._defect
 
     def eigh(self, herm_tol: float = 1e-8):
-        """(w ascending, V) of the symmetrized matrix H, computed once per
-        operator; refuses (ValueError) a Hermiticity defect above
-        ``herm_tol`` on every call.  The defect and H come from one pass
-        (:meth:`_hermitian_part`), or H is M when the defect is 0 (M = M*
-        bit for bit).  V is real when H is real up to round-off
-        (:data:`REAL_EIGH_TOL`): then its real part is decomposed.  Both
-        arrays are read-only."""
-        H = None
-        if self._defect is None:
-            self._defect, H = self._hermitian_part()
-        if self._defect > herm_tol:
+        """(w ascending, V) of H = (M + M*)/2, computed once per operator;
+        refuses (ValueError) a Hermiticity defect above ``herm_tol`` on
+        every call.  H is M itself when the defect is 0 (M = M* bit for
+        bit): only a matrix with a nonzero defect is symmetrized.  V is
+        real when H is real up to round-off (:data:`REAL_EIGH_TOL`): then
+        its real part is decomposed.  Both arrays are read-only."""
+        if self.hermiticity_defect() > herm_tol:
             raise ValueError(f"operator is not Hermitian (defect {self._defect:.2e})")
         if self._eigh is None:
-            if H is None:
-                H = self._hermitian_part()[1] if self._defect else self.matrix
+            M = self.matrix
+            H = (M + M.conj().T) * 0.5 if self._defect else M
             if np.abs(H.imag).max() <= REAL_EIGH_TOL * np.abs(H).max():
                 H = H.real
             w, V = np.linalg.eigh(H)
@@ -499,14 +490,6 @@ def _groenewold_terms(kmax: int):
             yield coef * math.comb(k, j) * (-1) ** j, (k - j, j), (j, k - j)
 
 
-def _poly_deriv(poly: dict, dx_order: int, dxi_order: int) -> dict:
-    for _ in range(dx_order):
-        poly = poly_diff(poly, 0)
-    for _ in range(dxi_order):
-        poly = poly_diff(poly, 1)
-    return poly
-
-
 def _groenewold_poly(pa: dict, pb: dict) -> dict:
     """Exact star product of two polynomial symbols (finite expansion)."""
     out: dict = {}
@@ -522,9 +505,7 @@ def _outer_sum(src: np.ndarray, base, terms: dict, in_place: bool) -> np.ndarray
     {(e0, e1): c}, with base[0] a column and base[1] a row: one
     broadcast multiply per distinct e1.  The last product overwrites
     ``src`` when ``in_place``."""
-    cols: dict = {}
-    for (e0, e1), c in terms.items():
-        cols[e1] = cols.get(e1, 0.0) + c * base[0] ** e0
+    cols = dict(_xi_columns(terms, base[0]))
     acc = None
     for i, (e1, col) in enumerate(cols.items()):
         if in_place and i == len(cols) - 1:

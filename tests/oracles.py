@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from psqm import (ConfigState, PhaseState, fourier, moyal_map, moyal_map_inv,
-                  norm_phase, weyl)
+                  norm_config, norm_phase, weyl)
 
 
 def quadrature_ft(f, xi_points, x_half=30.0, n=16384):
@@ -234,14 +234,19 @@ def groenewold_mixed_all_terms(poly, values, grid, poly_on_left):
     """Terminating star product with one polynomial factor, evaluating
     every term of the expansion, those whose polynomial derivative
     vanishes included."""
+    X, XI = grid.meshes()
+
     def poly_derivs(dx_order, dxi_order):
-        d = poly
-        for _ in range(dx_order):
-            d = weyl.poly_diff(d, 0)
-        for _ in range(dxi_order):
-            d = weyl.poly_diff(d, 1)
-        X, XI = grid.meshes()
-        return weyl.poly_eval(d, X, XI)
+        # the power rule applied one order at a time to each monomial
+        out = np.zeros(grid.shape, complex)
+        for (i, j), c in poly.items():
+            for _ in range(dx_order):
+                c, i = c * i, i - 1
+            for _ in range(dxi_order):
+                c, j = c * j, j - 1
+            if i >= 0 and j >= 0:
+                out = out + c * X ** i * XI ** j
+        return out
 
     def array_deriv(dx_order, dxi_order):
         out = values
@@ -329,6 +334,19 @@ def apply_dense(M, Psi):
 def hermiticity_defect(M):
     """max |M - M*| relative to max |M|."""
     return np.abs(M - M.conj().T).max() / np.abs(M).max()
+
+
+def random_config_state_sum(grid, rng):
+    """``states.random_config_state`` in its original form: the complex
+    draw built as ``a + 1j*b``, each envelope applied out of place."""
+    n = grid.n_points
+    frac = max(3.0, float(np.sqrt(np.pi * n / 10.0)))
+    spec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    spec *= np.exp(-(grid.dual.points / (grid.dual.half_width / frac)) ** 2)
+    vals = np.fft.ifft(np.fft.ifftshift(spec))
+    vals = vals * np.exp(-((grid.points - grid.center) / (grid.half_width / frac)) ** 2)
+    state = ConfigState(grid, vals)
+    return state.with_values(vals / norm_config(state))
 
 
 def random_phase_state_sum(grid, rng):

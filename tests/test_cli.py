@@ -252,7 +252,8 @@ def test_scalar_times_runs_as_one_time(tmp_path):
 ])
 def test_non_integer_seed_and_n_points_refused(tmp_path, capsys, line, message):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(f"n_points = 64\n{line}\n")
+    # each key once: a key given twice is refused before its value is read
+    cfg.write_text(f"{line}\n" if line.startswith("n_points") else f"n_points = 64\n{line}\n")
     assert main(["verify", "isometry", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
     with pytest.raises(ValueError, match=message.split(",")[0]):
@@ -295,3 +296,54 @@ def test_bad_parameter_values_refused_before_any_suite(tmp_path, capsys,
     assert not out.exists()
     with pytest.raises(ValueError, match=line.split(" = ")[0]):
         run_verify(["isometry"], parse_config(cfg))
+
+
+def test_spectrum_refuses_unknown_symbol_before_any_suite(tmp_path, capsys,
+                                                         monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a spectrum ran before the symbol was checked")
+
+    monkeypatch.setattr(verify, "spectrum_report", refuse)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_points = 64\nsymbol = bogus\n")
+    out = tmp_path / "rep.json"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "symbol 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="symbol 'bogus'"):
+        verify.resolve_params(verify.default_params(), "bogus")
+
+
+@pytest.mark.parametrize("command", [["verify", "dynamics"], ["evolve"]])
+def test_t_and_times_together_refused(tmp_path, capsys, command):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_points = 64\nt = 0.5\ntimes = 0.1, 1.0\n")
+    out = tmp_path / "rep.json"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'t'" in err and "'times'" in err and "unknown" not in err
+    assert not out.exists()
+    # the library takes times only
+    with pytest.raises(ValueError, match="unknown parameter.*'t'"):
+        run_verify(["dynamics"], parse_config(cfg))
+
+
+def test_duplicate_key_refused(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_points = 64\nseed = 3\n# later\nseed = 4\n")
+    out = tmp_path / "rep.json"
+    assert main(["verify", "mixed", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}:4: key 'seed' given twice" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match=":4: key 'seed' given twice"):
+        parse_config(cfg)
+
+
+@pytest.mark.parametrize("key", ["seed", "n_points"])
+def test_bool_seed_and_n_points_refused(tmp_path, capsys, key):
+    with pytest.raises(ValueError, match=f"{key} must be an integer, got True"):
+        run_verify(["mixed"], {key: True})
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = True\n")
+    assert main(["verify", "mixed", "--config", str(cfg)]) == 2
+    assert f"{key} must be an integer, got 'True'" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from psqm import (make_grid, hermite_state, gaussian_state,
                   self_dual_phase_grid, GridMismatchError, PhaseGrid)
 from psqm.states import hermite_values
 from oracles import (quadrature_inner, quadrature_moment,
-                     random_phase_state_sum)
+                     random_config_state_sum, random_phase_state_sum)
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +131,13 @@ def test_random_phase_state_matches_the_sum_formula(n, seed):
     for _ in range(2):
         assert np.array_equal(random_phase_state(pg, new).values,
                               random_phase_state_sum(pg, old).values)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("seed", [5, 1234])
+def test_random_config_state_matches_the_sum_formula(n, seed):
+    g = self_dual_phase_grid(n).x_grid
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(2):
+        assert np.array_equal(random_config_state(g, new).values,
+                              random_config_state_sum(g, old).values)

@@ -14,7 +14,7 @@ from psqm.states import hermite_values
 from psqm.reference import fd_oscillator_levels
 from oracles import (weyl_symbol_quadrature, brute_star, groenewold_mixed_all_terms,
                      kernel_to_symbol_dense, symbol_to_kernel_dense,
-                     derivative_matrix)
+                     derivative_matrix, hermiticity_defect)
 
 
 def _rel(got, want):
@@ -250,8 +250,9 @@ def test_x_star_xi_bopp_value(pg64):
     assert np.abs(c2.values - (X * XI - 0.5j)).max() < 1e-8
 
 
-@pytest.mark.parametrize("poly", [{(2, 0): 0.5, (0, 2): 0.5}, {(1, 1): 1.0}],
-                         ids=["oscillator", "x_xi"])
+@pytest.mark.parametrize("poly", [{(2, 0): 0.5, (0, 2): 0.5}, {(1, 1): 1.0},
+                                  {(3, 0): 0.25, (1, 2): 0.5, (0, 1): 1.0}],
+                         ids=["oscillator", "x_xi", "cubic"])
 def test_mixed_star_product_skips_only_vanishing_terms(pg128, rng, poly):
     # the grouped route (one transform per axis, multipliers folded)
     # against every series term taken separately: equal up to round-off,
@@ -483,11 +484,17 @@ def test_oscillator_eigh_takes_one_half_transform_and_no_symmetrizing_pass(
 
         monkeypatch.setattr(np.fft, name, spy)
 
-    def refuse(self):
-        raise AssertionError("LinOp._hermitian_part called")
-
-    monkeypatch.setattr(LinOp, "_hermitian_part", refuse)
-    w, V = quantize_config(Symbol.oscillator(pg256)).eigh()
+    # the defect eigh reads is the 0 quantize_config stored (no measuring
+    # pass), and LAPACK gets M itself (no symmetrized copy)
+    defects, decomposed = [], []
+    defect, eigh = LinOp.hermiticity_defect, np.linalg.eigh
+    monkeypatch.setattr(LinOp, "hermiticity_defect",
+                        lambda self: defects.append(self._defect) or defect(self))
+    monkeypatch.setattr(np.linalg, "eigh", lambda H: decomposed.append(H) or eigh(H))
+    op = quantize_config(Symbol.oscillator(pg256))
+    w, V = op.eigh()
+    assert defects == [0.0]
+    assert len(decomposed) == 1 and np.shares_memory(decomposed[0], op.matrix)
     assert shapes == [("ihfft", (2 * n, n))]
     assert np.isrealobj(V)
     assert np.abs(w[:5] - (np.arange(5) + 0.5)).max() < 1e-6
@@ -503,6 +510,22 @@ def test_zero_defect_matrix_is_decomposed_as_given(pg64):
     w, V = op.eigh()
     assert np.iscomplexobj(V)
     assert np.abs(w - np.linalg.eigvalsh(m)).max() < 1e-12
+
+
+def test_small_defect_matrix_is_measured_once_and_symmetrized(pg64, rng):
+    # a caller-supplied matrix with defect in (0, herm_tol]: the defect is
+    # max|M - M*| / max|M| and eigh decomposes (M + M*) * 0.5, bit for bit
+    a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    m = a + a.conj().T + 1e-10 * rng.standard_normal((64, 64))
+    op = LinOp(pg64.x_grid, m)
+    defect = op.hermiticity_defect()
+    assert 0 < defect <= 1e-8
+    assert defect == hermiticity_defect(m)
+    w, V = op.eigh()
+    w_ref, V_ref = np.linalg.eigh((m + m.conj().T) * 0.5)
+    assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        LinOp(pg64.x_grid, m).eigh(herm_tol=defect / 2)
 
 
 def test_real_polynomials_evaluate_in_float(pg64):
