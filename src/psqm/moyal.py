@@ -251,10 +251,14 @@ def quantize_moyal(a: Symbol) -> MoyalWeylOp:
 def star_apply(a: Symbol, Psi: PhaseState) -> PhaseState:
     """Left star-product action a * Psi: the :func:`moyal_product` of a
     with the state's values as a sampled symbol.  Agrees with
-    quantize_moyal(a).apply, which routes through the Moyal map.
+    quantize_moyal(a).apply, which routes through the Moyal map.  The
+    result holds the product symbol's read-only samples.
     """
     _require_self_dual(Psi.grid, "star_apply")
-    return Psi.with_values(moyal_product(a, Symbol(Psi.grid, Psi.values)).values)
+    # a read-only view: the Symbol takes the state's samples without a copy
+    values = Psi.values.view()
+    values.flags.writeable = False
+    return Psi.with_values(moyal_product(a, Symbol(Psi.grid, values)).values)
 
 
 def stargen_residual(a: Symbol, lam: float, Psi: PhaseState) -> float:

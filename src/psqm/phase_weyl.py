@@ -65,8 +65,9 @@ class PhaseWeylOp:
 
 
 def quantize_phase(a: Symbol) -> PhaseWeylOp:
-    """Phase-space Weyl operator of a symbol: its config matrix acting
-    along x, never a matrix on the full lattice."""
+    """Phase-space Weyl operator of a symbol: its config matrix (the
+    symbol's one :func:`quantize_config` operator) acting along x, never
+    a matrix on the full lattice."""
     return PhaseWeylOp(a, quantize_config(a))
 
 

@@ -8,8 +8,8 @@ import numpy as np
 from .states import ConfigState, inner_phase, norm_config, norm_phase
 from .weyl import Symbol, LinOp, quantize_config
 from .isometry import WindowedIsometry
-from .phase_weyl import PhaseWeylOp
-from .moyal import MoyalWeylOp, moyal_map, moyal_map_inv
+from .phase_weyl import quantize_phase
+from .moyal import moyal_map, moyal_map_inv, quantize_moyal
 
 __all__ = ["eig", "evolve", "compare_representations", "spectrum_report"]
 
@@ -45,15 +45,18 @@ def compare_representations(a: Symbol, chi: ConfigState, t,
 
     Config evolves under the dense Weyl matrix; the phase-space path
     lifts, evolves under the phase-space operator exponential and
-    lowers; the Moyal path maps through U on top of that.  All three
-    share the one eigendecomposition of the config matrix.  ``t`` is a
-    time (one report dict) or a sequence of times (a list of reports,
-    sharing the quantization, the lift and its Moyal map).
+    lowers; the Moyal path maps through U on top of that.  The three
+    operators come from :func:`quantize_config`, :func:`quantize_phase`
+    and :func:`quantize_moyal`, so they share the symbol's one matrix
+    and one eigendecomposition, with :func:`eig` and
+    :func:`spectrum_report` too.  ``t`` is a time (one report dict) or a
+    sequence of times (a list of reports, sharing the lift and its Moyal
+    map).
     """
     iso = WindowedIsometry(chi)
     cfg = quantize_config(a)
-    pw = PhaseWeylOp(a, cfg)
-    mw = MoyalWeylOp(a, pw)
+    pw = quantize_phase(a)
+    mw = quantize_moyal(a)
     Psi0 = iso.apply(psi0)
     Theta0 = moyal_map(Psi0)
 
@@ -116,6 +119,11 @@ def spectrum_report(a: Symbol, chi: ConfigState) -> dict:
     Multiplication-type symbols have quasi-continuous spectra at the
     grid resolution; the report flags those and carries the deciles of
     the config spectrum instead of pass/fail distances.
+
+    The operators come from :func:`quantize_config`,
+    :func:`quantize_phase` and :func:`quantize_moyal`: one matrix and one
+    eigendecomposition per symbol, shared with :func:`eig` and
+    :func:`compare_representations` on the same symbol.
     """
     n_levels = 8
     cfg = quantize_config(a)
@@ -138,11 +146,10 @@ def spectrum_report(a: Symbol, chi: ConfigState) -> dict:
         return report
 
     iso = WindowedIsometry(chi)
-    pw = PhaseWeylOp(a, cfg)
     basis = [iso.apply(v) for v in states[: n_levels + 1]]
-    w_phase = _ritz_values(pw.apply, basis)
+    w_phase = _ritz_values(quantize_phase(a).apply, basis)
     basis = [moyal_map(B) for B in basis]
-    w_moyal = _ritz_values(MoyalWeylOp(a, pw).apply, basis)
+    w_moyal = _ritz_values(quantize_moyal(a).apply, basis)
 
     atol = max(1e-9, 1e-9 * max(span, 1.0))
     lad_c = _distinct_levels(w_cfg, n_levels, atol)

@@ -136,9 +136,9 @@ def _sampled_corpus(grid: PhaseGrid) -> list:
 
 # ------------------------------------------------------------------ suites
 
-def suite_isometry(params: dict) -> list:
+def suite_isometry(params: dict, inputs: tuple) -> list:
     rng = np.random.default_rng(int(params["seed"]))
-    grid, chi, _ = resolve_params(params)
+    grid, chi, _ = inputs
     iso = WindowedIsometry(chi)
     tol = _tol(params, "tol_isometry")
 
@@ -164,22 +164,23 @@ def suite_isometry(params: dict) -> list:
     ]
 
 
-def suite_intertwining(params: dict) -> list:
+def suite_intertwining(params: dict, inputs: tuple) -> list:
     rng = np.random.default_rng(int(params["seed"]))
-    grid, chi, _ = resolve_params(params)
+    grid, chi, osc = inputs
     iso = WindowedIsometry(chi)
     tol = _tol(params, "tol_intertwining")
     checks = []
     for name in ("x", "xi", "xxi", "oscillator"):
-        report = intertwining_report(_symbol(grid, name), iso, 20, rng)
+        a = osc if name == "oscillator" else _symbol(grid, name)
+        report = intertwining_report(a, iso, 20, rng)
         checks.append(_check(f"forward[{name}]", report["forward_residual"], tol))
         checks.append(_check(f"adjoint[{name}]", report["adjoint_residual"], tol))
     return checks
 
 
-def suite_unitarity(params: dict) -> list:
+def suite_unitarity(params: dict, inputs: tuple) -> list:
     rng = np.random.default_rng(int(params["seed"]))
-    grid, _, _ = resolve_params(params)
+    grid, _, _ = inputs
     tol_norm = _tol(params, "tol_unitarity")
     tol_wig = _tol(params, "tol_wigner")
     tol_comp = _tol(params, "tol_ucomp")
@@ -232,17 +233,19 @@ def suite_unitarity(params: dict) -> list:
     ]
 
 
-def suite_star(params: dict) -> list:
+def suite_star(params: dict, inputs: tuple) -> list:
     rng = np.random.default_rng(int(params["seed"]))
-    grid, _, osc = resolve_params(params)
+    grid, _, osc = inputs
     tol_star = _tol(params, "tol_star")
     tol_bopp = _tol(params, "tol_bopp")
     tol_gen = _tol(params, "tol_stargen")
     tol_cmp = _tol(params, "tol_compose")
 
-    corpus = _sampled_corpus(grid) + [osc]
+    # the sampled symbols' operators, built by the star-action loop, are
+    # reused by the composition check below
+    sampled = _sampled_corpus(grid)
     act = 0.0
-    for a in corpus:
+    for a in sampled + [osc]:
         op = quantize_moyal(a)
         for _ in range(3):
             Psi = random_phase_state(grid, rng)
@@ -274,7 +277,6 @@ def suite_star(params: dict) -> list:
     gen = stargen_residual(osc, 0.5, W0)
 
     comp = 0.0
-    sampled = _sampled_corpus(grid)
     for a, b in [(sampled[0], sampled[1]), (sampled[1], sampled[2])]:
         Mc = quantize_config(moyal_product(a, b)).matrix
         Mab = quantize_config(a).matrix @ quantize_config(b).matrix
@@ -289,8 +291,8 @@ def suite_star(params: dict) -> list:
     ]
 
 
-def suite_spectrum(params: dict) -> list:
-    _, chi, osc = resolve_params(params)
+def suite_spectrum(params: dict, inputs: tuple) -> list:
+    _, chi, osc = inputs
     tol_pair = _tol(params, "tol_spectrum")
     tol_oracle = _tol(params, "tol_spectrum_oracle")
     report = spectrum_report(osc, chi)
@@ -302,16 +304,15 @@ def suite_spectrum(params: dict) -> list:
     ]
 
 
-def suite_dynamics(params: dict) -> list:
-    grid, chi, _ = resolve_params(params)
+def suite_dynamics(params: dict, inputs: tuple) -> list:
+    grid, chi, osc = inputs
     tol_d = _tol(params, "tol_dynamics")
     tol_n = _tol(params, "tol_norm_drift")
     psi0 = gaussian_state(grid.x_grid, 1.0, 0.5, 1.0)
     checks = []
     times = params["times"]
-    for name in ("oscillator", "free"):
-        reports = compare_representations(_symbol(grid, name), chi,
-                                          [float(t) for t in times], psi0)
+    for name, a in (("oscillator", osc), ("free", _symbol(grid, "free"))):
+        reports = compare_representations(a, chi, [float(t) for t in times], psi0)
         for t, report in zip(times, reports):
             checks.append(_check(f"distance[{name}, t={t}]",
                                  report["max_distance"], tol_d))
@@ -320,8 +321,8 @@ def suite_dynamics(params: dict) -> list:
     return checks
 
 
-def suite_mixed(params: dict) -> list:
-    grid, _, osc = resolve_params(params)
+def suite_mixed(params: dict, inputs: tuple) -> list:
+    grid, _, osc = inputs
     xg, pg = grid.x_grid, grid.p_grid
     tol = _tol(params, "tol_mixed")
     cfg = quantize_config(osc)
@@ -427,8 +428,11 @@ def run_verify(suites, params: dict | None = None) -> dict:
     out = {"seed": int(merged["seed"]),
            "params": {k: merged[k] for k in sorted(merged)},
            "suites": []}
+    # one grid, window and oscillator for the run: every suite quantizes
+    # (and decomposes) the same oscillator symbol, so it is done once
+    inputs = resolve_params(merged) if names else None
     for name in names:
-        checks = _SUITES[name](merged)
+        checks = _SUITES[name](merged, inputs)
         out["suites"].append({
             "suite": name,
             "checks": checks,

@@ -62,12 +62,19 @@ ALIAS_GUARD_TOL = 1e-5    # sampled factor of a polynomial star product
 # eigenvectors bottom out near 1e-29 at n=1024).
 FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
-# H = (M + M*)/2 is decomposed in real arithmetic when max|Im H| <=
-# REAL_EIGH_TOL * max|H|.  Measured for n = 64..1024: xi-even real symbols
+# A real symbol's matrix M is stored real (quantize_config), and the
+# Hermitian part H = (M + M*)/2 of a caller's matrix is decomposed in
+# real arithmetic (LinOp.eigh), when max|Im| <= REAL_EIGH_TOL * max|.|.
+# Measured for n = 64..1024: xi-even real symbols
 # (oscillator, free particle, a sampled Gaussian) read 8.8e-17..5.1e-15;
 # x reads 0, xi and x*xi read 1.0.  So the bound is 2000x above
 # round-off and 1e11 below the complex matrices.
 REAL_EIGH_TOL = 1e-11
+
+
+def _real_up_to_round_off(M: np.ndarray) -> bool:
+    """max|Im M| <= REAL_EIGH_TOL * max|M| for a complex matrix."""
+    return bool(np.abs(M.imag).max() <= REAL_EIGH_TOL * np.abs(M).max())
 
 
 def dense_apply(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -133,7 +140,14 @@ def poly_degree(poly: dict) -> int:
     return max((i + j for (i, j) in poly), default=0)
 
 
-@dataclass(eq=False)
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """A fresh array made read-only, so a :class:`Symbol` takes it
+    without a copy."""
+    values.flags.writeable = False
+    return values
+
+
+@dataclass(frozen=True, eq=False)
 class Symbol:
     """Classical observable a(x, xi_x) sampled on ``grid``.
 
@@ -141,21 +155,34 @@ class Symbol:
     and is used for midpoint evaluation in the kernel formulas; ``poly``
     (optional) holds monomial coefficients and unlocks the exact
     finite star-product expansion.
+
+    A symbol is immutable: ``values`` is a read-only array.  A caller's
+    writeable array is copied, so writing into it later changes neither
+    the symbol nor the operator :func:`quantize_config` stores on it; a
+    read-only array is taken as is, its owner promising not to write it
+    while the symbol lives.
     """
 
     grid: PhaseGrid
     values: np.ndarray
     evaluator: Optional[Callable] = None
     poly: Optional[dict] = None
+    _op: Optional["LinOp"] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.grid.shape:
+        values = np.asarray(self.values, dtype=complex)
+        if values.shape != self.grid.shape:
             raise GridMismatchError("symbol values do not match grid shape")
+        if values.flags.writeable and np.may_share_memory(values, self.values):
+            values = values.copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     # -- constructors -------------------------------------------------
     @classmethod
     def from_samples(cls, grid: PhaseGrid, values: np.ndarray) -> "Symbol":
+        """The symbol of sampled values, interpolated between samples;
+        a writeable ``values`` array is copied."""
         return cls(grid, values)
 
     @classmethod
@@ -214,10 +241,10 @@ class Kernel:
 
 @dataclass(eq=False)
 class LinOp:
-    """Dense config-space matrix of an operator: an (n, n) array on a
-    :class:`Grid1D`, acting along axis 0.  The phase-space operator is
-    this matrix along x, the Moyal operator its conjugate by the Moyal
-    map, so no other dense operator is needed.
+    """Dense config-space matrix of an operator: a real or complex
+    (n, n) array on a :class:`Grid1D`, acting along axis 0.  The
+    phase-space operator is this matrix along x, the Moyal operator its
+    conjugate by the Moyal map, so no other dense operator is needed.
 
     The matrix is held as a read-only view, so its Hermiticity defect
     max|M - M*|/max|M| and eigendecomposition, each computed once on first
@@ -234,7 +261,8 @@ class LinOp:
         if not isinstance(self.grid, Grid1D):
             raise GridMismatchError(
                 f"LinOp is a config-space matrix on a Grid1D, got {type(self.grid).__name__}")
-        self.matrix = np.asarray(self.matrix, dtype=complex).view()
+        M = np.asarray(self.matrix)
+        self.matrix = np.asarray(M, complex if np.iscomplexobj(M) else float).view()
         self.matrix.flags.writeable = False
         n = self.grid.n_points
         if self.matrix.shape != (n, n):
@@ -265,14 +293,16 @@ class LinOp:
         refuses (ValueError) a Hermiticity defect above ``herm_tol`` on
         every call.  H is M itself when the defect is 0 (M = M* bit for
         bit): only a matrix with a nonzero defect is symmetrized.  V is
-        real when H is real up to round-off (:data:`REAL_EIGH_TOL`): then
-        its real part is decomposed.  Both arrays are read-only."""
+        real when H is: a complex H that is real up to round-off
+        (:data:`REAL_EIGH_TOL`, the rule :func:`quantize_config` applies
+        to real symbols) has its real part decomposed.  Both arrays are
+        read-only."""
         if self.hermiticity_defect() > herm_tol:
             raise ValueError(f"operator is not Hermitian (defect {self._defect:.2e})")
         if self._eigh is None:
             M = self.matrix
             H = (M + M.conj().T) * 0.5 if self._defect else M
-            if np.abs(H.imag).max() <= REAL_EIGH_TOL * np.abs(H).max():
+            if np.iscomplexobj(H) and _real_up_to_round_off(H):
                 H = H.real
             w, V = np.linalg.eigh(H)
             # V* for propagate: a view when V is real, one cached copy otherwise
@@ -420,23 +450,36 @@ def kernel_to_symbol(K: Kernel) -> Symbol:
     # sum_t exp(-i*t*dx*xi_m) = exp(-i*t*dx*xi_0) exp(-2*pi*i*t*m/n): one FFT
     vals *= np.exp(-1j * np.fft.fftfreq(n, 1.0 / n) * xg.spacing * xi[0])
     samples = alpha[None, :] + xg.spacing * np.fft.fft(vals, axis=1)
-    return Symbol(grid, samples)
+    return Symbol(grid, _frozen(samples))
 
 
 def quantize_config(a: Symbol) -> LinOp:
     """Dense matrix of the Weyl operator of ``a`` on the x grid.
 
+    Built on the first call and stored on ``a``: every later call
+    returns the same :class:`LinOp`, so one symbol has one kernel and
+    one eigendecomposition, shared by :func:`psqm.spectral.eig`, the
+    phase-space and Moyal operators and every report built on them.
+    The matrix (and the eigenbasis once taken) live as long as ``a``.
+
     A real symbol (real polynomial coefficients, closed form or samples)
     yields a matrix equal to its conjugate transpose bit for bit: its
     :class:`LinOp` takes the Hermiticity defect as 0 and decomposes the
-    matrix itself, with no symmetrizing pass.  The identity symbol
-    yields the identity matrix exactly.
+    matrix itself, with no symmetrizing pass.  When that matrix is real
+    up to round-off (:data:`REAL_EIGH_TOL`: x, the oscillator, the free
+    particle) its real part is stored, so it applies as one real GEMM.
+    The identity symbol yields the identity matrix exactly.
     """
-    K = symbol_to_kernel(a)
-    K.values *= a.grid.x_grid.spacing
-    op = LinOp(a.grid.x_grid, K.values)
-    op._defect = 0.0 if K._hermitian else None
-    return op
+    if a._op is None:
+        K = symbol_to_kernel(a)
+        M = K.values
+        M *= a.grid.x_grid.spacing
+        if K._hermitian and _real_up_to_round_off(M):
+            M = np.ascontiguousarray(M.real)
+        op = LinOp(a.grid.x_grid, M)
+        op._defect = 0.0 if K._hermitian else None
+        object.__setattr__(a, "_op", op)
+    return a._op
 
 
 # ------------------------------------------------------- displacement operator
@@ -471,7 +514,7 @@ def symplectic_ft(a: Symbol) -> Symbol:
     _require_weyl_ready(a.grid)
     xg, pg = a.grid.x_grid, a.grid.p_grid
     hat = fourier.ft_array(a.values, xg, axis=0)                 # (xi0, xi)
-    return Symbol(a.grid, fourier.ift_array(hat.T, pg, xg, axis=0))
+    return Symbol(a.grid, _frozen(fourier.ift_array(hat.T, pg, xg, axis=0)))
 
 
 # ------------------------------------------------------------- Moyal product
@@ -615,4 +658,4 @@ def moyal_product(a: Symbol, b: Symbol) -> Symbol:
         return Symbol.polynomial(a.grid, _groenewold_poly(a.poly, b.poly))
     first = a.poly if a.is_polynomial else a.values
     second = b.poly if b.is_polynomial else b.values
-    return Symbol(a.grid, star_values(first, second, a.grid))
+    return Symbol(a.grid, _frozen(star_values(first, second, a.grid)))

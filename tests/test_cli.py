@@ -139,7 +139,7 @@ def test_verify_failure_exit_code(tmp_path):
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     # a crash is not a failed check: exit 3 with the exception on stderr
-    def boom(params):
+    def boom(params, inputs):
         raise RuntimeError("suite exploded")
 
     monkeypatch.setitem(verify._SUITES, "isometry", boom)

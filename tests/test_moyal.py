@@ -339,6 +339,16 @@ def test_star_apply_unit_and_coordinate(pg128, rng):
     assert np.abs(out2.values - want.values).max() < 1e-8
 
 
+def test_star_apply_leaves_the_state_writeable(pg128, rng):
+    Psi = random_phase_state(pg128, rng)
+    before = Psi.values.copy()
+    out = star_apply(Symbol.oscillator(pg128), Psi)
+    assert Psi.values.flags.writeable
+    assert np.array_equal(Psi.values, before)
+    Psi.values[0, 0] += 1.0
+    assert not np.shares_memory(out.values, Psi.values)
+
+
 def test_star_product_refuses_another_phase_grid(pg64, pg128, rng):
     a = Symbol.oscillator(pg64)
     with pytest.raises(GridMismatchError):

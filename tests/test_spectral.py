@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import psqm.moyal
+import psqm.weyl
 from psqm import (Symbol, LinOp, quantize_config, eig, evolve,
                   compare_representations, spectrum_report, hermite_state,
                   gaussian_state, inner_config, norm_config,
@@ -138,6 +139,35 @@ def test_verify_dynamics_takes_one_eigendecomposition_per_symbol(monkeypatch):
     report = run_verify(["dynamics"], {"n_points": 64})
     assert report["n_checks"] == 12
     assert len(calls) == 2
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(1) or fn(*args, **kw))
+    return calls
+
+
+def test_one_symbol_is_quantized_and_decomposed_once(pg128, monkeypatch):
+    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+    kernels = _count_calls(monkeypatch, psqm.weyl, "symbol_to_kernel")
+    osc = Symbol.oscillator(pg128)
+    chi = hermite_state(pg128.p_grid, 0)
+    w, _ = eig(quantize_config(osc))
+    rep = compare_representations(osc, chi, 0.5,
+                                  gaussian_state(pg128.x_grid, 1.0, 0.5, 1.0))
+    spec = spectrum_report(osc, chi)
+    assert np.abs(w[:5] - (np.arange(5) + 0.5)).max() < 1e-6
+    assert rep["max_distance"] < 1e-6 and spec["max_deviation"] < 1e-6
+    assert len(eighs) == 1 and len(kernels) == 1
+
+
+def test_verify_suites_share_one_oscillator(monkeypatch):
+    # the oscillator of spectrum, dynamics and mixed, plus the free particle
+    eighs = _count_calls(monkeypatch, np.linalg, "eigh")
+    report = run_verify(["spectrum", "dynamics", "mixed"], {"n_points": 128})
+    assert report["passed"] and report["n_checks"] == 19
+    assert len(eighs) == 2
 
 
 def test_every_evolve_refuses_a_non_hermitian_symbol(pg64, rng):

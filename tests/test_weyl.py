@@ -535,3 +535,63 @@ def test_real_polynomials_evaluate_in_float(pg64):
     assert np.isrealobj(weyl._midpoint_values(Symbol.oscillator(pg64)))
     assert np.isrealobj(weyl._midpoint_values(_real_symbols(pg64)["sampled gaussian"]))
     assert np.iscomplexobj(weyl._midpoint_values(_damped_complex(pg64)))
+
+
+# ------------------------------------------------- one operator per symbol
+
+def test_quantize_config_returns_the_symbols_one_operator(pg64):
+    a = Symbol.oscillator(pg64)
+    op = quantize_config(a)
+    assert quantize_config(a) is op
+    assert op.eigh()[1] is quantize_config(a).eigh()[1]
+    # another symbol with the same samples has its own operator
+    assert quantize_config(Symbol.oscillator(pg64)) is not op
+
+
+def test_symbol_is_immutable(pg64):
+    a = Symbol.oscillator(pg64)
+    assert not a.values.flags.writeable
+    with pytest.raises(ValueError):
+        a.values[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        a.values = np.zeros(pg64.shape)
+
+
+def test_writing_the_source_array_leaves_symbol_and_operator_unchanged(pg64):
+    X, XI = pg64.meshes()
+    src = (X + 0.3 * XI + 0.2j * XI ** 2) * np.exp(-(X ** 2 + XI ** 2) / 8.0)
+    a = Symbol.from_samples(pg64, src)
+    before = a.values.copy()
+    M = quantize_config(a).matrix.copy()
+    src *= 2.0
+    assert src.flags.writeable
+    assert np.array_equal(a.values, before)
+    assert np.array_equal(quantize_config(a).matrix, M)
+    assert np.array_equal(quantize_config(Symbol.from_samples(pg64, before)).matrix, M)
+
+
+def test_symbol_copies_only_a_writeable_array(pg64):
+    a = Symbol.oscillator(pg64)
+    assert Symbol.from_samples(pg64, a.values).values is a.values
+    src = np.array(a.values)
+    assert not np.shares_memory(Symbol.from_samples(pg64, src).values, src)
+    assert not np.shares_memory(Symbol.from_samples(pg64, src.real).values, src)
+
+
+@pytest.mark.parametrize("name, real", [("x", True), ("oscillator", True),
+                                        ("free", True), ("xi", False),
+                                        ("x xi", False)])
+def test_real_symbol_matrices_are_stored_real(pg128, name, real):
+    a = _real_symbols(pg128)[name]
+    M = quantize_config(a).matrix
+    assert np.isrealobj(M) == real
+    want = symbol_to_kernel(a).values * pg128.x_grid.spacing
+    assert np.abs(M - want).max() <= REAL_EIGH_TOL * np.abs(want).max()
+
+
+def test_linop_keeps_a_real_matrix_real(pg64):
+    m = np.diag(np.arange(1.0, 65.0))
+    op = LinOp(pg64.x_grid, m)
+    assert np.isrealobj(op.matrix) and np.shares_memory(op.matrix, m)
+    assert np.isrealobj(LinOp(pg64.x_grid, np.eye(64, dtype=int)).matrix)
+    assert np.iscomplexobj(LinOp(pg64.x_grid, m.astype(complex)).matrix)
