@@ -116,8 +116,12 @@ def cmd_spectrum(args) -> int:
     params.update(_load_params(args, SPECTRUM_KEYS))
     name = str(params.pop("symbol", "oscillator"))
     run_verify([], params)  # checks every value; runs no suite
-    _, chi, a = resolve_params(params, name)  # refuses an unknown symbol
-    report = run_verify(["spectrum"], params)
+    inputs = resolve_params(params, name)  # refuses an unknown symbol
+    # the suite reads the oscillator: when it is the named symbol, the
+    # suite and the detail share it, and so its one decomposition
+    report = run_verify(["spectrum"], params,
+                        inputs if name == "oscillator" else None)
+    _, chi, a = inputs
     report["spectrum"] = {"symbol": name, **spectrum_report(a, chi)}
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL

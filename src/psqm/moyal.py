@@ -190,7 +190,8 @@ def bopp_apply(name: str, Psi: PhaseState) -> PhaseState:
       X    = x + (i/2) d/dp        P    = p + (i/2) d/dx
       Xi_x = p - (i/2) d/dx        Xi_p = x - (i/2) d/dp
     """
-    X, P = Psi.grid.meshes()
+    X = Psi.grid.x_grid.points[:, None]
+    P = Psi.grid.p_grid.points[None, :]
     v = Psi.values
     if name == "X":
         out = X * v + 0.5j * _dd(v, Psi.grid, 1)

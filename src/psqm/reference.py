@@ -1,18 +1,23 @@
 """Slow, independent reference computations used by the verification
-suites: a finite-difference oscillator eigensolver and a direct
-quadrature of the cross-Wigner integral.  Neither touches the spectral
-pipeline of the main modules."""
+suites: a certified finite-difference oscillator eigensolver and a
+direct quadrature of the cross-Wigner integral.  Neither touches the
+spectral pipeline of the main modules, and both use numpy only."""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import eig_banded
 
-__all__ = ["fd_oscillator_levels", "cross_wigner_quadrature"]
+__all__ = ["fd_oscillator_levels", "fd_levels_below", "cross_wigner_quadrature"]
 
 # 8th-order central coefficients for f'': f''_i ~ (1/dx^2) sum c_k f_{i+k}
 _FD8 = {0: -205.0 / 72.0, 1: 8.0 / 5.0, 2: -1.0 / 5.0, 3: 8.0 / 315.0,
         4: -1.0 / 560.0}
+
+# The finite-difference lattice: 2048 points of the Dirichlet box [-10, 10).
+_FD_POINTS, _FD_HALF_WIDTH = 2048, 10.0
+
+# Hermite functions in the Rayleigh-Ritz basis beyond the levels returned.
+_RITZ_EXTRA = 8
 
 # x rows per integrand block of the cross-Wigner quadrature: 32 rows of
 # the 2048-point y lattice make a 1 MiB complex integrand.
@@ -23,20 +28,103 @@ _ROW_BLOCK = 32
 _FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
 
+def _fd_oscillator_bands():
+    """(x, diagonal, off-diagonals) of the symmetric band matrix A of
+    -(1/2) d^2/dx^2 + x^2/2 on the finite-difference lattice;
+    ``off[k - 1]`` is the constant entry at distance k = 1..4."""
+    dx = 2.0 * _FD_HALF_WIDTH / _FD_POINTS
+    x = -_FD_HALF_WIDTH + dx * np.arange(_FD_POINTS)
+    diag = -0.5 * _FD8[0] / dx ** 2 + 0.5 * x ** 2
+    off = [-0.5 * _FD8[k] / dx ** 2 for k in range(1, 5)]
+    return x, diag, off
+
+
+def _hermite_columns(x: np.ndarray, count: int) -> np.ndarray:
+    """(len(x), count) array of the Hermite functions h_0..h_{count-1}
+    at x, by the recurrence
+    h_k = sqrt(2/k) x h_{k-1} - sqrt((k-1)/k) h_{k-2}."""
+    H = np.zeros((len(x), count))
+    H[:, 0] = np.pi ** -0.25 * np.exp(-x ** 2 / 2)
+    for k in range(1, count):
+        H[:, k] = np.sqrt(2.0 / k) * x * H[:, k - 1]
+        if k > 1:
+            H[:, k] -= np.sqrt((k - 1) / k) * H[:, k - 2]
+    return H
+
+
+def fd_levels_below(sigma: float) -> int:
+    """Number of eigenvalues of the finite-difference oscillator matrix A
+    (see :func:`fd_oscillator_levels`) below ``sigma``.  By Sylvester's
+    law of inertia it is the number of negative pivots D of A - sigma*I
+    = L D L^T, factorized without pivoting in one sweep over the rows:
+    row i of L has the four entries L[i, i-k] = u_k / D[i-k], k = 1..4,
+    where u_k = L[i, i-k] D[i-k] is A[i, i-k] less the products of row
+    i with row i-k over their shared earlier columns.  Rows before the
+    first carry D = inf, so their entries of L are 0."""
+    _, diag, (b1, b2, b3, b4) = _fd_oscillator_bands()
+    # L[i-1, i-1-k], L[i-2, i-2-k], L[i-3, i-3-k] for k = 1..4, and the
+    # pivots of rows i-1..i-4
+    r1 = r2 = r3 = (0.0, 0.0, 0.0, 0.0)
+    d1 = d2 = d3 = d4 = float("inf")
+    negative = 0
+    for a in (diag - sigma).tolist():
+        u4 = b4
+        u3 = b3 - u4 * r3[0]
+        u2 = b2 - u4 * r2[1] - u3 * r2[0]
+        u1 = b1 - u4 * r1[2] - u3 * r1[1] - u2 * r1[0]
+        l1, l2, l3, l4 = u1 / d1, u2 / d2, u3 / d3, u4 / d4
+        d = a - l1 * u1 - l2 * u2 - l3 * u3 - l4 * u4
+        negative += d < 0.0
+        r3, r2, r1 = r2, r1, (l1, l2, l3, l4)
+        d4, d3, d2, d1 = d3, d2, d1, d
+    return negative
+
+
 def fd_oscillator_levels(n_levels: int) -> np.ndarray:
-    """Lowest eigenvalues of -(1/2) d^2/dx^2 + x^2/2 by a banded
-    high-order finite-difference discretization on 2048 points of the
-    Dirichlet box [-10, 10)."""
-    n_points, half_width = 2048, 10.0
-    dx = 2.0 * half_width / n_points
-    x = -half_width + dx * np.arange(n_points)
-    bands = np.zeros((5, n_points))
-    for k, c in _FD8.items():
-        bands[k, :] = -0.5 * c / dx ** 2
-    bands[0, :] += 0.5 * x ** 2
-    w = eig_banded(bands, lower=True, eigvals_only=True,
-                   select="i", select_range=(0, n_levels - 1))
-    return w
+    """Lowest ``n_levels`` eigenvalues of -(1/2) d^2/dx^2 + x^2/2 by a
+    banded 8th-order finite-difference discretization A on 2048 points of
+    the Dirichlet box [-10, 10), certified.
+
+    The values are the Rayleigh-Ritz values t_j of A on the first
+    ``n_levels + 8`` Hermite functions sampled on the lattice, with A
+    applied as nine shifted slice-adds.  They are returned only when both
+    tests below pass; otherwise ``np.linalg.LinAlgError`` is raised.
+
+    - Bauer-Fike: A is symmetric, so it has an eigenvalue within
+      r_j = |A u_j - t_j u_j| of t_j (u_j the unit Ritz vector).  The
+      intervals [t_j - r_j, t_j + r_j] must be disjoint and lie below
+      sigma, the midpoint of t_{n_levels - 1} and t_{n_levels}.
+    - Sylvester: :func:`fd_levels_below` ``(sigma)`` must be exactly
+      ``n_levels``.
+
+    Together they prove that the k-th lowest eigenvalue of A lies within
+    r_k of the k-th returned value."""
+    if not 1 <= n_levels <= _FD_POINTS - _RITZ_EXTRA:
+        raise ValueError(f"n_levels must be in 1..{_FD_POINTS - _RITZ_EXTRA}, "
+                         f"got {n_levels!r}")
+    x, diag, off = _fd_oscillator_bands()
+    Q, _ = np.linalg.qr(_hermite_columns(x, n_levels + _RITZ_EXTRA))
+    AQ = diag[:, None] * Q
+    for k, b in enumerate(off, 1):
+        AQ[k:] += b * Q[:-k]
+        AQ[:-k] += b * Q[k:]
+    H = Q.T @ AQ
+    theta, Y = np.linalg.eigh(0.5 * (H + H.T))
+    radius = np.linalg.norm(AQ @ Y - (Q @ Y) * theta, axis=0)[:n_levels]
+    sigma = 0.5 * (theta[n_levels - 1] + theta[n_levels])
+    levels = theta[:n_levels]
+    upper = levels + radius
+    lower = levels - radius
+    if not (upper[-1] < sigma and (upper[:-1] < lower[1:]).all()):
+        raise np.linalg.LinAlgError(
+            f"cannot certify {n_levels} levels: the Ritz residual intervals "
+            f"overlap or reach sigma = {sigma:.6g} (largest radius {radius.max():.3g})")
+    below = fd_levels_below(sigma)
+    if below != n_levels:
+        raise np.linalg.LinAlgError(
+            f"cannot certify {n_levels} levels: {below} eigenvalues lie "
+            f"below sigma = {sigma:.6g}")
+    return levels
 
 
 def cross_wigner_quadrature(pairs, x_points: np.ndarray, p_points: np.ndarray) -> list:

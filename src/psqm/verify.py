@@ -387,7 +387,7 @@ _SUITES = {
 }
 
 
-def run_verify(suites, params: dict | None = None) -> dict:
+def run_verify(suites, params: dict | None = None, inputs: tuple | None = None) -> dict:
     """Run named suites ('all' expands to every suite) and assemble the
     deterministic report.  Every parameter is checked before any suite
     runs; a ValueError naming the key and its value refuses keys
@@ -395,7 +395,10 @@ def run_verify(suites, params: dict | None = None) -> dict:
     negative ``seed``, ``times`` entries that are not finite numbers,
     ``tol_*`` values that are not positive finite numbers and ``window``
     specs other than ``hermite:K`` or ``gaussian:x0,p0,w``.  A single ``times``
-    value runs as a one-element list."""
+    value runs as a one-element list.  The suites share one ``inputs``
+    = (grid, window, oscillator): :func:`resolve_params` of the checked
+    parameters, or the ones a caller resolved from the same parameters,
+    which then shares the oscillator's one operator with the suites."""
     bad_keys = sorted(set(params or ()) - PARAM_KEYS)
     if bad_keys:
         raise ValueError(f"unknown parameter(s) {bad_keys}; choose from "
@@ -430,7 +433,8 @@ def run_verify(suites, params: dict | None = None) -> dict:
            "suites": []}
     # one grid, window and oscillator for the run: every suite quantizes
     # (and decomposes) the same oscillator symbol, so it is done once
-    inputs = resolve_params(merged) if names else None
+    if inputs is None and names:
+        inputs = resolve_params(merged)
     for name in names:
         checks = _SUITES[name](merged, inputs)
         out["suites"].append({

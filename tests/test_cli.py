@@ -109,6 +109,25 @@ def test_spectrum_command(tmp_path):
     assert np.abs(ladder - (np.arange(len(ladder)) + 0.5)).max() < 1e-5
 
 
+def test_spectrum_command_decomposes_the_oscillator_once(tmp_path, monkeypatch):
+    # the spectrum suite and the detail share one oscillator; the other
+    # eigh is of the finite-difference oracle's Rayleigh-Ritz matrix
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_points = 128\n")
+    out = tmp_path / "rep.json"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(shapes) == [(16, 16), (128, 128)]
+    assert json.loads(out.read_text())["spectrum"]["symbol"] == "oscillator"
+
+
 def test_main_entry_returns_int(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("n_points = 64\n")

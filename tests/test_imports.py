@@ -1,8 +1,12 @@
 """Every name a psqm module, test module or demo imports is referenced
 in that file, no psqm module uses another psqm module's private
-(``_name``) names, and psqm modules import at module level only."""
+(``_name``) names, psqm modules import at module level only, the
+oracles import numpy only and importing psqm loads no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,8 +134,9 @@ def test_function_import_guard_sees_nested_imports(tmp_path):
     assert _function_level_imports(bad) == ["bad.py:3: in f", "bad.py:7: in g"]
 
 
-# The quadrature oracles stay an independent route: numpy and scipy only.
-ORACLE_DEPENDENCIES = {"__future__", "numpy", "scipy"}
+# The oracles stay an independent route, and psqm starts without scipy:
+# numpy only.
+ORACLE_DEPENDENCIES = {"__future__", "numpy"}
 
 
 def _imported_roots(path: Path) -> set:
@@ -146,8 +151,19 @@ def _imported_roots(path: Path) -> set:
     return roots
 
 
-def test_reference_imports_only_numpy_and_scipy():
+def test_reference_imports_only_numpy():
     assert _imported_roots(SRC / "reference.py") <= ORACLE_DEPENDENCIES
+
+
+def test_fresh_interpreter_importing_psqm_loads_no_scipy():
+    # scipy.linalg alone costs more start-up time and memory than psqm
+    code = ("import sys, psqm, psqm.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_oracle_import_guard_sees_package_imports(tmp_path):

@@ -1,11 +1,48 @@
-"""The quadrature cross-Wigner oracle: row blocks and pair batching do
-not change its values, and each entry is the plain Riemann sum over y."""
+"""The reference oracles.  The finite-difference oscillator levels
+agree with a banded LAPACK solver's, their inertia counts are right
+and an uncertified level count is refused.  In the quadrature
+cross-Wigner oracle, row blocks and pair batching do not change its
+values, and each entry is the plain Riemann sum over y."""
 
 import numpy as np
 import pytest
 
-from psqm.reference import cross_wigner_quadrature
+from psqm import reference
+from psqm.reference import (cross_wigner_quadrature, fd_levels_below,
+                            fd_oscillator_levels)
 from psqm.states import gaussian_values, hermite_values
+
+# the lowest 8 levels of the same finite-difference matrix by LAPACK's
+# banded symmetric solver (scipy.linalg.eig_banded)
+BANDED_LEVELS = [0.49999999999727146, 1.5000000000027283, 2.500000000006367,
+                 3.5000000000009086, 4.500000000002729, 5.50000000000091,
+                 6.500000000002728, 7.499999999999091]
+
+
+@pytest.mark.parametrize("n_levels", [5, 8])
+def test_fd_levels_match_the_banded_solver(n_levels):
+    levels = fd_oscillator_levels(n_levels)
+    assert levels.shape == (n_levels,)
+    assert np.abs(levels - BANDED_LEVELS[:n_levels]).max() <= 1e-10
+
+
+def test_fd_levels_below_counts_the_levels_under_sigma():
+    # the levels sit at k + 1/2 to ~1e-11, so k of them lie below k
+    assert [fd_levels_below(float(k)) for k in range(9)] == list(range(9))
+
+
+def test_uncertified_level_counts_are_refused(monkeypatch):
+    # 40 Ritz values on 48 Hermite functions: the high ones reach the box
+    # edge, and their residual intervals overlap
+    with pytest.raises(np.linalg.LinAlgError, match="intervals overlap"):
+        fd_oscillator_levels(40)
+    # an inertia count other than n_levels refuses the values too
+    monkeypatch.setattr(reference, "fd_levels_below", lambda sigma: 9)
+    with pytest.raises(np.linalg.LinAlgError, match="9 eigenvalues lie below"):
+        fd_oscillator_levels(8)
+    with pytest.raises(ValueError, match="n_levels"):
+        fd_oscillator_levels(0)
+
 
 N_Y, Y_HALF = 2048, 40.0
 # 100 x rows: three full row blocks of 32 and a partial one of 4

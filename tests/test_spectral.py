@@ -144,7 +144,7 @@ def test_verify_dynamics_takes_one_eigendecomposition_per_symbol(monkeypatch):
 def _count_calls(monkeypatch, owner, name):
     calls = []
     fn = getattr(owner, name)
-    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(1) or fn(*args, **kw))
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(args) or fn(*args, **kw))
     return calls
 
 
@@ -163,11 +163,14 @@ def test_one_symbol_is_quantized_and_decomposed_once(pg128, monkeypatch):
 
 
 def test_verify_suites_share_one_oscillator(monkeypatch):
-    # the oscillator of spectrum, dynamics and mixed, plus the free particle
+    # the oscillator of spectrum, dynamics and mixed, plus the free
+    # particle; the finite-difference oracle's one other eigh is of its
+    # 16 x 16 Rayleigh-Ritz matrix
     eighs = _count_calls(monkeypatch, np.linalg, "eigh")
     report = run_verify(["spectrum", "dynamics", "mixed"], {"n_points": 128})
     assert report["passed"] and report["n_checks"] == 19
-    assert len(eighs) == 2
+    assert sorted(np.shape(args[0]) for args in eighs) == [(16, 16), (128, 128),
+                                                           (128, 128)]
 
 
 def test_every_evolve_refuses_a_non_hermitian_symbol(pg64, rng):
