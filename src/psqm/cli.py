@@ -23,8 +23,8 @@ import sys
 from . import serialize
 from .moyal import cross_wigner
 from .spectral import spectrum_report
-from .verify import (SUITE_NAMES, PARAM_KEYS, default_params, resolve_params,
-                     run_verify)
+from .verify import (SUITE_NAMES, PARAM_KEYS, add_suite, default_params,
+                     resolve_params, run_verify, spectrum_checks)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -115,14 +115,17 @@ def cmd_spectrum(args) -> int:
     params = dict(default_params())
     params.update(_load_params(args, SPECTRUM_KEYS))
     name = str(params.pop("symbol", "oscillator"))
-    run_verify([], params)  # checks every value; runs no suite
-    inputs = resolve_params(params, name)  # refuses an unknown symbol
-    # the suite reads the oscillator: when it is the named symbol, the
-    # suite and the detail share it, and so its one decomposition
-    report = run_verify(["spectrum"], params,
-                        inputs if name == "oscillator" else None)
-    _, chi, a = inputs
-    report["spectrum"] = {"symbol": name, **spectrum_report(a, chi)}
+    report = run_verify([], params)  # checks every value; runs no suite
+    _, chi, a = resolve_params(params, name)  # refuses an unknown symbol
+    detail = spectrum_report(a, chi)
+    # the spectrum suite's checks read the oscillator's report: the
+    # detail itself when the oscillator is the named symbol
+    if name == "oscillator":
+        osc_report = detail
+    else:
+        osc_report = spectrum_report(resolve_params(params)[2], chi)
+    add_suite(report, "spectrum", spectrum_checks(report["params"], osc_report))
+    report["spectrum"] = {"symbol": name, **detail}
     _emit(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_FAIL
 

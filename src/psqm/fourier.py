@@ -96,46 +96,45 @@ def fourier_shift(values: np.ndarray, grid: Grid1D, shift, axis: int = -1) -> np
 
 
 def lattice_shear(values: np.ndarray, steps, axis: int) -> np.ndarray:
-    """Shift slice j of the 2-D ``values`` along ``axis`` by ``steps[j]``
-    half cells (integers; slices run along the other axis).
+    """Shift slice j of the complex 2-D ``values`` along ``axis`` by
+    ``steps[j]`` half cells (integers; slices run along the other axis),
+    in place, and return ``values``.
 
-    Slice j is row j of a C-contiguous array (along axis 0 a transposed
-    copy, whose buffer then takes the transposed result), so every copy
-    is contiguous.  Its whole cells move by an exact index roll; a
-    slice with an odd count then takes the unitary half-cell Fourier
-    shift, the length-n multiplier exp(-i*pi*k/n) on the signed
-    frequencies k.  With the Nyquist term at k = -n/2 as in
-    :func:`fourier_shift`, this is the same operator as
-    ``fourier_shift(values, g, steps * g.spacing / 2, axis)`` on any
-    grid ``g``, without its per-call n x n phase table.  It is not
-    :func:`half_shift`, which splits the Nyquist term.
+    Slice j is row j: of ``values`` itself along axis 1, and along axis
+    0 of one C-contiguous transposed buffer, written back once sheared.
+    Its whole cells move by an exact index roll; a slice with an odd
+    count then takes the unitary half-cell Fourier shift, the length-n
+    multiplier exp(-i*pi*k/n) on the signed frequencies k.  With the
+    Nyquist term at k = -n/2 as in :func:`fourier_shift`, this is the
+    same operator as ``fourier_shift(values, g, steps * g.spacing / 2,
+    axis)`` on any grid ``g``, without its per-call n x n phase table.
+    It is not :func:`half_shift`, which splits the Nyquist term.
     """
     axis %= 2
     steps = np.asarray(steps)
     if values.ndim != 2 or steps.shape != (values.shape[1 - axis],):
         raise ValueError("steps must match the complementary axis of a 2-D field")
-    if axis == 1:
-        src = np.ascontiguousarray(values)
-    else:
-        src = np.array(values.T, complex, order="C")
-    n = src.shape[1]
-    out = np.empty(src.shape, complex)
-    for j, s in enumerate((steps // 2) % n):
-        out[j, s:] = src[j, :n - s]
-        out[j, :s] = src[j, n - s:]
+    if values.dtype != complex:
+        raise ValueError(f"lattice_shear shears complex values in place, got {values.dtype}")
+    rows = values if axis == 1 else np.array(values.T, order="C")
+    n = rows.shape[1]
+    shifts = ((steps // 2) % n).tolist()
+    for lo in range(0, len(shifts), 64):    # rolled from a 64-row copy
+        block = rows[lo:lo + 64].copy()
+        for j, s in enumerate(shifts[lo:lo + 64]):
+            rows[lo + j, s:] = block[j, :n - s]
+            rows[lo + j, :s] = block[j, n - s:]
     odd = np.flatnonzero(steps % 2)
     mult = np.exp(-1j * np.pi * np.fft.fftfreq(n, 1.0 / n) / n)
     for lo in range(0, odd.size, 64):       # 64 rows at a time: bounded scratch
         sel = odd[lo:lo + 64]
-        rows = out[sel]
-        np.fft.fft(rows, axis=1, out=rows)
-        rows *= mult
-        out[sel] = np.fft.ifft(rows, axis=1, out=rows)
-    if axis == 1:
-        return out
-    src = src.reshape(values.shape)
-    src[...] = out.T
-    return src
+        block = rows[sel]
+        np.fft.fft(block, axis=1, out=block)
+        block *= mult
+        rows[sel] = np.fft.ifft(block, axis=1, out=block)
+    if axis == 0:
+        values[...] = rows.T
+    return values
 
 
 def axis_spectrum(values: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -187,7 +186,9 @@ def spectral_derivative(values: np.ndarray, grid: Grid1D, axis: int = -1) -> np.
     return np.fft.ifft(np.fft.fft(values, axis=axis) * (1j * xif).reshape(shp), axis=axis)
 
 
-@lru_cache(maxsize=32)
+# One entry: each is an n x n complex matrix (16 MiB at n = 1024), and
+# what is reused is the one (grid, alpha) that both axes of a dilate share.
+@lru_cache(maxsize=1)
 def _resample_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
     """Matrix R with (R f)[k] = f(alpha * x_k) on the band-limited class."""
     xi = grid.dual.points

@@ -9,8 +9,9 @@ exact Fourier shifts.
 The unitary map U acts as
     U Psi(x, p) = IFT_p[ Psihat(x - xi_p/2, x + xi_p/2) ],
 implemented as one FFT pair along p around two lattice shears (whole
-cells by index rolls, half cells by a Fourier shift): on the self-dual
-lattice the transforms' phase tables and scales cancel to signs.  It
+cells by index rolls, half cells by a Fourier shift), both in place on
+the transform's one buffer: on the self-dual lattice the transforms'
+phase tables and scales cancel to signs.  It
 carries lifted product states onto (2*pi)**(1/2) times the
 cross-Wigner function of the factors, and conjugates the phase-space
 Schrodinger operators x, -i d/dx into the Bopp operators
@@ -120,9 +121,10 @@ def moyal_map(Psi: PhaseState) -> PhaseState:
     _require_self_dual(Psi.grid, "moyal_map")
     n = Psi.grid.x_grid.n_points
     a = np.arange(n)
-    vals = fourier.lattice_shear(np.fft.fft(Psi.values, axis=1), -2 * a, axis=1)
+    vals = np.fft.fft(Psi.values, axis=1)      # sheared in place from here on
+    fourier.lattice_shear(vals, -2 * a, axis=1)
     vals[1::2] *= -1
-    vals = fourier.lattice_shear(vals, a - n // 2, axis=0)
+    fourier.lattice_shear(vals, a - n // 2, axis=0)
     np.fft.ifft(vals, axis=1, out=vals)
     vals[:, 1::2] *= -1
     return Psi.with_values(vals)
@@ -137,9 +139,9 @@ def moyal_map_inv(Psi: PhaseState) -> PhaseState:
     vals = np.array(Psi.values, dtype=complex)
     vals[:, 1::2] *= -1
     np.fft.fft(vals, axis=1, out=vals)
-    vals = fourier.lattice_shear(vals, n // 2 - a, axis=0)
+    fourier.lattice_shear(vals, n // 2 - a, axis=0)
     vals[1::2] *= -1
-    vals = fourier.lattice_shear(vals, 2 * a, axis=1)
+    fourier.lattice_shear(vals, 2 * a, axis=1)
     np.fft.ifft(vals, axis=1, out=vals)
     return Psi.with_values(vals)
 

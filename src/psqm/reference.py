@@ -127,7 +127,7 @@ def fd_oscillator_levels(n_levels: int) -> np.ndarray:
     return levels
 
 
-def cross_wigner_quadrature(pairs, x_points: np.ndarray, p_points: np.ndarray) -> list:
+def cross_wigner_quadrature(pairs, x_points: np.ndarray, p_points: np.ndarray):
     """Direct Riemann quadrature of
 
         W(psi, chi)(x, p) = (2*pi)**(-1) int exp(-i p y)
@@ -135,18 +135,18 @@ def cross_wigner_quadrature(pairs, x_points: np.ndarray, p_points: np.ndarray) -
 
     on 2048 points of y in [-40, 40), for each ``(psi_fn, chi_fn)`` in
     ``pairs``, the states given as callables evaluated off-lattice
-    (closed forms); returns one (len(x_points), len(p_points)) array
-    per pair.  The phase table exp(-i y p) is built once per call, and
-    each pair's integrand is evaluated on blocks of ``_ROW_BLOCK`` x
-    rows, each block summed over y by one matrix product with the
-    table.  Used as the independent oracle for the Moyal map."""
+    (closed forms); yields one (len(x_points), len(p_points)) array per
+    pair in turn, so a caller holds one at a time.  The phase table
+    exp(-i y p) is built once per call, and each pair's integrand is
+    evaluated on blocks of ``_ROW_BLOCK`` x rows, each block summed over
+    y by one matrix product with the table.  Used as the independent
+    oracle for the Moyal map."""
     n_y, y_half = 2048, 40.0
     y = -y_half + (2.0 * y_half / n_y) * np.arange(n_y)
     dy = y[1] - y[0]
     half = y / 2
     x = np.asarray(x_points, dtype=float)
     phase = np.exp(-1j * np.outer(y, p_points))
-    out = []
     for psi_fn, chi_fn in pairs:
         W = np.empty((len(x), phase.shape[1]), complex)
         for start in range(0, len(x), _ROW_BLOCK):
@@ -156,5 +156,4 @@ def cross_wigner_quadrature(pairs, x_points: np.ndarray, p_points: np.ndarray) -
             parts[np.abs(parts) < _FLUSH_BELOW] = 0.0
             np.matmul(integrand, phase, out=W[start:start + _ROW_BLOCK])
         W *= dy / (2.0 * np.pi)
-        out.append(W)
-    return out
+        yield W

@@ -3,6 +3,8 @@ equivalence reports."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .states import ConfigState, inner_phase, norm_config, norm_phase
@@ -14,20 +16,36 @@ from .moyal import moyal_map, moyal_map_inv, quantize_moyal
 __all__ = ["eig", "evolve", "compare_representations", "spectrum_report"]
 
 
+class _Eigenstates(Sequence):
+    """The eigenstates of one decomposition, built on access: state k is
+    ``ConfigState(grid, V[:, k] / sqrt(dx))``.  Holds only the
+    operator's cached eigenbasis V, so no n x n copy is made."""
+
+    def __init__(self, grid, V: np.ndarray):
+        self._grid, self._V = grid, V
+        self._weight = np.sqrt(grid.spacing)
+
+    def __len__(self) -> int:
+        return self._V.shape[1]
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[j] for j in range(len(self))[k]]
+        return ConfigState(self._grid, self._V[:, k] / self._weight)
+
+
 def eig(op: LinOp, herm_tol: float = 1e-8):
     """Full spectral decomposition of a Hermitian operator.
 
     Returns (eigenvalues ascending, eigenstates normalized in the grid
-    norm).  Rejects matrices whose Hermiticity defect exceeds
-    ``herm_tol``; below that the matrix is symmetrized before the
-    decomposition, which the operator computes once and keeps
-    (:meth:`LinOp.eigh`).
+    norm); the eigenstates are a sequence that builds each state when it
+    is read (index, slice, ``len``, iteration).  Rejects matrices whose
+    Hermiticity defect exceeds ``herm_tol``; below that the matrix is
+    symmetrized before the decomposition, which the operator computes
+    once and keeps (:meth:`LinOp.eigh`).
     """
     w, V = op.eigh(herm_tol)
-    # state k is row k of one contiguous scaled complex copy of V.T
-    rows = np.empty(V.shape[::-1], complex)
-    np.divide(V.T, np.sqrt(op.grid.spacing), out=rows)
-    return w, [ConfigState(op.grid, row) for row in rows]
+    return w, _Eigenstates(op.grid, V)
 
 
 def evolve(op: LinOp, state, t: float):

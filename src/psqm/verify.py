@@ -27,7 +27,7 @@ from .fourier import forward_ft
 from . import reference
 
 __all__ = ["SUITE_NAMES", "TOLERANCES", "PARAM_KEYS", "default_params",
-           "resolve_params", "run_verify"]
+           "resolve_params", "run_verify", "add_suite", "spectrum_checks"]
 
 SUITE_NAMES = ("isometry", "intertwining", "unitarity", "star", "spectrum",
                "dynamics", "mixed")
@@ -293,9 +293,15 @@ def suite_star(params: dict, inputs: tuple) -> list:
 
 def suite_spectrum(params: dict, inputs: tuple) -> list:
     _, chi, osc = inputs
+    return spectrum_checks(params, spectrum_report(osc, chi))
+
+
+def spectrum_checks(params: dict, report: dict) -> list:
+    """The spectrum suite's checks, made from the oscillator's
+    :func:`spectrum_report` (a caller that has it runs no second one)
+    and the finite-difference oracle."""
     tol_pair = _tol(params, "tol_spectrum")
     tol_oracle = _tol(params, "tol_spectrum_oracle")
-    report = spectrum_report(osc, chi)
     fd = reference.fd_oscillator_levels(8)
     oracle_dev = float(np.abs(np.asarray(report["config"]) - fd).max())
     return [
@@ -387,7 +393,7 @@ _SUITES = {
 }
 
 
-def run_verify(suites, params: dict | None = None, inputs: tuple | None = None) -> dict:
+def run_verify(suites, params: dict | None = None) -> dict:
     """Run named suites ('all' expands to every suite) and assemble the
     deterministic report.  Every parameter is checked before any suite
     runs; a ValueError naming the key and its value refuses keys
@@ -396,9 +402,8 @@ def run_verify(suites, params: dict | None = None, inputs: tuple | None = None) 
     ``tol_*`` values that are not positive finite numbers and ``window``
     specs other than ``hermite:K`` or ``gaussian:x0,p0,w``.  A single ``times``
     value runs as a one-element list.  The suites share one ``inputs``
-    = (grid, window, oscillator): :func:`resolve_params` of the checked
-    parameters, or the ones a caller resolved from the same parameters,
-    which then shares the oscillator's one operator with the suites."""
+    = (grid, window, oscillator), :func:`resolve_params` of the checked
+    parameters, and so the oscillator's one operator."""
     bad_keys = sorted(set(params or ()) - PARAM_KEYS)
     if bad_keys:
         raise ValueError(f"unknown parameter(s) {bad_keys}; choose from "
@@ -430,18 +435,19 @@ def run_verify(suites, params: dict | None = None, inputs: tuple | None = None) 
                          f"{list(SUITE_NAMES) + ['all']}")
     out = {"seed": int(merged["seed"]),
            "params": {k: merged[k] for k in sorted(merged)},
-           "suites": []}
+           "suites": [], "n_checks": 0, "passed": True}
     # one grid, window and oscillator for the run: every suite quantizes
     # (and decomposes) the same oscillator symbol, so it is done once
-    if inputs is None and names:
-        inputs = resolve_params(merged)
+    inputs = resolve_params(merged) if names else None
     for name in names:
-        checks = _SUITES[name](merged, inputs)
-        out["suites"].append({
-            "suite": name,
-            "checks": checks,
-            "passed": all(c["passed"] for c in checks),
-        })
-    out["n_checks"] = sum(len(s["checks"]) for s in out["suites"])
-    out["passed"] = all(s["passed"] for s in out["suites"])
+        add_suite(out, name, _SUITES[name](merged, inputs))
     return out
+
+
+def add_suite(report: dict, name: str, checks: list) -> None:
+    """Append one suite's checks to a :func:`run_verify` report and
+    update its totals."""
+    passed = all(c["passed"] for c in checks)
+    report["suites"].append({"suite": name, "checks": checks, "passed": passed})
+    report["n_checks"] += len(checks)
+    report["passed"] = report["passed"] and passed

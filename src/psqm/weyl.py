@@ -336,9 +336,23 @@ def _require_weyl_ready(grid: PhaseGrid) -> None:
         )
 
 
+# The index tables below are int32, half the size of intp: the largest
+# flat index, 2n**2 - 1 into the (2N, N) midpoint table, fits for every
+# n up to this bound, and larger lattices are refused.
+MAX_INDEX_POINTS = 32768
+
+
+def _index_base(n: int) -> np.ndarray:
+    """arange(n) in int32, refusing lattices above :data:`MAX_INDEX_POINTS`."""
+    if n > MAX_INDEX_POINTS:
+        raise ValueError(f"kernel index tables hold n <= {MAX_INDEX_POINTS} points, "
+                         f"got {n}")
+    return np.arange(n, dtype=np.int32)
+
+
 @lru_cache(maxsize=32)
 def _midpoint_indices(n: int, torus: bool) -> np.ndarray:
-    """Flat index S*n + D into the (2N, N) table of the half-lattice
+    """Flat int32 index S*n + D into the (2N, N) table of the half-lattice
     midpoint index S of (x_i, x_j) and the periodic difference index
     D = (i - j) mod n: entry (i, j) of the kernel.
 
@@ -349,7 +363,7 @@ def _midpoint_indices(n: int, torus: bool) -> np.ndarray:
     midpoint, which reproduces the canonical symmetrized operator
     products exactly.  S is symmetric; (j, i) has index (n - D) mod n.
     """
-    i = np.arange(n)
+    i = _index_base(n)
     S = i[:, None] + i[None, :]
     if torus:
         wrap = np.abs(i[:, None] - i[None, :]) > n // 2
@@ -409,11 +423,12 @@ def symbol_to_kernel(a: Symbol) -> Kernel:
 
 @lru_cache(maxsize=8)
 def _offset_indices(n: int) -> np.ndarray:
-    """Flat indices of (x_i + t/2, x_i - t/2), offsets t in FFT order:
-    [0] even t, into the kernel at (i + t/2, i - t/2); [1] odd t, into
-    the transposed half-cell shifted kernel at (i - (t+1)/2, i + (t-1)/2)."""
-    i = np.arange(n)[:, None]
-    t = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    """Flat int32 indices of (x_i + t/2, x_i - t/2), offsets t in FFT
+    order: [0] even t, into the kernel at (i + t/2, i - t/2); [1] odd t,
+    into the transposed half-cell shifted kernel at (i - (t+1)/2,
+    i + (t-1)/2)."""
+    i = _index_base(n)[:, None]
+    t = np.fft.fftfreq(n, 1.0 / n).astype(np.int32)
     u, v = (i + t // 2) % n, (i - (t + 1) // 2) % n
     idx = np.stack([u[:, 0::2] * n + v[:, 0::2], v[:, 1::2] * n + u[:, 1::2]])
     idx.flags.writeable = False
@@ -581,6 +596,8 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
     forward and two inverse one-axis passes, plus one 2-D pass when a
     term carries d_x d_xi.
     """
+    # complex C-ordered values, as the first term's array becomes the sum
+    values = np.asarray(values, complex, order="C")
     # the x spectrum is taken along the rows of a transposed copy and kept
     # in that layout (a transposed view), so the x passes, forward and
     # inverse, read contiguous memory
@@ -602,17 +619,26 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
             exps = tuple(on_values[d] or powers[d] for d in (0, 1))
             terms = groups.setdefault(axes, {}).setdefault(after, {})
             terms[exps] = terms.get(exps, 0.0) + sgn * c
-    out = np.zeros(grid.shape, complex)
+    # a spectrum no group reads is dropped now, every other one after its
+    # last group
+    if not groups.keys() & {(0,), (0, 1)}:
+        del spectra[(0,)]
+    if (1,) not in groups:
+        del spectra[(1,)]
+    out = None
     for axes in ((), (0,), (0, 1), (1,)):
-        todo = list(groups.get(axes, {}).items())
-        if axes == (0, 1) and todo:
-            spec = spectra[(0,)]
-            spectra[axes] = np.fft.fft(spec, axis=1, out=spec)
-        src = spectra.get(axes, values)
+        if axes not in groups:
+            continue
         # the caller's values, and the x spectrum while the 2-D one is
-        # still to be built from it, are not overwritten
+        # still to be built from it, are not overwritten; a spectrum read
+        # for the last time is popped (the 2-D one is the x spectrum,
+        # transformed along p in place)
         keep = axes == () or (axes == (0,) and (0, 1) in groups)
+        src = values if axes == () else spectra[axes] if keep else spectra.pop(axes[:1])
+        if axes == (0, 1):
+            np.fft.fft(src, axis=1, out=src)
         base = tuple(ik[d] if d in axes else coords[d] for d in (0, 1))
+        todo = list(groups[axes].items())
         for i, (after, terms) in enumerate(todo):
             acc = _outer_sum(src, base, terms, not keep and i == len(todo) - 1)
             if axes:
@@ -620,8 +646,16 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
             for d in (0, 1):
                 if after[d]:
                     acc *= coords[d] ** after[d]
-            out += acc
-    return out
+            if out is None:
+                # the sum accumulates into the first term; adding 0.0 turns
+                # its -0 into +0, as the zero start it replaces did
+                out = acc
+                out += 0.0
+            else:
+                out += acc
+            del acc
+        del src
+    return np.zeros(grid.shape, complex) if out is None else out
 
 
 def star_values(avals_or_poly, bvals_or_poly, grid: PhaseGrid) -> np.ndarray:

@@ -269,6 +269,115 @@ def groenewold_mixed_all_terms(poly, values, grid, poly_on_left):
     return out
 
 
+# Routes that build the arrays the package no longer builds: fresh
+# output arrays where it now shears, sums and reads in place.  Each
+# runs the same arithmetic in the same order, so the package's results
+# must equal these byte for byte.
+
+def lattice_shear_out_of_place(values, steps, axis):
+    """:func:`fourier.lattice_shear` into a fresh output array: a
+    transposed copy along axis 0, then the rolled and half-shifted
+    rows in a new array, written back into the copy."""
+    axis %= 2
+    steps = np.asarray(steps)
+    if axis == 1:
+        src = np.ascontiguousarray(values)
+    else:
+        src = np.array(values.T, complex, order="C")
+    n = src.shape[1]
+    out = np.empty(src.shape, complex)
+    for j, s in enumerate((steps // 2) % n):
+        out[j, s:] = src[j, :n - s]
+        out[j, :s] = src[j, n - s:]
+    odd = np.flatnonzero(steps % 2)
+    mult = np.exp(-1j * np.pi * np.fft.fftfreq(n, 1.0 / n) / n)
+    for lo in range(0, odd.size, 64):
+        sel = odd[lo:lo + 64]
+        rows = out[sel]
+        np.fft.fft(rows, axis=1, out=rows)
+        rows *= mult
+        out[sel] = np.fft.ifft(rows, axis=1, out=rows)
+    if axis == 1:
+        return out
+    src = src.reshape(values.shape)
+    src[...] = out.T
+    return src
+
+
+def moyal_map_out_of_place(values):
+    """U on self-dual (x, p) samples through the out-of-place shears."""
+    n = values.shape[0]
+    a = np.arange(n)
+    vals = lattice_shear_out_of_place(np.fft.fft(values, axis=1), -2 * a, axis=1)
+    vals[1::2] *= -1
+    vals = lattice_shear_out_of_place(vals, a - n // 2, axis=0)
+    np.fft.ifft(vals, axis=1, out=vals)
+    vals[:, 1::2] *= -1
+    return vals
+
+
+def moyal_map_inv_out_of_place(values):
+    """U^{-1} on self-dual (x, p) samples through the out-of-place shears."""
+    n = values.shape[0]
+    a = np.arange(n)
+    vals = np.array(values, dtype=complex)
+    vals[:, 1::2] *= -1
+    np.fft.fft(vals, axis=1, out=vals)
+    vals = lattice_shear_out_of_place(vals, n // 2 - a, axis=0)
+    vals[1::2] *= -1
+    vals = lattice_shear_out_of_place(vals, 2 * a, axis=1)
+    np.fft.ifft(vals, axis=1, out=vals)
+    return vals
+
+
+def eig_state_rows(op):
+    """The eigenstates of :func:`psqm.eig` as the rows of one scaled
+    complex copy of V.T."""
+    _, V = op.eigh()
+    rows = np.empty(V.shape[::-1], complex)
+    np.divide(V.T, np.sqrt(op.grid.spacing), out=rows)
+    return rows
+
+
+def groenewold_mixed_zero_start(poly, values, grid, poly_on_left):
+    """:func:`weyl.groenewold_mixed` summed into a zeros array, with every
+    spectrum held to the end."""
+    spectra = {(0,): np.fft.fft(np.ascontiguousarray(values.T), axis=1).T,
+               (1,): np.fft.fft(values, axis=1)}
+    fourier.require_band_limited(values, weyl.ALIAS_GUARD_TOL, "star-product factor",
+                                 (spectra[(0,)], spectra[(1,)]))
+    coords = (grid.x_grid.points[:, None], grid.p_grid.points[None, :])
+    ik = (1j * np.fft.ifftshift(grid.x_grid.dual.points)[:, None],
+          1j * np.fft.ifftshift(grid.p_grid.dual.points)[None, :])
+    groups: dict = {}
+    for sgn, left, right in weyl._groenewold_terms(weyl.poly_degree(poly)):
+        on_poly, on_values = (left, right) if poly_on_left else (right, left)
+        axes = tuple(d for d in (0, 1) if on_values[d])
+        for powers, c in weyl._poly_deriv(poly, *on_poly).items():
+            after = tuple(powers[d] if on_values[d] else 0 for d in (0, 1))
+            exps = tuple(on_values[d] or powers[d] for d in (0, 1))
+            terms = groups.setdefault(axes, {}).setdefault(after, {})
+            terms[exps] = terms.get(exps, 0.0) + sgn * c
+    out = np.zeros(grid.shape, complex)
+    for axes in ((), (0,), (0, 1), (1,)):
+        todo = list(groups.get(axes, {}).items())
+        if axes == (0, 1) and todo:
+            spec = spectra[(0,)]
+            spectra[axes] = np.fft.fft(spec, axis=1, out=spec)
+        src = spectra.get(axes, values)
+        keep = axes == () or (axes == (0,) and (0, 1) in groups)
+        base = tuple(ik[d] if d in axes else coords[d] for d in (0, 1))
+        for i, (after, terms) in enumerate(todo):
+            acc = weyl._outer_sum(src, base, terms, not keep and i == len(todo) - 1)
+            if axes:
+                np.fft.ifftn(acc, axes=axes, out=acc)
+            for d in (0, 1):
+                if after[d]:
+                    acc *= coords[d] ** after[d]
+            out += acc
+    return out
+
+
 # Dense matrices on the n_x * n_p product lattice (row-major vec of the
 # (x, p) samples); memory grows as (n_x * n_p)^2, so small grids only.
 

@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from psqm import hermite_state, self_dual_phase_grid, serialize
+from psqm import hermite_state, self_dual_phase_grid, serialize, spectrum_report
 from psqm.cli import main, parse_config, ConfigError
-from psqm import verify
+from psqm import cli, verify
 from psqm.verify import run_verify
 
 
@@ -126,6 +126,31 @@ def test_spectrum_command_decomposes_the_oscillator_once(tmp_path, monkeypatch):
     assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
     assert sorted(shapes) == [(16, 16), (128, 128)]
     assert json.loads(out.read_text())["spectrum"]["symbol"] == "oscillator"
+
+
+@pytest.mark.parametrize("symbol", ["oscillator", "x"])
+def test_spectrum_command_reports_on_each_symbol_once(tmp_path, monkeypatch, symbol):
+    # the spectrum suite's checks read the detail's report when it is the
+    # oscillator's; the bytes equal those of the suite run by run_verify
+    # followed by a separate detail report
+    params = {**verify.default_params(), "n_points": 64}
+    want = run_verify(["spectrum"], params)
+    _, chi, a = verify.resolve_params(params, symbol)
+    want["spectrum"] = {"symbol": symbol, **spectrum_report(a, chi)}
+    reported = []
+
+    def counting(a, chi):
+        reported.append(a)
+        return spectrum_report(a, chi)
+
+    monkeypatch.setattr(verify, "spectrum_report", counting)
+    monkeypatch.setattr(cli, "spectrum_report", counting)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"n_points = 64\nsymbol = {symbol}\n")
+    out = tmp_path / "rep.json"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    assert len(reported) == (1 if symbol == "oscillator" else 2)
+    assert out.read_text() == serialize.report_json(want) + "\n"
 
 
 def test_main_entry_returns_int(tmp_path):

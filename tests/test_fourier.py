@@ -166,12 +166,12 @@ def test_lattice_shear_is_the_half_cell_fourier_shift(n, axis, rng):
     for steps in (2 * rng.integers(-n, n, n),          # whole cells only
                   2 * rng.integers(-n, n, n) + 1,      # every count odd
                   rng.integers(-3 * n, 3 * n, n)):     # mixed
-        got = fourier.lattice_shear(v, steps, axis)
+        got = fourier.lattice_shear(v.copy(), steps, axis)
         want = fourier.fourier_shift(v, g, steps * g.spacing / 2, axis=axis)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
     # whole cells are exact index rolls
     steps = 2 * rng.integers(-n, n, n)
-    got = fourier.lattice_shear(v, steps, axis)
+    got = fourier.lattice_shear(v.copy(), steps, axis)
     j = 5
     want = np.roll(np.take(v, j, axis=1 - axis), steps[j] // 2)
     assert np.array_equal(np.take(got, j, axis=1 - axis), want)
@@ -184,7 +184,7 @@ def test_lattice_shear_on_real_and_non_square_fields(shape, axis, rng):
     g = make_grid(n, 3.0)
     v = rng.standard_normal(shape)
     steps = rng.integers(-3 * n, 3 * n, shape[1 - axis])
-    got = fourier.lattice_shear(v, steps, axis)
+    got = fourier.lattice_shear(v + 0j, steps, axis)
     want = fourier.fourier_shift(v, g, steps * g.spacing / 2, axis=axis)
     assert got.shape == shape and got.flags.c_contiguous
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
@@ -213,6 +213,17 @@ def test_band_edge_fraction_from_given_spectra_is_bit_identical(shape, rng):
 def test_lattice_shear_refuses_mismatched_steps():
     with pytest.raises(ValueError):
         fourier.lattice_shear(np.zeros((8, 8)), np.zeros(4, int), 0)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_lattice_shear_shears_its_argument_in_place(axis, rng):
+    v = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    steps = rng.integers(-48, 48, 16)
+    want = fourier.lattice_shear(v.copy(), steps, axis)
+    assert fourier.lattice_shear(v, steps, axis) is v
+    assert np.array_equal(v, want)
+    with pytest.raises(ValueError, match="complex"):
+        fourier.lattice_shear(v.real.copy(), steps, axis)
 
 
 def test_transforms_refuse_wrong_axis_length():

@@ -16,6 +16,7 @@ from psqm.reference import cross_wigner_quadrature
 from psqm import fourier
 from oracles import (double_phase_space_quantize, cross_wigner_dense,
                      moyal_map_fourier_shift, moyal_map_inv_fourier_shift,
+                     moyal_map_out_of_place, moyal_map_inv_out_of_place,
                      apply_dense, bopp_dense, explicit_propagator,
                      hermiticity_defect, moyal_dense)
 
@@ -122,6 +123,19 @@ def test_moyal_map_matches_wigner_quadrature(pg128):
         lifted = WindowedIsometry(forward_ft(chi)).apply(psi)
         W = moyal_map(lifted)
         assert np.abs(W.values - np.sqrt(2 * np.pi) * Wq).max() < 1e-7
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_moyal_maps_equal_the_out_of_place_shears_byte_for_byte(n):
+    # both maps shear their own FFT buffer in place and leave the state's
+    # samples as they were
+    Psi = random_phase_state(self_dual_phase_grid(n), np.random.default_rng(n))
+    before = Psi.values.tobytes()
+    got = moyal_map(Psi).values
+    assert got.tobytes() == moyal_map_out_of_place(Psi.values).tobytes()
+    got = moyal_map_inv(Psi).values
+    assert got.tobytes() == moyal_map_inv_out_of_place(Psi.values).tobytes()
+    assert Psi.values.tobytes() == before
 
 
 def test_moyal_map_unitary_and_invertible(pg128, rng):

@@ -57,7 +57,7 @@ PAIRS = [
 
 @pytest.fixture(scope="module")
 def batched():
-    return cross_wigner_quadrature(PAIRS, X, P)
+    return list(cross_wigner_quadrature(PAIRS, X, P))
 
 
 def test_batched_call_equals_one_call_per_pair(batched):
@@ -78,6 +78,27 @@ def test_entries_equal_the_riemann_sum_over_y(batched, i, j):
                                            * psi_fn(X[i] + y / 2)
                                            * np.conj(chi_fn(X[i] - y / 2)))
         assert abs(W[i, j] - direct) <= 1e-15
+
+
+def test_pairs_are_computed_one_at_a_time():
+    # the quadrature yields each pair's array before it evaluates the next
+    # pair's states, so a caller holds one (n, n) array at a time
+    called = []
+
+    def state(k):
+        def values(t):
+            called.append(k)
+            return hermite_values(t, k)
+        return values
+
+    quadratures = cross_wigner_quadrature([(state(0), state(1)), (state(2), state(3))], X, P)
+    assert called == []
+    first = next(quadratures)
+    assert set(called) == {0, 1}
+    second = next(quadratures)
+    assert set(called) == {0, 1, 2, 3}
+    assert next(quadratures, None) is None
+    assert first.shape == second.shape == (len(X), len(P))
 
 
 def test_gaussian_pair_matches_closed_form():

@@ -11,7 +11,8 @@ from psqm import (Symbol, LinOp, quantize_config, eig, evolve,
                   phase_heisenberg_weyl, run_verify, make_grid, PhaseGrid,
                   PhaseState, GridMismatchError)
 from psqm.reference import fd_oscillator_levels
-from oracles import explicit_propagator, lifted_dense, moyal_restrict_basis_loop
+from oracles import (eig_state_rows, explicit_propagator, lifted_dense,
+                     moyal_restrict_basis_loop)
 
 
 def test_oscillator_eigensystem_vs_fd_oracle(pg128):
@@ -307,3 +308,29 @@ def test_eig_states_are_the_scaled_eigenvector_columns_bit_for_bit(pg64, coeffs)
     for k, s in enumerate(states):
         want = np.asarray(V[:, k] / weight, dtype=complex)
         assert np.array_equal(s.values.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+@pytest.mark.parametrize("coeffs", [{(2, 0): 0.5, (0, 2): 0.5}, {(0, 1): 1.0}],
+                         ids=["real V", "complex V"])
+def test_eig_states_equal_the_rows_of_the_scaled_copy_byte_for_byte(n, coeffs):
+    # each state is built when read, from the operator's cached eigenbasis
+    op = quantize_config(Symbol.polynomial(self_dual_phase_grid(n), coeffs))
+    _, states = eig(op)
+    rows = eig_state_rows(op)
+    assert len(states) == n
+    assert [s.values.tobytes() for s in states] == [r.tobytes() for r in rows]
+
+
+def test_eig_states_read_by_index_slice_and_iteration(pg64):
+    op = quantize_config(Symbol.oscillator(pg64))
+    _, states = eig(op)
+    rows = eig_state_rows(op)
+    assert states[-1].values.tobytes() == rows[-1].tobytes()
+    picked = states[2:9:3]
+    assert isinstance(picked, list) and len(picked) == 3
+    assert [s.values.tobytes() for s in picked] == [r.tobytes() for r in rows[2:9:3]]
+    assert sum(1 for _ in states) == len(states) == 64
+    assert states[0].grid is op.grid
+    with pytest.raises(IndexError):
+        states[64]

@@ -13,8 +13,8 @@ from psqm.weyl import FLUSH_BELOW, REAL_EIGH_TOL, dense_apply, star_values
 from psqm.states import hermite_values
 from psqm.reference import fd_oscillator_levels
 from oracles import (weyl_symbol_quadrature, brute_star, groenewold_mixed_all_terms,
-                     kernel_to_symbol_dense, symbol_to_kernel_dense,
-                     derivative_matrix, hermiticity_defect)
+                     groenewold_mixed_zero_start, kernel_to_symbol_dense,
+                     symbol_to_kernel_dense, derivative_matrix, hermiticity_defect)
 
 
 def _rel(got, want):
@@ -263,6 +263,26 @@ def test_mixed_star_product_skips_only_vanishing_terms(pg128, rng, poly):
                       (star_values(Psi.values, poly, pg128), False)):
         ref = groenewold_mixed_all_terms(poly, Psi.values, pg128, left)
         assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_mixed_star_product_equals_the_zero_start_sum_byte_for_byte(n):
+    # the sum accumulates into its first term's array and each spectrum is
+    # dropped after its last use: the bytes equal those of a sum started
+    # from a zeros array, whose +0 turns a -0 first term into +0
+    grid = self_dual_phase_grid(n)
+    X, P = grid.meshes()
+    values = np.exp(-(X ** 2 + P ** 2) / 2) * (1 + 0.3 * X - 0.2j * P * X - P ** 3 / 7)
+    values[np.abs(values) < 1e-30] = -0.0
+    assert (np.signbit(values.real) & (values.real == 0)).any()
+    polys = [{(2, 0): 0.5, (0, 2): 0.5}, {(1, 1): 1.0},
+             {(3, 0): 0.25, (1, 2): 0.5, (0, 1): 1.0}, {(0, 0): 1.0}]
+    for poly in polys:
+        for left in (True, False):
+            got = weyl.groenewold_mixed(poly, values, grid, left)
+            want = groenewold_mixed_zero_start(poly, values, grid, left)
+            assert got.tobytes() == want.tobytes(), (poly, left)
+            assert got.flags.c_contiguous
 
 
 def test_mixed_star_guard_reads_the_series_spectra(pg128, rng, monkeypatch):
