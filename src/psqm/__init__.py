@@ -8,11 +8,9 @@ from .states import (ConfigState, PhaseState, inner_config, inner_phase,
                      norm_config, norm_phase, hermite_state, gaussian_state,
                      hermite_values, gaussian_values, boundary_mass,
                      random_config_state, random_phase_state)
-from .fourier import (forward_ft, inverse_ft, partial_ft_p, partial_ift_p,
-                      BandLimitError)
+from .fourier import forward_ft, inverse_ft, BandLimitError
 from .weyl import (Symbol, Kernel, LinOp, symbol_to_kernel, kernel_to_symbol,
-                   quantize_config, heisenberg_weyl, symplectic_ft,
-                   moyal_product)
+                   quantize_config, heisenberg_weyl, moyal_product)
 from .isometry import WindowedIsometry
 from .phase_weyl import (phase_heisenberg_weyl, PhaseWeylOp, quantize_phase,
                          intertwining_report)
@@ -33,10 +31,9 @@ __all__ = [
     "norm_config", "norm_phase", "hermite_state", "gaussian_state",
     "hermite_values", "gaussian_values", "boundary_mass",
     "random_config_state", "random_phase_state",
-    "forward_ft", "inverse_ft", "partial_ft_p", "partial_ift_p",
-    "BandLimitError",
+    "forward_ft", "inverse_ft", "BandLimitError",
     "Symbol", "Kernel", "LinOp", "symbol_to_kernel", "kernel_to_symbol",
-    "quantize_config", "heisenberg_weyl", "symplectic_ft", "moyal_product",
+    "quantize_config", "heisenberg_weyl", "moyal_product",
     "WindowedIsometry",
     "phase_heisenberg_weyl", "PhaseWeylOp", "quantize_phase",
     "intertwining_report",

@@ -10,9 +10,9 @@ Config files are flat ``key = value`` lines (# comments); recognized
 keys: those of ``verify.PARAM_KEYS`` (n_points, seed, window, times and
 the tolerance overrides tol_* of ``verify.TOLERANCES``) and t, plus
 symbol for ``spectrum`` only; any other key, a key given twice and t
-with times are refused.  Exit codes:
-0 pass, 1 check failure, 2 usage or config error, 3 internal error (any
-other exception, reported on stderr by type and message).
+with times are refused.  Exit codes: 0 pass, 1 check failure, 2 usage
+or config error, 3 internal error (any other exception, reported on
+stderr by type and message), 4 numerical refusal (``BandLimitError``).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import sys
 
 from . import serialize
+from .fourier import BandLimitError
 from .moyal import cross_wigner
 from .spectral import spectrum_report
 from .verify import (SUITE_NAMES, PARAM_KEYS, add_suite, default_params,
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_REFUSED = 4
 
 
 class ConfigError(ValueError):
@@ -179,6 +181,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
+    except BandLimitError as exc:  # a ValueError, but not the user's input
+        sys.stderr.write(f"psqm: refused: BandLimitError: {exc}\n")
+        return EXIT_REFUSED
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"psqm: error: {exc}\n")
         return EXIT_USAGE

@@ -15,14 +15,11 @@ from functools import lru_cache
 import numpy as np
 
 from .grids import Grid1D, GridMismatchError, grids_compatible
-from .states import ConfigState, PhaseState
-from .grids import PhaseGrid
+from .states import ConfigState
 
 __all__ = [
     "forward_ft",
     "inverse_ft",
-    "partial_ft_p",
-    "partial_ift_p",
     "BandLimitError",
 ]
 
@@ -255,19 +252,3 @@ def inverse_ft(state: ConfigState, out_grid: Grid1D | None = None) -> ConfigStat
         raise GridMismatchError("out_grid is not dual to the input grid")
     return ConfigState(grid, ift_array(state.values, state.grid, grid, axis=0))
 
-
-def partial_ft_p(state: PhaseState) -> PhaseState:
-    """Transform along the p axis only: Psi(x, p) -> Psi^(x, xi_p)."""
-    g = state.grid
-    vals = ft_array(state.values, g.p_grid, axis=1)
-    return PhaseState(PhaseGrid(g.x_grid, g.p_grid.dual), vals)
-
-
-def partial_ift_p(state: PhaseState, p_grid: Grid1D | None = None) -> PhaseState:
-    """Inverse of :func:`partial_ft_p`."""
-    g = state.grid
-    out = p_grid if p_grid is not None else g.p_grid.dual
-    if not grids_compatible(out.dual, g.p_grid):
-        raise GridMismatchError("p_grid is not dual to the state's second axis")
-    vals = ift_array(state.values, g.p_grid, out, axis=1)
-    return PhaseState(PhaseGrid(g.x_grid, out), vals)

@@ -110,7 +110,7 @@ class PhaseGrid:
 
     The p axis doubles as the xi_x axis when the lattice carries a
     classical symbol a(x, xi_x).  The dual axes (xi_x for transforms in
-    x, xi_p for transforms in p) are derived grids.
+    x, xi_p for transforms in p) are ``x_grid.dual`` and ``p_grid.dual``.
     """
 
     x_grid: Grid1D
@@ -119,14 +119,6 @@ class PhaseGrid:
     @property
     def shape(self) -> tuple:
         return (self.x_grid.n_points, self.p_grid.n_points)
-
-    @property
-    def x_dual(self) -> Grid1D:
-        return self.x_grid.dual
-
-    @property
-    def p_dual(self) -> Grid1D:
-        return self.p_grid.dual
 
     @property
     def cell_area(self) -> float:

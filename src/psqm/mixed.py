@@ -121,9 +121,12 @@ def collapse(M: MixedState, phi_alpha: ConfigState) -> PhaseState:
 
 
 def measurement_basis(op: LinOp, n_levels: int) -> list:
-    """Lowest eigenpairs of a config operator as (value, state) pairs,
-    rejecting levels closer than 1e-6 of the spectral scale (the
-    measurement formulas assume a nondegenerate eigenvalue)."""
+    """Lowest ``n_levels`` (1..n) eigenpairs of a config operator as
+    (value, state) pairs, rejecting levels closer than 1e-6 of the spectral
+    scale (the measurement formulas assume a nondegenerate eigenvalue)."""
+    n = op.grid.n_points
+    if not 1 <= n_levels <= n:
+        raise ValueError(f"n_levels must be in 1..{n}, got {n_levels!r}")
     values, states = eig(op)
     scale = max(abs(values[0]), abs(values[-1]), 1.0)
     for k in range(min(n_levels, len(values) - 1)):

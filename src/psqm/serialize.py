@@ -6,10 +6,6 @@ Layouts (documented in the README):
   phase states / symbols:  columns  x, p, re, im  (x-major row order)
   gnuplot:  nonuniform-matrix format (first row: n_p then the p values;
             following rows: x then Re of the row), one file per field
-  mixed states:  JSON {"x_grid": {...}, "p_grid": {...},
-                  "components": [{"weight": w, "psi": [[re, im], ...],
-                                  "chi": [[re, im], ...]}]}
-                 with unit-norm chi entries scaled by sqrt(weight).
 
 Round trips are accurate to ~1e-16 relative (17 significant digits),
 not bit-exact.
@@ -22,14 +18,12 @@ import json
 import numpy as np
 
 from .grids import Grid1D, GridMismatchError, PhaseGrid
-from .states import ConfigState, PhaseState, norm_config
-from .mixed import MixedState
+from .states import ConfigState, PhaseState
 
 __all__ = [
     "save_config_csv", "load_config_csv",
     "save_phase_csv", "load_phase_csv",
     "save_gnuplot_matrix", "report_json",
-    "save_mixed_json", "load_mixed_json",
 ]
 
 _FMT = "%.17e"
@@ -94,50 +88,3 @@ def report_json(report: dict) -> str:
     """Deterministic JSON encoding (sorted keys, fixed separators)."""
     return json.dumps(report, sort_keys=True, indent=2, separators=(",", ": "))
 
-
-def _grid_dict(g: Grid1D) -> dict:
-    return {"n_points": g.n_points, "half_width": g.half_width, "center": g.center}
-
-
-def _grid_from_dict(d: dict) -> Grid1D:
-    return Grid1D(int(d["n_points"]), float(d["half_width"]), float(d.get("center", 0.0)))
-
-
-def _pairs(values: np.ndarray) -> list:
-    return [[float(v.real), float(v.imag)] for v in values]
-
-
-def save_mixed_json(state: MixedState, path) -> None:
-    psi0, chi0 = state.components[0]
-    payload = {
-        "x_grid": _grid_dict(psi0.grid),
-        "p_grid": _grid_dict(chi0.grid),
-        "components": [
-            {
-                "weight": float(norm_config(chi) ** 2),
-                "psi": _pairs(psi.values),
-                "chi": _pairs(chi.values / norm_config(chi)),
-            }
-            for psi, chi in state.components
-        ],
-    }
-    with open(path, "w") as fh:
-        fh.write(report_json(payload))
-
-
-def load_mixed_json(path) -> MixedState:
-    with open(path) as fh:
-        payload = json.load(fh)
-    xg = _grid_from_dict(payload["x_grid"])
-    pg = _grid_from_dict(payload["p_grid"])
-
-    def _vals(pairs):
-        arr = np.asarray(pairs, dtype=float)
-        return arr[:, 0] + 1j * arr[:, 1]
-
-    comps = []
-    for item in payload["components"]:
-        psi = ConfigState(xg, _vals(item["psi"]))
-        chi = ConfigState(pg, np.sqrt(float(item["weight"])) * _vals(item["chi"]))
-        comps.append((psi, chi))
-    return MixedState(comps)

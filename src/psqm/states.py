@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from numbers import Integral
 
 import numpy as np
 
@@ -119,9 +120,11 @@ def gaussian_values(x: np.ndarray, center_x: float, center_p: float,
 
 
 def hermite_state(grid: Grid1D, level: int) -> ConfigState:
-    """Oscillator eigenstate fixture; levels 0..12."""
-    if not (0 <= int(level) <= MAX_HERMITE_LEVEL):
-        raise ValueError(f"hermite level must be in 0..{MAX_HERMITE_LEVEL}, got {level}")
+    """Oscillator eigenstate fixture; integer levels 0..12, never truncated."""
+    if (isinstance(level, bool) or not isinstance(level, Integral)
+            or not 0 <= level <= MAX_HERMITE_LEVEL):
+        raise ValueError(f"hermite level must be an integer in "
+                         f"0..{MAX_HERMITE_LEVEL}, got {level!r}")
     return ConfigState(grid, hermite_values(grid.points, int(level)))
 
 

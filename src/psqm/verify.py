@@ -396,14 +396,14 @@ _SUITES = {
 def run_verify(suites, params: dict | None = None) -> dict:
     """Run named suites ('all' expands to every suite) and assemble the
     deterministic report.  Every parameter is checked before any suite
-    runs; a ValueError naming the key and its value refuses keys
-    outside :data:`PARAM_KEYS`, non-integer (or bool) ``n_points`` or ``seed``, a
-    negative ``seed``, ``times`` entries that are not finite numbers,
+    runs; a ValueError naming the key and its value refuses keys outside
+    :data:`PARAM_KEYS`, non-integer (or bool) ``n_points`` or ``seed``, a
+    negative ``seed``, an empty ``times`` or non-finite entries in it,
     ``tol_*`` values that are not positive finite numbers and ``window``
-    specs other than ``hermite:K`` or ``gaussian:x0,p0,w``.  A single ``times``
-    value runs as a one-element list.  The suites share one ``inputs``
-    = (grid, window, oscillator), :func:`resolve_params` of the checked
-    parameters, and so the oscillator's one operator."""
+    specs other than ``hermite:K`` or ``gaussian:x0,p0,w``.  A single
+    ``times`` value runs as a one-element list.  The suites share one
+    ``inputs`` = (grid, window, oscillator), :func:`resolve_params` of the
+    checked parameters, and so the oscillator's one operator."""
     bad_keys = sorted(set(params or ()) - PARAM_KEYS)
     if bad_keys:
         raise ValueError(f"unknown parameter(s) {bad_keys}; choose from "
@@ -418,6 +418,8 @@ def run_verify(suites, params: dict | None = None) -> dict:
         raise ValueError(f"seed must be a non-negative integer, got {merged['seed']!r}")
     if np.ndim(merged["times"]) == 0:
         merged["times"] = [merged["times"]]
+    if len(merged["times"]) == 0:
+        raise ValueError("times must hold at least one time, got []")
     for t in merged["times"]:
         if not _finite_number(t):
             raise ValueError(f"times entries must be finite numbers, got {t!r}")

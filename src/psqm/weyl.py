@@ -41,7 +41,6 @@ __all__ = [
     "quantize_config",
     "displace",
     "heisenberg_weyl",
-    "symplectic_ft",
     "moyal_product",
 ]
 
@@ -517,19 +516,6 @@ def heisenberg_weyl(z0, psi: ConfigState) -> ConfigState:
     """Displacement by z0 = (x0, xi0):
     psi -> exp(i*(xi0*x - xi0*x0/2)) psi(x - x0)."""
     return psi.with_values(displace(z0, psi.values, psi.grid))
-
-
-# ------------------------------------------------------ symplectic transform
-
-def symplectic_ft(a: Symbol) -> Symbol:
-    """F_sigma a(x0, xi0) = (2*pi)**(-1) * iint a(x, xi)
-    exp(i*(x0*xi - xi0*x)) dx dxi, sampled back on the input lattice;
-    involutive on band-limited symbols.  Two unitary FFTs: x -> xi0,
-    then xi -> x0 on the transposed array."""
-    _require_weyl_ready(a.grid)
-    xg, pg = a.grid.x_grid, a.grid.p_grid
-    hat = fourier.ft_array(a.values, xg, axis=0)                 # (xi0, xi)
-    return Symbol(a.grid, _frozen(fourier.ift_array(hat.T, pg, xg, axis=0)))
 
 
 # ------------------------------------------------------------- Moyal product

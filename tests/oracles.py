@@ -463,12 +463,12 @@ def random_phase_state_sum(grid, rng):
     draw built as ``a + 1j*b`` and the envelope applied out of place."""
     nx, npnt = grid.shape
     frac = max(3.0, float(np.sqrt(np.pi * min(nx, npnt) / 10.0)))
-    kx = grid.x_dual.points
-    kp = grid.p_dual.points
+    kx = grid.x_grid.dual.points
+    kp = grid.p_grid.dual.points
     spec = (rng.standard_normal((nx, npnt))
             + 1j * rng.standard_normal((nx, npnt)))
-    spec *= np.exp(-np.add.outer((kx / (grid.x_dual.half_width / frac)) ** 2,
-                                 (kp / (grid.p_dual.half_width / frac)) ** 2))
+    spec *= np.exp(-np.add.outer((kx / (grid.x_grid.dual.half_width / frac)) ** 2,
+                                 (kp / (grid.p_grid.dual.half_width / frac)) ** 2))
     vals = np.fft.ifft2(np.fft.ifftshift(spec))
     X, P = grid.meshes()
     env = np.exp(-((X - grid.x_grid.center) / (grid.x_grid.half_width / frac)) ** 2

@@ -274,6 +274,26 @@ def test_run_verify_refuses_unknown_parameter_keys():
     assert "'symbol'" in str(err.value)
 
 
+def test_run_verify_refuses_empty_times():
+    # no time would run no dynamics check, and the report would pass
+    with pytest.raises(ValueError, match="times"):
+        run_verify(["dynamics"], {"n_points": 64, "times": []})
+
+
+def test_band_limit_refusal_has_its_own_exit_code(tmp_path, capsys):
+    # the sampled star-product guard refuses the n=64 corpus: a numerical
+    # refusal (exit 4), not a usage error (2)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_points = 64\n")
+    code = main(["verify", "star", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == cli.EXIT_REFUSED == 4
+    err = capsys.readouterr().err
+    assert err.startswith("psqm: refused: BandLimitError: ")
+    assert "not band-limited enough" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_run_verify_refuses_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         run_verify(["nonsense"], {"n_points": 64})

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from psqm import (ConfigState, PhaseState, make_grid, forward_ft, inverse_ft,
-                  partial_ft_p, partial_ift_p, norm_config, norm_phase,
-                  hermite_state, random_config_state, random_phase_state,
-                  inner_config, PhaseGrid, GridMismatchError)
+from psqm import (ConfigState, make_grid, forward_ft, inverse_ft, norm_config,
+                  hermite_state, random_config_state, inner_config,
+                  GridMismatchError)
 from psqm import fourier
 from oracles import quadrature_ft
 
@@ -46,45 +45,6 @@ def test_inverse_of_gaussian_fixed_point():
     oracle = quadrature_ft(lambda x: np.exp(-x ** 2 / 2) / np.pi ** 0.25, g.points)
     # inverse of the Gaussian equals the same Gaussian (conjugate oracle)
     assert np.abs(back.values - np.conj(oracle)).max() < 1e-10
-
-
-def test_partial_ft_product_state_convention(pg128):
-    # Psi = psi(x) chihat*(p) -> Psihat(x, xi_p) = psi(x) chi*(xi_p)
-    xg = pg128.x_grid
-    psi = hermite_state(xg, 2)
-    chi = hermite_state(pg128.p_grid, 3)
-    chihat = forward_ft(chi)
-    Psi = PhaseState(pg128, np.outer(psi.values, np.conj(chihat.values)))
-    hat = partial_ft_p(Psi)
-    want = np.outer(psi.values, np.conj(chi.values))
-    assert np.abs(hat.values - want).max() < 1e-12
-
-
-def test_partial_ft_slicewise_against_quadrature(pg64):
-    # x-independent Gaussian in p: every x slice transforms to the same
-    # Gaussian in xi_p, x untouched
-    p = pg64.p_grid.points
-    Psi = PhaseState(pg64, np.tile(np.exp(-p ** 2 / 2), (64, 1)))
-    hat = partial_ft_p(Psi)
-    oracle = quadrature_ft(lambda t: np.exp(-t ** 2 / 2), hat.grid.p_grid.points)
-    for i in (0, 13, 50):
-        assert np.abs(hat.values[i] - oracle).max() < 1e-10
-
-
-def test_partial_ft_unitary_and_inverse(pg64, rng):
-    Psi = random_phase_state(pg64, rng)
-    hat = partial_ft_p(Psi)
-    assert abs(norm_phase(hat) - norm_phase(Psi)) < 1e-12
-    back = partial_ift_p(hat, pg64.p_grid)
-    assert np.abs(back.values - Psi.values).max() < 1e-12
-
-
-def test_partial_ft_commutes_with_x_multiplication(pg64, rng):
-    Psi = random_phase_state(pg64, rng)
-    f = np.cos(pg64.x_grid.points) + 0.3 * pg64.x_grid.points
-    a = partial_ft_p(Psi.with_values(f[:, None] * Psi.values))
-    b = partial_ft_p(Psi)
-    assert np.abs(a.values - f[:, None] * b.values).max() < 1e-12
 
 
 def test_ft_isometry_property_over_grids(rng):
@@ -239,6 +199,3 @@ def test_inverse_transforms_refuse_non_dual_grids():
     other = make_grid(64, 9.0)
     with pytest.raises(GridMismatchError):
         inverse_ft(forward_ft(hermite_state(g, 0)), other)
-    Psi = partial_ft_p(PhaseState(PhaseGrid(g, g), np.zeros((64, 64))))
-    with pytest.raises(GridMismatchError):
-        partial_ift_p(Psi, other)

@@ -139,6 +139,14 @@ def test_degenerate_measurement_rejected(pg128):
         measurement_basis(op, 4)
 
 
+@pytest.mark.parametrize("n_levels", [0, 129])
+def test_measurement_basis_refuses_levels_outside_the_grid(setting, n_levels):
+    # n_levels past n raised an IndexError from the eigenstates
+    _, osc, _ = setting
+    with pytest.raises(ValueError, match="n_levels must be in 1..128"):
+        measurement_basis(osc, n_levels)
+
+
 def test_too_many_components(setting):
     pg, _, basis = setting
     comps = [(basis[0][1], weighted(hermite_state(pg.p_grid, k), 1.0 / 9))

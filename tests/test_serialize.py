@@ -2,10 +2,8 @@ import json
 
 import numpy as np
 
-from psqm import (ConfigState, MixedState, hermite_state,
-                  cross_wigner, make_grid, self_dual_phase_grid,
-                  grids_compatible, random_config_state, measurement_basis,
-                  quantize_config, Symbol)
+from psqm import (hermite_state, cross_wigner, make_grid, self_dual_phase_grid,
+                  grids_compatible, random_config_state)
 from psqm import serialize
 
 
@@ -50,19 +48,3 @@ def test_report_json_is_deterministic():
     assert serialize.report_json(rep) == serialize.report_json(json.loads(
         serialize.report_json(rep)))
 
-
-def test_mixed_json_roundtrip(tmp_path):
-    pg = self_dual_phase_grid(64)
-    basis = measurement_basis(quantize_config(Symbol.oscillator(pg)), 3)
-    chi0, chi1 = hermite_state(pg.p_grid, 0), hermite_state(pg.p_grid, 1)
-    comps = [(basis[0][1], ConfigState(pg.p_grid, np.sqrt(0.25) * chi0.values)),
-             (basis[2][1], ConfigState(pg.p_grid, np.sqrt(0.75) * chi1.values))]
-    M = MixedState(comps)
-    path = tmp_path / "mixed.json"
-    serialize.save_mixed_json(M, path)
-    back = serialize.load_mixed_json(path)
-    assert np.abs(back.weights - M.weights).max() < 1e-12
-    from psqm import mixed_to_phase
-    A = mixed_to_phase(M)
-    B = mixed_to_phase(back)
-    assert np.abs(A.values - B.values).max() < 1e-12

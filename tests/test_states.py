@@ -43,11 +43,12 @@ def test_hermite_overlaps_match_quadrature(g256):
 
 
 def test_hermite_level_bounds(g256):
-    with pytest.raises(ValueError):
-        hermite_state(g256, -1)
-    with pytest.raises(ValueError):
-        hermite_state(g256, 13)
+    # a float level was truncated (2.7 gave h_2); a bool is not a level
+    for level in (-1, 13, 2.7, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="must be an integer in 0..12"):
+            hermite_state(g256, level)
     hermite_state(g256, 12)
+    hermite_state(g256, np.int64(2))
 
 
 def test_gaussian_default_is_ground_state(g256):

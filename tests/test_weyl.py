@@ -3,7 +3,7 @@ import pytest
 
 from psqm import (Symbol, Kernel, make_grid, PhaseGrid, self_dual_phase_grid,
                   symbol_to_kernel, kernel_to_symbol, quantize_config,
-                  heisenberg_weyl, symplectic_ft, moyal_product,
+                  heisenberg_weyl, moyal_product,
                   hermite_state, gaussian_state, random_config_state,
                   norm_config, BandLimitError, LinOp,
                   random_phase_state, star_apply, quantize_phase,
@@ -203,32 +203,6 @@ def test_displacement_generator_property(weyl_grid_256_10):
     minus = heisenberg_weyl((-t * x0, -t * xi0), psi)
     fd = (plus.values - minus.values) / (2 * t)
     assert np.abs(fd - want).max() / np.abs(want).max() < 1e-5
-
-
-# --------------------------------------------------------- symplectic FT
-
-def test_symplectic_ft_gaussian(pg128):
-    X, XI = pg128.meshes()
-    a = Symbol.from_samples(pg128, np.exp(-(X ** 2 + XI ** 2) / 2))
-    F = symplectic_ft(a)
-    assert np.abs(F.values - np.exp(-(X ** 2 + XI ** 2) / 2)).max() < 1e-8
-
-
-def test_symplectic_ft_involutive(pg128, rng):
-    from psqm import random_phase_state
-    a = Symbol.from_samples(pg128, random_phase_state(pg128, rng).values)
-    FF = symplectic_ft(symplectic_ft(a))
-    assert np.abs(FF.values - a.values).max() < 1e-10
-
-
-def test_symplectic_ft_linear(pg64, rng):
-    from psqm import random_phase_state
-    a = random_phase_state(pg64, rng).values
-    b = random_phase_state(pg64, rng).values
-    lhs = symplectic_ft(Symbol.from_samples(pg64, 2 * a + 1j * b)).values
-    rhs = (2 * symplectic_ft(Symbol.from_samples(pg64, a)).values
-           + 1j * symplectic_ft(Symbol.from_samples(pg64, b)).values)
-    assert np.abs(lhs - rhs).max() < 1e-12
 
 
 # ----------------------------------------------------------- moyal product
