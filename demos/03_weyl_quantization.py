@@ -9,7 +9,7 @@ the star product of their symbols.
 
 import numpy as np
 
-from psqm import (Symbol, quantize_config, moyal_product, kernel_to_symbol,
+from psqm import (Symbol, LinOp, quantize_config, moyal_product, kernel_to_symbol,
                   self_dual_phase_grid, hermite_state)
 from psqm.reference import fd_oscillator_levels
 
@@ -46,9 +46,8 @@ comm = moyal_product(Symbol.coordinate(grid), Symbol.momentum(grid)).values \
 print(f"x (*) xi - xi (*) x = i: deviation {np.abs(comm - 1j).max():.2e}")
 
 # rank-one projector onto the ground state has the Gaussian symbol
-from psqm import Kernel
 g0 = hermite_state(grid.x_grid, 0)
-K = Kernel(grid.x_grid, np.outer(g0.values, np.conj(g0.values)))
-sym = kernel_to_symbol(K)
+P = LinOp(grid.x_grid, np.outer(g0.values, np.conj(g0.values)) * grid.x_grid.spacing)
+sym = kernel_to_symbol(P)
 want = 2 * np.exp(-(X ** 2 + XI ** 2))
 print(f"projector symbol = 2 exp(-(x^2+xi^2)): {np.abs(sym.values - want).max():.2e}")

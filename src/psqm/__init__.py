@@ -9,7 +9,7 @@ from .states import (ConfigState, PhaseState, inner_config, inner_phase,
                      hermite_values, gaussian_values, boundary_mass,
                      random_config_state, random_phase_state)
 from .fourier import forward_ft, inverse_ft, BandLimitError
-from .weyl import (Symbol, Kernel, LinOp, symbol_to_kernel, kernel_to_symbol,
+from .weyl import (Symbol, LinOp, symbol_to_kernel, kernel_to_symbol,
                    quantize_config, heisenberg_weyl, moyal_product)
 from .isometry import WindowedIsometry
 from .phase_weyl import (phase_heisenberg_weyl, PhaseWeylOp, quantize_phase,
@@ -32,7 +32,7 @@ __all__ = [
     "hermite_values", "gaussian_values", "boundary_mass",
     "random_config_state", "random_phase_state",
     "forward_ft", "inverse_ft", "BandLimitError",
-    "Symbol", "Kernel", "LinOp", "symbol_to_kernel", "kernel_to_symbol",
+    "Symbol", "LinOp", "symbol_to_kernel", "kernel_to_symbol",
     "quantize_config", "heisenberg_weyl", "moyal_product",
     "WindowedIsometry",
     "phase_heisenberg_weyl", "PhaseWeylOp", "quantize_phase",

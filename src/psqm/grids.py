@@ -28,8 +28,9 @@ class GridMismatchError(ValueError):
     incompatible grids."""
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _require_lattice_size(n: int) -> None:
+    if n < 8 or n & (n - 1):
+        raise GridMismatchError(f"n_points must be a power of two >= 8, got {n}")
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,7 @@ class Grid1D:
     center: float = 0.0
 
     def __post_init__(self):
-        if not _is_power_of_two(self.n_points) or self.n_points < 8:
-            raise GridMismatchError(
-                f"n_points must be a power of two >= 8, got {self.n_points}"
-            )
+        _require_lattice_size(self.n_points)
         if not self.half_width > 0:
             raise GridMismatchError(f"half_width must be positive, got {self.half_width}")
 
@@ -89,6 +87,7 @@ def self_dual_grid(n_points: int) -> Grid1D:
     *and* geometrically equal to it; the self-dual lattice satisfies
     both at once.
     """
+    _require_lattice_size(int(n_points))
     dx = np.sqrt(2.0 * np.pi / n_points)
     return Grid1D(int(n_points), 0.5 * n_points * dx, 0.0)
 

@@ -18,6 +18,8 @@ from .weyl import LinOp
 
 __all__ = ["WindowedIsometry"]
 
+UNIT_NORM_TOL = 1e-10  # the most a window's sampled norm may differ from 1
+
 
 @dataclass(eq=False)
 class WindowedIsometry:
@@ -27,7 +29,7 @@ class WindowedIsometry:
 
     def __post_init__(self):
         nrm = norm_config(self.window)
-        if abs(nrm - 1.0) > 1e-10:
+        if abs(nrm - 1.0) > UNIT_NORM_TOL:
             raise ValueError(f"window must have unit norm, got {nrm:.12f}")
 
     @property

@@ -16,7 +16,7 @@ from .states import (MAX_HERMITE_LEVEL, ConfigState, PhaseState,
                      hermite_values, inner_config, inner_phase, norm_config,
                      norm_phase, random_config_state, random_phase_state)
 from .weyl import Symbol, quantize_config, moyal_product
-from .isometry import WindowedIsometry
+from .isometry import UNIT_NORM_TOL, WindowedIsometry
 from .phase_weyl import intertwining_report
 from .moyal import (bopp_apply, cross_wigner, dilate, moyal_map,
                     quantize_moyal, rotate, star_apply,
@@ -91,19 +91,26 @@ def resolve_params(params: dict, symbol: str = "oscillator"):
     """(grid, window, symbol) named by a parameter set: the self-dual
     phase grid of ``n_points``, the ``window`` spec (``hermite:K`` or
     ``gaussian:x0,p0,w``) sampled on its p axis, and the named symbol
-    on the grid."""
-    grid = self_dual_phase_grid(int(params["n_points"]))
-    kind, args = _window_spec(params.get("window", "hermite:0"))
+    on the grid.  A window off unit norm there is refused, naming both."""
+    n = int(params["n_points"])
+    grid = self_dual_phase_grid(n)
+    spec = params.get("window", "hermite:0")
+    kind, args = _window_spec(spec)
     if kind == "hermite":
         chi = hermite_state(grid.p_grid, *args)
     else:
         chi = gaussian_state(grid.p_grid, *args)
+    nrm = norm_config(chi)
+    if abs(nrm - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(f"window {spec!r} sampled on the p axis of n_points = {n} has "
+                         f"norm {nrm:.12f}, not 1 to within {UNIT_NORM_TOL:g}")
     return grid, chi, _symbol(grid, str(symbol))
 
 
 def _window_spec(spec) -> tuple:
     """('hermite', (K,)) or ('gaussian', (x0, p0, w)) from a ``window``
-    value; anything else is refused (ValueError naming the key)."""
+    value; anything else is refused (ValueError naming the key).  The
+    Gaussian's bounds, far outside any lattice's box, keep sampling finite."""
     kind, _, rest = str(spec).partition(":")
     fields = rest.split(",")
     try:
@@ -113,12 +120,13 @@ def _window_spec(spec) -> tuple:
                 return kind, args
         elif kind == "gaussian" and len(fields) == 3:
             args = tuple(float(v) for v in fields)
-            if np.isfinite(args).all() and args[2] > 0:
+            x0, p0, w = args
+            if max(abs(x0), abs(p0)) <= 1e6 and 1e-6 <= w <= 1e6:
                 return kind, args
     except ValueError:
         pass
     raise ValueError(f"window must be 'hermite:K' (K in 0..{MAX_HERMITE_LEVEL}) "
-                     f"or 'gaussian:x0,p0,w' (three finite numbers, w > 0), "
+                     f"or 'gaussian:x0,p0,w' (|x0|, |p0| <= 1e6, 1e-6 <= w <= 1e6), "
                      f"got {spec!r}")
 
 
@@ -302,6 +310,9 @@ def spectrum_checks(params: dict, report: dict) -> list:
     and the finite-difference oracle."""
     tol_pair = _tol(params, "tol_spectrum")
     tol_oracle = _tol(params, "tol_spectrum_oracle")
+    if not report["discrete"]:
+        raise ValueError(f"the spectrum checks need n_points >= 64: at n_points = "
+                         f"{params['n_points']} the oscillator's levels lie < 3 spacings apart")
     fd = reference.fd_oscillator_levels(8)
     oracle_dev = float(np.abs(np.asarray(report["config"]) - fd).max())
     return [
@@ -442,7 +453,13 @@ def run_verify(suites, params: dict | None = None) -> dict:
     # (and decomposes) the same oscillator symbol, so it is done once
     inputs = resolve_params(merged) if names else None
     for name in names:
-        add_suite(out, name, _SUITES[name](merged, inputs))
+        try:
+            checks = _SUITES[name](merged, inputs)
+        except ValueError as exc:
+            # a refusal met inside a suite names it and the lattice
+            exc.args = (f"{name} suite at n_points = {merged['n_points']}: {exc}",)
+            raise
+        add_suite(out, name, checks)
     return out
 
 

@@ -33,7 +33,6 @@ from .states import ConfigState
 
 __all__ = [
     "Symbol",
-    "Kernel",
     "LinOp",
     "dense_apply",
     "symbol_to_kernel",
@@ -61,19 +60,12 @@ ALIAS_GUARD_TOL = 1e-5    # sampled factor of a polynomial star product
 # eigenvectors bottom out near 1e-29 at n=1024).
 FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
-# A real symbol's matrix M is stored real (quantize_config), and the
-# Hermitian part H = (M + M*)/2 of a caller's matrix is decomposed in
-# real arithmetic (LinOp.eigh), when max|Im| <= REAL_EIGH_TOL * max|.|.
-# Measured for n = 64..1024: xi-even real symbols
-# (oscillator, free particle, a sampled Gaussian) read 8.8e-17..5.1e-15;
-# x reads 0, xi and x*xi read 1.0.  So the bound is 2000x above
-# round-off and 1e11 below the complex matrices.
+# A real symbol's matrix M is stored real (symbol_to_kernel) when
+# max|Im M| <= REAL_EIGH_TOL * max|M|.  Measured for n = 64..1024: xi-even
+# real symbols (oscillator, free particle, a sampled Gaussian) read
+# 8.8e-17..5.1e-15; x reads 0, xi and x*xi read 1.0.  So the bound is
+# 2000x above round-off and 1e11 below the complex matrices.
 REAL_EIGH_TOL = 1e-11
-
-
-def _real_up_to_round_off(M: np.ndarray) -> bool:
-    """max|Im M| <= REAL_EIGH_TOL * max|M| for a complex matrix."""
-    return bool(np.abs(M.imag).max() <= REAL_EIGH_TOL * np.abs(M).max())
 
 
 def dense_apply(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -223,32 +215,17 @@ class Symbol:
 
 
 @dataclass(eq=False)
-class Kernel:
-    """Two-point kernel K(x, y) of an operator, both axes on one grid."""
-
-    grid: Grid1D
-    values: np.ndarray
-    # values == values.conj().T bit for bit (symbol_to_kernel, real symbol)
-    _hermitian: bool = field(default=False, init=False, repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        n = self.grid.n_points
-        if self.values.shape != (n, n):
-            raise GridMismatchError("kernel values must be (n, n) on the grid")
-
-
-@dataclass(eq=False)
 class LinOp:
     """Dense config-space matrix of an operator: a real or complex
-    (n, n) array on a :class:`Grid1D`, acting along axis 0.  The
+    (n, n) array on a :class:`Grid1D`, acting along axis 0.  A symbol's
+    operator is its Weyl kernel times dx (:func:`symbol_to_kernel`), the
     phase-space operator is this matrix along x, the Moyal operator its
     conjugate by the Moyal map, so no other dense operator is needed.
 
     The matrix is held as a read-only view, so its Hermiticity defect
     max|M - M*|/max|M| and eigendecomposition, each computed once on first
     use, stay valid for its lifetime.  A real symbol's matrix, Hermitian by
-    construction, gets defect 0 from :func:`quantize_config` unmeasured.
+    construction, gets defect 0 from :func:`symbol_to_kernel` unmeasured.
     """
 
     grid: Grid1D
@@ -292,18 +269,14 @@ class LinOp:
         refuses (ValueError) a Hermiticity defect above ``herm_tol`` on
         every call.  H is M itself when the defect is 0 (M = M* bit for
         bit): only a matrix with a nonzero defect is symmetrized.  V is
-        real when H is: a complex H that is real up to round-off
-        (:data:`REAL_EIGH_TOL`, the rule :func:`quantize_config` applies
-        to real symbols) has its real part decomposed.  Both arrays are
+        real when M is (:func:`symbol_to_kernel` stores a real symbol's
+        matrix real when it is real up to round-off).  Both arrays are
         read-only."""
         if self.hermiticity_defect() > herm_tol:
             raise ValueError(f"operator is not Hermitian (defect {self._defect:.2e})")
         if self._eigh is None:
             M = self.matrix
-            H = (M + M.conj().T) * 0.5 if self._defect else M
-            if np.iscomplexobj(H) and _real_up_to_round_off(H):
-                H = H.real
-            w, V = np.linalg.eigh(H)
+            w, V = np.linalg.eigh((M + M.conj().T) * 0.5 if self._defect else M)
             # V* for propagate: a view when V is real, one cached copy otherwise
             Vh = V.conj().T
             for arr in (w, V, Vh):
@@ -392,11 +365,19 @@ def _midpoint_values(a: Symbol) -> np.ndarray:
     return fourier.upsample2(values, 0, spec_x)
 
 
-def symbol_to_kernel(a: Symbol) -> Kernel:
-    """Symbol -> operator kernel via the midpoint/oscillatory integral.
-    A real midpoint table is transformed over the offsets 0..n/2 only;
-    offsets n/2+1..n-1 are their conjugates and offsets 0 and n/2 are
-    set real, so the kernel equals its conjugate transpose bit for bit."""
+def symbol_to_kernel(a: Symbol) -> LinOp:
+    """Symbol -> its Weyl operator: the kernel K_a(x_i, x_j) of the
+    midpoint/oscillatory integral times dx, built on every call
+    (:func:`quantize_config` builds it once per symbol).
+
+    A real midpoint table (a real symbol) is transformed over the offsets
+    0..n/2 only; offsets n/2+1..n-1 are their conjugates and offsets 0
+    and n/2 are set real, so the matrix equals its conjugate transpose
+    bit for bit and its :class:`LinOp` takes the Hermiticity defect as 0
+    unmeasured.  Such a matrix that is real up to round-off
+    (:data:`REAL_EIGH_TOL`: x, the oscillator, the free particle) is
+    stored real, so it applies as one real GEMM and decomposes in real
+    arithmetic."""
     _require_weyl_ready(a.grid)
     xg = a.grid.x_grid
     n = xg.n_points
@@ -415,9 +396,14 @@ def symbol_to_kernel(a: Symbol) -> Kernel:
     else:
         B = np.fft.ifft(amid, axis=1)
         B *= post
-    K = Kernel(xg, B.take(_midpoint_indices(n, torus=not a.is_polynomial)))
-    K._hermitian = real
-    return K
+    M = B.take(_midpoint_indices(n, torus=not a.is_polynomial))
+    del B
+    M *= xg.spacing
+    if real and np.abs(M.imag).max() <= REAL_EIGH_TOL * np.abs(M).max():
+        M = np.ascontiguousarray(M.real)
+    op = LinOp(xg, M)
+    op._defect = 0.0 if real else None
+    return op
 
 
 @lru_cache(maxsize=8)
@@ -434,8 +420,10 @@ def _offset_indices(n: int) -> np.ndarray:
     return idx
 
 
-def kernel_to_symbol(K: Kernel) -> Symbol:
-    """Operator kernel -> Weyl symbol (inverse of :func:`symbol_to_kernel`).
+def kernel_to_symbol(op: LinOp) -> Symbol:
+    """Operator -> Weyl symbol (inverse of :func:`symbol_to_kernel`),
+    read from its matrix, the kernel times dx; a real matrix is read in
+    real arithmetic.
 
     The y-quadrature runs on the band-limited interpolant of the kernel,
     which needs only the samples themselves (even offsets) and the
@@ -448,51 +436,38 @@ def kernel_to_symbol(K: Kernel) -> Symbol:
     even t, tau[t] + N for odd t, N being tau's Nyquist coefficient,
     which the half shift drops.
     """
-    xg = K.grid
+    xg = op.grid
     n = xg.n_points
     grid = PhaseGrid(xg, xg.dual)
     xi = grid.p_grid.points
+    M = op.matrix
     # the second shift runs on the transposed layout, so mid.T is contiguous
-    mid_t = np.ascontiguousarray(fourier.half_shift(fourier.half_shift(K.values, 1), 0).T)
+    mid_t = np.ascontiguousarray(fourier.half_shift(fourier.half_shift(M, 1), 0).T)
     even, odd = _offset_indices(n)
     vals = np.empty((n, n), complex)
-    vals[:, 0::2], vals[:, 1::2] = K.values.take(even), mid_t.take(odd)
+    vals[:, 0::2], vals[:, 1::2] = M.take(even), mid_t.take(odd)
     tau = vals.mean(axis=0)
     vals -= tau
     tau[1::2] -= 2.0 / n * (tau[0::2].sum() - tau[1::2].sum())  # N
-    alpha = xg.spacing * np.fft.fftshift(np.fft.fft(tau))
+    alpha = np.fft.fftshift(np.fft.fft(tau))
     # sum_t exp(-i*t*dx*xi_m) = exp(-i*t*dx*xi_0) exp(-2*pi*i*t*m/n): one FFT
     vals *= np.exp(-1j * np.fft.fftfreq(n, 1.0 / n) * xg.spacing * xi[0])
-    samples = alpha[None, :] + xg.spacing * np.fft.fft(vals, axis=1)
+    samples = alpha[None, :] + np.fft.fft(vals, axis=1)
     return Symbol(grid, _frozen(samples))
 
 
 def quantize_config(a: Symbol) -> LinOp:
-    """Dense matrix of the Weyl operator of ``a`` on the x grid.
-
-    Built on the first call and stored on ``a``: every later call
-    returns the same :class:`LinOp`, so one symbol has one kernel and
+    """The Weyl operator of ``a`` on the x grid: :func:`symbol_to_kernel`,
+    built on the first call and stored on ``a``.  Every later call
+    returns the same :class:`LinOp`, so one symbol has one matrix and
     one eigendecomposition, shared by :func:`psqm.spectral.eig`, the
     phase-space and Moyal operators and every report built on them.
     The matrix (and the eigenbasis once taken) live as long as ``a``.
-
-    A real symbol (real polynomial coefficients, closed form or samples)
-    yields a matrix equal to its conjugate transpose bit for bit: its
-    :class:`LinOp` takes the Hermiticity defect as 0 and decomposes the
-    matrix itself, with no symmetrizing pass.  When that matrix is real
-    up to round-off (:data:`REAL_EIGH_TOL`: x, the oscillator, the free
-    particle) its real part is stored, so it applies as one real GEMM.
-    The identity symbol yields the identity matrix exactly.
+    The identity symbol yields the identity matrix to round-off
+    (max|M - I| is 2.2e-16 at n = 64, 256 and 1024), not exactly.
     """
     if a._op is None:
-        K = symbol_to_kernel(a)
-        M = K.values
-        M *= a.grid.x_grid.spacing
-        if K._hermitian and _real_up_to_round_off(M):
-            M = np.ascontiguousarray(M.real)
-        op = LinOp(a.grid.x_grid, M)
-        op._defect = 0.0 if K._hermitian else None
-        object.__setattr__(a, "_op", op)
+        object.__setattr__(a, "_op", symbol_to_kernel(a))
     return a._op
 
 
@@ -653,22 +628,22 @@ def star_values(avals_or_poly, bvals_or_poly, grid: PhaseGrid) -> np.ndarray:
         return groenewold_mixed(avals_or_poly, bvals_or_poly, grid, True)
     if isinstance(bvals_or_poly, dict):
         return groenewold_mixed(bvals_or_poly, avals_or_poly, grid, False)
-    # both sampled: the symbol of the composed kernel (the interpolation
-    # guard in symbol_to_kernel refuses factors reaching the band edge);
-    # the factors' kernels are dropped before kernel_to_symbol runs
-    Kab = symbol_to_kernel(Symbol(grid, avals_or_poly)).values
-    Kab = Kab @ symbol_to_kernel(Symbol(grid, bvals_or_poly)).values
-    Kab *= grid.x_grid.spacing
-    return kernel_to_symbol(Kernel(grid.x_grid, Kab)).values
+    # both sampled: the symbol of the product of the operators' matrices
+    # (the interpolation guard in symbol_to_kernel refuses factors
+    # reaching the band edge); the factors' matrices are dropped before
+    # kernel_to_symbol runs
+    Mab = symbol_to_kernel(Symbol(grid, avals_or_poly)).matrix
+    Mab = Mab @ symbol_to_kernel(Symbol(grid, bvals_or_poly)).matrix
+    return kernel_to_symbol(LinOp(grid.x_grid, Mab)).values
 
 
 def moyal_product(a: Symbol, b: Symbol) -> Symbol:
     """Star product of two symbols.
 
     Polynomial factors use the exact finite bidifferential expansion;
-    two sampled factors take the symbol of the composed kernel,
-    kernel_to_symbol(K_a @ K_b * dx), rejecting inputs whose spectra
-    reach the band edge (interpolation guard).  Satisfies
+    two sampled factors take the symbol of the product of their
+    operators' matrices, rejecting inputs whose spectra reach the band
+    edge (interpolation guard).  Satisfies
     quantize(a*b) = quantize(a) @ quantize(b) on the lattice.
     """
     if not (grids_compatible(a.grid.x_grid, b.grid.x_grid)

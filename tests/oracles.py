@@ -194,19 +194,21 @@ def symbol_to_kernel_dense(a):
     return B.take(weyl._midpoint_indices(n, torus=not a.is_polynomial))
 
 
-def kernel_to_symbol_dense(K):
-    """Symbol samples of a kernel: diagonal means by ``np.add.at`` and
-    the y quadrature as ``vals @ phase``."""
-    xg = K.grid
+def kernel_to_symbol_dense(op):
+    """Symbol samples of an operator's kernel, its matrix over dx:
+    diagonal means by ``np.add.at`` and the y quadrature as
+    ``vals @ phase``."""
+    xg = op.grid
+    K = op.matrix / xg.spacing
     n = xg.n_points
     xi = xg.dual.points
     i = np.arange(n)
     Dm = (i[:, None] - i[None, :]) % n
     tau = np.zeros(n, complex)
-    np.add.at(tau, Dm.ravel(), K.values.ravel())
+    np.add.at(tau, Dm.ravel(), K.ravel())
     tau /= n
     alpha = xg.spacing * np.fft.fftshift(np.fft.fft(tau))
-    rest = K.values - tau[Dm]
+    rest = K - tau[Dm]
     mid = fourier.half_shift(fourier.half_shift(rest, 0), 1)
     t = np.arange(-n // 2, n // 2)
     U = ((2 * i[:, None] + t[None, :]) % (2 * n)) // 2

@@ -411,3 +411,50 @@ def test_bool_seed_and_n_points_refused(tmp_path, capsys, key):
     cfg.write_text(f"{key} = True\n")
     assert main(["verify", "mixed", "--config", str(cfg)]) == 2
     assert f"{key} must be an integer, got 'True'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("command", [["verify", "spectrum"], ["spectrum"]])
+def test_spectrum_refuses_a_lattice_too_coarse_for_the_oscillator(tmp_path, capsys,
+                                                                  command, n):
+    # the oscillator's gaps fall below 3 spacings: no ladder to check
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"n_points = {n}\n")
+    out = tmp_path / "rep.json"
+    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("psqm: error: ") and f"n_points = {n}" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("line, message", [
+    ("n_points = 0", "n_points must be a power of two >= 8, got 0"),
+    ("n_points = -8", "n_points must be a power of two >= 8, got -8"),
+    ("window = gaussian:0,0,1e200", "got 'gaussian:0,0,1e200'"),
+    ("window = gaussian:1e200,0,1", "got 'gaussian:1e200,0,1'"),
+    ("window = gaussian:0,0,1e-200", "got 'gaussian:0,0,1e-200'"),
+])
+@pytest.mark.parametrize("command", [["verify", "all"], ["spectrum"]])
+def test_out_of_range_values_refused_before_computing(tmp_path, capsys, command,
+                                                      line, message):
+    # a warning raised here (filterwarnings) would exit 3, not 2
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{line}\n")
+    assert main([*command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and line.split(" = ")[0] in err
+
+
+@pytest.mark.parametrize("text, named", [
+    ("n_points = 8\n", "window 'hermite:0' sampled on the p axis of n_points = 8"),
+    ("n_points = 64\nwindow = gaussian:30,0,1\n",
+     "window 'gaussian:30,0,1' sampled on the p axis of n_points = 64"),
+    # the configured window fits; one of the suite's own fixtures does not
+    ("n_points = 16\n", "unitarity suite at n_points = 16: window must have unit norm"),
+])
+def test_window_refusal_names_window_and_n_points(tmp_path, capsys, text, named):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    assert main(["verify", "all", "--config", str(cfg)]) == 2
+    assert named in capsys.readouterr().err

@@ -1,9 +1,11 @@
 """Every name a psqm module, test module or demo imports is referenced
 in that file, no psqm module uses another psqm module's private
-(``_name``) names, psqm modules import at module level only, the
-oracles import numpy only and importing psqm loads no scipy."""
+(``_name``) names, psqm modules import at module level only, every
+``__all__`` entry resolves, the oracles import numpy only and importing
+psqm loads no scipy."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -56,6 +58,13 @@ def test_no_unused_imports_in_tests_and_demos(path):
 
 
 MODULES = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+
+
+@pytest.mark.parametrize("name", ["psqm"] + sorted(f"psqm.{m}" for m in MODULES))
+def test_every_all_entry_resolves(name):
+    # a stale entry breaks only ``from psqm import *``, which no test runs
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 def _private(name: str) -> bool:

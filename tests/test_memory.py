@@ -14,16 +14,18 @@ import numpy as np
 import pytest
 
 from psqm import (compare_representations, eig, gaussian_state, hermite_state,
-                  moyal_map, moyal_map_inv, quantize_config, random_phase_state,
-                  self_dual_phase_grid, Symbol, weyl)
+                  moyal_map, moyal_map_inv, moyal_product, quantize_config,
+                  random_phase_state, self_dual_phase_grid, Symbol, weyl)
 
 N = 256
 UNIT = N * N * np.dtype(complex).itemsize
 
 # Before each row's change: eig 1.13 (a scaled copy of all eigenvectors),
 # moyal_map and moyal_map_inv 3.51 (out-of-place shears), the oscillator
-# star product 5.16 (a zeros accumulator, spectra held to the end) and
-# compare_representations 7.53.
+# star product 5.16 (a zeros accumulator, spectra held to the end),
+# compare_representations 7.53, kernel_to_symbol of a real operator 4.14
+# and the sampled star product 6.51 (the kernel, a real factor's included,
+# was always complex).
 BUDGET = {
     "eig": 0.01,
     "moyal_map": 2.53,
@@ -31,6 +33,10 @@ BUDGET = {
     "groenewold_mixed[oscillator, left]": 4.16,
     "groenewold_mixed[oscillator, right]": 4.16,
     "compare_representations": 6.54,
+    "symbol_to_kernel[damped complex]": 5.51,
+    "kernel_to_symbol[real]": 3.64,
+    "kernel_to_symbol[complex]": 4.14,
+    "moyal_product[sampled]": 6.01,
 }
 SLACK = 0.25
 
@@ -45,6 +51,16 @@ def calls():
     chi = hermite_state(grid.p_grid, 0)
     psi0 = gaussian_state(grid.x_grid, 1.0, 0.5, 1.0)
     poly = osc.poly
+    X, XI = grid.meshes()
+    damp = np.exp(-(X ** 2 + XI ** 2) / 8.0)
+    mixed = 0.3 - 0.2 * X + 0.7 * XI + 0.4 * X * XI - 0.6 * X ** 2 + 0.5j * XI ** 2
+    damped = Symbol.from_samples(grid, mixed * np.exp(-((X - 0.2) ** 2 + (XI + 0.4) ** 2) / 8.0))
+    damped_op = quantize_config(damped)
+    a = Symbol.from_samples(grid, damp)
+    b = Symbol.from_samples(grid, (X * XI + 0.2j * XI ** 2) * damp)
+    # the kernel maps' index tables, cached per n, are built here
+    weyl.kernel_to_symbol(op)
+    moyal_product(a, b)
     return {
         "eig": lambda: eig(op),
         "moyal_map": lambda: moyal_map(Psi),
@@ -54,6 +70,10 @@ def calls():
         "groenewold_mixed[oscillator, right]":
             lambda: weyl.groenewold_mixed(poly, Psi.values, grid, False),
         "compare_representations": lambda: compare_representations(osc, chi, 0.5, psi0),
+        "symbol_to_kernel[damped complex]": lambda: weyl.symbol_to_kernel(damped),
+        "kernel_to_symbol[real]": lambda: weyl.kernel_to_symbol(op),
+        "kernel_to_symbol[complex]": lambda: weyl.kernel_to_symbol(damped_op),
+        "moyal_product[sampled]": lambda: moyal_product(a, b),
     }
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psqm import (Symbol, Kernel, make_grid, PhaseGrid, self_dual_phase_grid,
+from psqm import (Symbol, make_grid, PhaseGrid, self_dual_phase_grid,
                   symbol_to_kernel, kernel_to_symbol, quantize_config,
                   heisenberg_weyl, moyal_product,
                   hermite_state, gaussian_state, random_config_state,
@@ -124,8 +124,7 @@ def test_kernel_grid_requirement():
 
 def test_identity_kernel_gives_unit_symbol(pg64):
     g = pg64.x_grid
-    K = Kernel(g, np.eye(64) / g.spacing)
-    sym = kernel_to_symbol(K)
+    sym = kernel_to_symbol(LinOp(g, np.eye(64)))
     assert np.abs(sym.values - 1.0).max() < 1e-8
 
 
@@ -147,20 +146,20 @@ def test_kernel_and_symbol_ffts_match_dense_quadratures(n, rng):
         _sampled_corpus(grid)[2],                                 # interpolated
     ]
     for a in symbols:
-        K = symbol_to_kernel(a)
-        assert _rel(K.values, symbol_to_kernel_dense(a)) < 1e-12
-        assert _rel(kernel_to_symbol(K).values, kernel_to_symbol_dense(K)) < 1e-12
+        op = symbol_to_kernel(a)
+        assert _rel(op.matrix, symbol_to_kernel_dense(a) * grid.x_grid.spacing) < 1e-12
+        assert _rel(kernel_to_symbol(op).values, kernel_to_symbol_dense(op)) < 1e-12
     # full-band kernel: every diagonal and both half-lattice parities
-    K = Kernel(grid.x_grid, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    assert _rel(kernel_to_symbol(K).values, kernel_to_symbol_dense(K)) < 1e-12
+    K = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    op = LinOp(grid.x_grid, K * grid.x_grid.spacing)
+    assert _rel(kernel_to_symbol(op).values, kernel_to_symbol_dense(op)) < 1e-12
 
 
 def test_rank_one_projector_symbol(pg128):
     # kernel phi(x) phi(y)* for the Gaussian ground state -> 2 e^{-(x^2+xi^2)}
     g = pg128.x_grid
     phi = hermite_state(g, 0)
-    K = Kernel(g, np.outer(phi.values, np.conj(phi.values)))
-    sym = kernel_to_symbol(K)
+    sym = kernel_to_symbol(LinOp(g, np.outer(phi.values, np.conj(phi.values)) * g.spacing))
     X, XI = pg128.meshes()
     assert np.abs(sym.values - 2 * np.exp(-(X ** 2 + XI ** 2))).max() < 1e-8
     # against the direct quadrature of the symbol integral
@@ -373,16 +372,6 @@ def test_eigh_takes_a_real_basis_exactly_for_real_matrices(pg128, coeffs, real):
     assert np.isrealobj(V) == real
 
 
-@pytest.mark.parametrize("factor, real", [(0.99, True), (1.01, False)])
-def test_eigh_real_basis_bound(pg64, factor, real):
-    m = np.diag(np.arange(1.0, 65.0)).astype(complex)     # max|H| = 64
-    m[0, 1] = 1j * factor * REAL_EIGH_TOL * 64
-    m[1, 0] = np.conj(m[0, 1])
-    w, V = LinOp(pg64.x_grid, m).eigh()
-    assert np.isrealobj(V) == real
-    assert np.abs(w - np.linalg.eigvalsh(m)).max() < 1e-12
-
-
 def test_linop_matrix_is_a_read_only_view(weyl_grid_256_10):
     m = np.eye(256, dtype=complex)
     op = LinOp(weyl_grid_256_10.x_grid, m)
@@ -579,7 +568,7 @@ def test_real_symbol_matrices_are_stored_real(pg128, name, real):
     a = _real_symbols(pg128)[name]
     M = quantize_config(a).matrix
     assert np.isrealobj(M) == real
-    want = symbol_to_kernel(a).values * pg128.x_grid.spacing
+    want = symbol_to_kernel_dense(a) * pg128.x_grid.spacing
     assert np.abs(M - want).max() <= REAL_EIGH_TOL * np.abs(want).max()
 
 
