@@ -92,15 +92,25 @@ def fourier_shift(values: np.ndarray, grid: Grid1D, shift, axis: int = -1) -> np
     return np.fft.ifft(spec * phase, axis=axis)
 
 
+# Lines per block of the blocked in-place passes (lattice_shear, the
+# kernel gathers of psqm.weyl, groenewold_mixed's products and its
+# band-edge scan): a block of a 1024-point field is 1 MiB complex.
+BLOCK = 64
+
+
 def lattice_shear(values: np.ndarray, steps, axis: int) -> np.ndarray:
     """Shift slice j of the complex 2-D ``values`` along ``axis`` by
     ``steps[j]`` half cells (integers; slices run along the other axis),
     in place, and return ``values``.
 
-    Slice j is row j: of ``values`` itself along axis 1, and along axis
-    0 of one C-contiguous transposed buffer, written back once sheared.
-    Its whole cells move by an exact index roll; a slice with an odd
-    count then takes the unitary half-cell Fourier shift, the length-n
+    Slices are sheared :data:`BLOCK` at a time, as rows: along axis 1
+    rows of ``values`` itself, rolled from a copy of the block; along
+    axis 0 columns, rolled from a C-contiguous transposed copy of the
+    block into a second (BLOCK, n) buffer and written back.  The two
+    buffers serve every block, so no n x n buffer is made.
+
+    Whole cells move by an exact index roll; a slice with an odd count
+    then takes the unitary half-cell Fourier shift, the length-n
     multiplier exp(-i*pi*k/n) on the signed frequencies k.  With the
     Nyquist term at k = -n/2 as in :func:`fourier_shift`, this is the
     same operator as ``fourier_shift(values, g, steps * g.spacing / 2,
@@ -113,24 +123,33 @@ def lattice_shear(values: np.ndarray, steps, axis: int) -> np.ndarray:
         raise ValueError("steps must match the complementary axis of a 2-D field")
     if values.dtype != complex:
         raise ValueError(f"lattice_shear shears complex values in place, got {values.dtype}")
-    rows = values if axis == 1 else np.array(values.T, order="C")
-    n = rows.shape[1]
+    n = values.shape[axis]
     shifts = ((steps // 2) % n).tolist()
-    for lo in range(0, len(shifts), 64):    # rolled from a 64-row copy
-        block = rows[lo:lo + 64].copy()
-        for j, s in enumerate(shifts[lo:lo + 64]):
-            rows[lo + j, s:] = block[j, :n - s]
-            rows[lo + j, :s] = block[j, n - s:]
-    odd = np.flatnonzero(steps % 2)
     mult = np.exp(-1j * np.pi * np.fft.fftfreq(n, 1.0 / n) / n)
-    for lo in range(0, odd.size, 64):       # 64 rows at a time: bounded scratch
-        sel = odd[lo:lo + 64]
-        block = rows[sel]
-        np.fft.fft(block, axis=1, out=block)
-        block *= mult
-        rows[sel] = np.fft.ifft(block, axis=1, out=block)
-    if axis == 0:
-        values[...] = rows.T
+    # one (BLOCK, n) copy to roll from, and along axis 0 one to roll into
+    src = np.empty((min(BLOCK, len(shifts)), n), complex)
+    buf = np.empty_like(src) if axis == 0 else None
+    for lo in range(0, len(shifts), BLOCK):
+        part = shifts[lo:lo + BLOCK]
+        hi = lo + len(part)
+        if axis == 1:
+            rows = values[lo:hi]
+            np.copyto(src[:len(part)], rows)
+        else:
+            rows = buf[:len(part)]
+            np.copyto(src[:len(part)], values[:, lo:hi].T)
+        for j, s in enumerate(part):
+            rows[j, s:] = src[j, :n - s]
+            rows[j, :s] = src[j, n - s:]
+        odd = np.flatnonzero(steps[lo:hi] % 2)
+        if odd.size:
+            block = rows[odd]
+            np.fft.fft(block, axis=1, out=block)
+            block *= mult
+            rows[odd] = np.fft.ifft(block, axis=1, out=block)
+            del block
+        if axis == 0:
+            values[:, lo:hi] = rows.T
     return values
 
 
@@ -209,21 +228,27 @@ def resample_scaled(values: np.ndarray, grid: Grid1D, alpha: float,
 def band_edge_fraction(values: np.ndarray, spectra=None) -> float:
     """Relative spectral amplitude in the outer quarter of the band,
     maximized over axes; the aliasing guards test this.  ``spectra``
-    may give the unshifted FFT (or rfft) of ``values`` along each axis
-    in turn, for a caller that transforms them anyway; the value is the
-    same bit for bit."""
+    may give, for each axis in turn, the unshifted FFT (or rfft) of
+    ``values`` along it, for a caller that transforms them anyway, or an
+    iterable of the blocks that tile that spectrum along another axis,
+    for one that holds no whole spectrum; the value is the same bit for
+    bit."""
     if spectra is None:
         spectra = (axis_spectrum(values, axis) for axis in range(values.ndim))
     worst = 0.0
     for axis, spec in enumerate(spectra):
         n = values.shape[axis]
-        k = np.abs(np.fft.fftfreq(n, 1.0 / n))[:spec.shape[axis]]
-        mag = np.abs(spec)  # one magnitude pass
-        total = mag.max()
+        k = np.abs(np.fft.fftfreq(n, 1.0 / n))
+        totals, outers = [], []
+        for block in [spec] if isinstance(spec, np.ndarray) else spec:
+            mag = np.abs(block)  # one magnitude pass
+            totals.append(mag.max())
+            edge = k[:block.shape[axis]] >= 0.75 * (n // 2)
+            outers.append(np.compress(edge, mag, axis=axis).max())
+        total = np.max(totals)
         if total == 0:
             continue
-        outer = np.compress(k >= 0.75 * (n // 2), mag, axis=axis)
-        worst = max(worst, outer.max() / total)
+        worst = max(worst, np.max(outers) / total)
     return worst
 
 

@@ -267,6 +267,10 @@ def star_apply(a: Symbol, Psi: PhaseState) -> PhaseState:
 def stargen_residual(a: Symbol, lam: float, Psi: PhaseState) -> float:
     """|| a * Psi - lam Psi ||; vanishes exactly when Psi solves the
     stargenvalue problem, equivalently when Psi is an eigenstate of the
-    Moyal-Weyl operator of a."""
+    Moyal-Weyl operator of a.  The difference is formed in place on
+    lam Psi, and the star product is dropped before the norm."""
     out = star_apply(a, Psi)
-    return norm_phase(out.with_values(out.values - lam * Psi.values))
+    diff = np.multiply(Psi.values, lam)
+    np.subtract(out.values, diff, out=diff)
+    del out
+    return norm_phase(Psi.with_values(diff))

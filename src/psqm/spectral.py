@@ -70,41 +70,52 @@ def compare_representations(a: Symbol, chi: ConfigState, t,
     :func:`spectrum_report` too.  ``t`` is a time (one report dict) or a
     sequence of times (a list of reports, sharing the lift and its Moyal
     map).
+
+    The phase picture runs first, every time reduced to its config state
+    and norm, and the lift is dropped once its Moyal map is formed, so
+    no more than one evolved phase-space state is held at a time.
     """
     iso = WindowedIsometry(chi)
     cfg = quantize_config(a)
     pw = quantize_phase(a)
     mw = quantize_moyal(a)
+    times = [t] if np.ndim(t) == 0 else list(t)
+
+    def lowered(Psi):
+        return iso.adjoint(Psi), norm_phase(Psi)
+
     Psi0 = iso.apply(psi0)
+    phase = [lowered(pw.evolve(Psi0, s)) for s in times]
+    phase_norm0 = norm_phase(Psi0)
     Theta0 = moyal_map(Psi0)
+    del Psi0
+    moyal_norm0 = norm_phase(Theta0)
 
     def dist(u: ConfigState, v: ConfigState) -> float:
         return norm_config(u.with_values(u.values - v.values))
 
-    def at(t: float) -> dict:
-        psi_t = evolve(cfg, psi0, t)
-        Psi_t = pw.evolve(Psi0, t)
-        psi_from_phase = iso.adjoint(Psi_t)
-        Theta_t = mw.evolve(Theta0, t)
+    def at(s: float, psi_from_phase: ConfigState, phase_norm: float) -> dict:
+        psi_t = evolve(cfg, psi0, s)
+        Theta_t = mw.evolve(Theta0, s)
+        moyal_norm = norm_phase(Theta_t)
         psi_from_moyal = iso.adjoint(moyal_map_inv(Theta_t))
         report = {
-            "t": float(t),
+            "t": float(s),
             "config_phase": dist(psi_t, psi_from_phase),
             "config_moyal": dist(psi_t, psi_from_moyal),
             "phase_moyal": dist(psi_from_phase, psi_from_moyal),
             "norm_drift": max(
                 abs(norm_config(psi_t) - norm_config(psi0)),
-                abs(norm_phase(Psi_t) - norm_phase(Psi0)),
-                abs(norm_phase(Theta_t) - norm_phase(Theta0)),
+                abs(phase_norm - phase_norm0),
+                abs(moyal_norm - moyal_norm0),
             ),
         }
         report["max_distance"] = max(report["config_phase"], report["config_moyal"],
                                      report["phase_moyal"])
         return report
 
-    if np.ndim(t) == 0:
-        return at(t)
-    return [at(s) for s in t]
+    reports = [at(s, *lowered_s) for s, lowered_s in zip(times, phase)]
+    return reports[0] if np.ndim(t) == 0 else reports
 
 
 def _distinct_levels(values: np.ndarray, n_levels: int, atol: float) -> np.ndarray:
@@ -166,7 +177,8 @@ def spectrum_report(a: Symbol, chi: ConfigState) -> dict:
     iso = WindowedIsometry(chi)
     basis = [iso.apply(v) for v in states[: n_levels + 1]]
     w_phase = _ritz_values(quantize_phase(a).apply, basis)
-    basis = [moyal_map(B) for B in basis]
+    for k in range(len(basis)):   # in place: each lifted state dropped when mapped
+        basis[k] = moyal_map(basis[k])
     w_moyal = _ritz_values(quantize_moyal(a).apply, basis)
 
     atol = max(1e-9, 1e-9 * max(span, 1.0))

@@ -27,6 +27,7 @@ __all__ = [
     "gaussian_state",
     "hermite_values",
     "gaussian_values",
+    "require_gaussian",
     "boundary_mass",
     "random_config_state",
     "random_phase_state",
@@ -85,12 +86,18 @@ def inner_phase(a: PhaseState, b: PhaseState) -> complex:
     return complex(np.sum(np.conj(a.values) * b.values) * a.grid.cell_area)
 
 
+def _sum_abs2(values: np.ndarray) -> float:
+    """sum |v|**2, squaring the one real temporary |v| in place."""
+    mag = np.abs(values)
+    return np.sum(np.square(mag, out=mag))
+
+
 def norm_config(a: ConfigState) -> float:
-    return float(np.sqrt(np.sum(np.abs(a.values) ** 2) * a.grid.spacing))
+    return float(np.sqrt(_sum_abs2(a.values) * a.grid.spacing))
 
 
 def norm_phase(a: PhaseState) -> float:
-    return float(np.sqrt(np.sum(np.abs(a.values) ** 2) * a.grid.cell_area))
+    return float(np.sqrt(_sum_abs2(a.values) * a.grid.cell_area))
 
 
 # ------------------------------------------------------------- test states
@@ -128,11 +135,30 @@ def hermite_state(grid: Grid1D, level: int) -> ConfigState:
     return ConfigState(grid, hermite_values(grid.points, int(level)))
 
 
+# Bounds of a Gaussian's centre and width, far outside any lattice's box
+# and resolution: inside them sampling is finite and raises no floating
+# point warning on any lattice.
+MAX_GAUSSIAN_CENTER = 1e6
+GAUSSIAN_WIDTHS = (1e-6, 1e6)
+
+
+def require_gaussian(center_x, center_p, width) -> None:
+    """Refuse (ValueError) a Gaussian unless |x0|, |p0| <=
+    :data:`MAX_GAUSSIAN_CENTER` and its width lies in
+    :data:`GAUSSIAN_WIDTHS`; NaN and infinite values are refused."""
+    lo, hi = GAUSSIAN_WIDTHS
+    if not (max(abs(center_x), abs(center_p)) <= MAX_GAUSSIAN_CENTER
+            and lo <= width <= hi):
+        raise ValueError(f"a Gaussian needs |x0|, |p0| <= {MAX_GAUSSIAN_CENTER:g} and "
+                         f"{lo:g} <= width <= {hi:g}, got x0 = {center_x!r}, "
+                         f"p0 = {center_p!r}, width = {width!r}")
+
+
 def gaussian_state(grid: Grid1D, center_x: float = 0.0, center_p: float = 0.0,
                    width: float = 1.0) -> ConfigState:
-    """Coherent-state fixture."""
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width}")
+    """Coherent-state fixture; centre and width as :func:`require_gaussian`
+    accepts them."""
+    require_gaussian(center_x, center_p, width)
     return ConfigState(grid, gaussian_values(grid.points, center_x, center_p, width))
 
 

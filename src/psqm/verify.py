@@ -11,10 +11,11 @@ from numbers import Integral, Real
 import numpy as np
 
 from .grids import PhaseGrid, self_dual_phase_grid
-from .states import (MAX_HERMITE_LEVEL, ConfigState, PhaseState,
-                     gaussian_state, gaussian_values, hermite_state,
-                     hermite_values, inner_config, inner_phase, norm_config,
-                     norm_phase, random_config_state, random_phase_state)
+from .states import (MAX_GAUSSIAN_CENTER, GAUSSIAN_WIDTHS, MAX_HERMITE_LEVEL,
+                     ConfigState, PhaseState, gaussian_state, gaussian_values,
+                     hermite_state, hermite_values, inner_config, inner_phase,
+                     norm_config, norm_phase, random_config_state,
+                     random_phase_state, require_gaussian)
 from .weyl import Symbol, quantize_config, moyal_product
 from .isometry import UNIT_NORM_TOL, WindowedIsometry
 from .phase_weyl import intertwining_report
@@ -110,7 +111,7 @@ def resolve_params(params: dict, symbol: str = "oscillator"):
 def _window_spec(spec) -> tuple:
     """('hermite', (K,)) or ('gaussian', (x0, p0, w)) from a ``window``
     value; anything else is refused (ValueError naming the key).  The
-    Gaussian's bounds, far outside any lattice's box, keep sampling finite."""
+    Gaussian's bounds are :func:`psqm.states.require_gaussian`'s."""
     kind, _, rest = str(spec).partition(":")
     fields = rest.split(",")
     try:
@@ -120,14 +121,14 @@ def _window_spec(spec) -> tuple:
                 return kind, args
         elif kind == "gaussian" and len(fields) == 3:
             args = tuple(float(v) for v in fields)
-            x0, p0, w = args
-            if max(abs(x0), abs(p0)) <= 1e6 and 1e-6 <= w <= 1e6:
-                return kind, args
+            require_gaussian(*args)
+            return kind, args
     except ValueError:
         pass
+    lo, hi = GAUSSIAN_WIDTHS
     raise ValueError(f"window must be 'hermite:K' (K in 0..{MAX_HERMITE_LEVEL}) "
-                     f"or 'gaussian:x0,p0,w' (|x0|, |p0| <= 1e6, 1e-6 <= w <= 1e6), "
-                     f"got {spec!r}")
+                     f"or 'gaussian:x0,p0,w' (|x0|, |p0| <= {MAX_GAUSSIAN_CENTER:g}, "
+                     f"{lo:g} <= w <= {hi:g}), got {spec!r}")
 
 
 def _sampled_corpus(grid: PhaseGrid) -> list:
@@ -226,6 +227,9 @@ def suite_unitarity(params: dict, inputs: tuple) -> list:
         Wd = cross_wigner(psi, chi)
         xw_err = max(xw_err, np.abs(U_lift.values
                                     - np.sqrt(2 * np.pi) * Wd.values).max())
+    # zip stops on the fixtures and leaves the generator suspended, holding
+    # its 2048 x n phase table: release it and the last fields here
+    del quadratures, Wq, lifted, U_lift, Wd
 
     comp = 0.0
     for _ in range(5):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -308,9 +307,11 @@ def _require_weyl_ready(grid: PhaseGrid) -> None:
         )
 
 
-# The index tables below are int32, half the size of intp: the largest
-# flat index, 2n**2 - 1 into the (2N, N) midpoint table, fits for every
-# n up to this bound, and larger lattices are refused.
+# The kernel maps gather with int32 flat indices, half the size of intp,
+# formed for one block of fourier.BLOCK rows at a time, so neither they
+# nor the intp copy np.take makes of them approach an n x n array.  The
+# largest, 2n**2 - 1 into the (2N, N) midpoint table, fits for every n
+# up to this bound, and larger lattices are refused.
 MAX_INDEX_POINTS = 32768
 
 
@@ -322,11 +323,11 @@ def _index_base(n: int) -> np.ndarray:
     return np.arange(n, dtype=np.int32)
 
 
-@lru_cache(maxsize=32)
-def _midpoint_indices(n: int, torus: bool) -> np.ndarray:
+def _midpoint_block(i: np.ndarray, j: np.ndarray, torus: bool) -> np.ndarray:
     """Flat int32 index S*n + D into the (2N, N) table of the half-lattice
     midpoint index S of (x_i, x_j) and the periodic difference index
-    D = (i - j) mod n: entry (i, j) of the kernel.
+    D = (i - j) mod n: entry (i, j) of the kernel, for the rows ``i`` (a
+    column) and the columns ``j`` (all n of them), both int32.
 
     ``torus`` selects the torus-geodesic midpoint (short-path midpoint,
     shifted by the half period for wrapped pairs): the right choice for
@@ -335,14 +336,14 @@ def _midpoint_indices(n: int, torus: bool) -> np.ndarray:
     midpoint, which reproduces the canonical symmetrized operator
     products exactly.  S is symmetric; (j, i) has index (n - D) mod n.
     """
-    i = _index_base(n)
-    S = i[:, None] + i[None, :]
+    n = j.size
+    S, D = i + j, i - j
     if torus:
-        wrap = np.abs(i[:, None] - i[None, :]) > n // 2
-        S = np.where(wrap, (S + n) % (2 * n), S)
-    flat = S * n + (i[:, None] - i[None, :]) % n
-    flat.flags.writeable = False
-    return flat
+        S = np.where(np.abs(D) > n // 2, (S + n) % (2 * n), S)
+    S *= n
+    D %= n
+    S += D
+    return S
 
 
 def _midpoint_values(a: Symbol) -> np.ndarray:
@@ -350,12 +351,14 @@ def _midpoint_values(a: Symbol) -> np.ndarray:
     evaluator is attached; interpolation is guarded by the band-edge
     test for sample-only symbols, and reuses its x spectrum.  The table
     is real when its imaginary part is 0 (real samples take the real
-    half shift)."""
+    half shift), and a fresh array the caller may overwrite."""
     xg = a.grid.x_grid
     n = xg.n_points
     if a.evaluator is not None:
         xh = xg.points[0] + 0.5 * xg.spacing * np.arange(2 * n)
-        amid = np.asarray(a.evaluator(xh[:, None], a.grid.p_grid.points[None, :]))
+        amid = a.evaluator(xh[:, None], a.grid.p_grid.points[None, :])
+        # poly_eval's table is fresh; a caller's evaluator may return one it keeps
+        amid = np.asarray(amid) if a.is_polynomial else np.array(amid)
         return amid.real if np.iscomplexobj(amid) and not amid.imag.any() else amid
     values = a.values if a.values.imag.any() else a.values.real
     spec_x = fourier.axis_spectrum(values, 0)
@@ -389,14 +392,21 @@ def symbol_to_kernel(a: Symbol) -> LinOp:
     real = np.isrealobj(amid)
     if real:
         h = n // 2 + 1
+        half = np.fft.ihfft(amid, axis=1)
+        del amid
         B = np.empty((2 * n, n), complex)                         # (2N, N)
-        np.multiply(np.fft.ihfft(amid, axis=1), post[:h], out=B[:, :h])
+        np.multiply(half, post[:h], out=B[:, :h])
+        del half
         np.conjugate(B[:, h - 2:0:-1], out=B[:, h:])
         B.imag[:, [0, n // 2]] = 0.0
     else:
-        B = np.fft.ifft(amid, axis=1)
+        B = np.fft.ifft(amid, axis=1, out=amid)   # the table is this call's
         B *= post
-    M = B.take(_midpoint_indices(n, torus=not a.is_polynomial))
+    M = np.empty((n, n), B.dtype)
+    j = _index_base(n)
+    for lo in range(0, n, fourier.BLOCK):
+        i = j[lo:lo + fourier.BLOCK, None]
+        M[lo:lo + fourier.BLOCK] = B.take(_midpoint_block(i, j, not a.is_polynomial))
     del B
     M *= xg.spacing
     if real and np.abs(M.imag).max() <= REAL_EIGH_TOL * np.abs(M).max():
@@ -406,18 +416,14 @@ def symbol_to_kernel(a: Symbol) -> LinOp:
     return op
 
 
-@lru_cache(maxsize=8)
-def _offset_indices(n: int) -> np.ndarray:
-    """Flat int32 indices of (x_i + t/2, x_i - t/2), offsets t in FFT
-    order: [0] even t, into the kernel at (i + t/2, i - t/2); [1] odd t,
-    into the transposed half-cell shifted kernel at (i - (t+1)/2,
-    i + (t-1)/2)."""
-    i = _index_base(n)[:, None]
+def _offset_block(i: np.ndarray, n: int) -> tuple:
+    """Flat int32 indices of (x_i + t/2, x_i - t/2) for the rows ``i`` (an
+    int32 column) and the offsets t in FFT order: even t into the kernel
+    at (i + t/2, i - t/2), odd t into the transposed half-cell shifted
+    kernel at (i - (t+1)/2, i + (t-1)/2)."""
     t = np.fft.fftfreq(n, 1.0 / n).astype(np.int32)
     u, v = (i + t // 2) % n, (i - (t + 1) // 2) % n
-    idx = np.stack([u[:, 0::2] * n + v[:, 0::2], v[:, 1::2] * n + u[:, 1::2]])
-    idx.flags.writeable = False
-    return idx
+    return u[:, 0::2] * n + v[:, 0::2], v[:, 1::2] * n + u[:, 1::2]
 
 
 def kernel_to_symbol(op: LinOp) -> Symbol:
@@ -443,17 +449,22 @@ def kernel_to_symbol(op: LinOp) -> Symbol:
     M = op.matrix
     # the second shift runs on the transposed layout, so mid.T is contiguous
     mid_t = np.ascontiguousarray(fourier.half_shift(fourier.half_shift(M, 1), 0).T)
-    even, odd = _offset_indices(n)
     vals = np.empty((n, n), complex)
-    vals[:, 0::2], vals[:, 1::2] = M.take(even), mid_t.take(odd)
+    rows = _index_base(n)[:, None]
+    for lo in range(0, n, fourier.BLOCK):
+        hi = lo + fourier.BLOCK
+        even, odd = _offset_block(rows[lo:hi], n)
+        vals[lo:hi, 0::2], vals[lo:hi, 1::2] = M.take(even), mid_t.take(odd)
+    del mid_t
     tau = vals.mean(axis=0)
     vals -= tau
     tau[1::2] -= 2.0 / n * (tau[0::2].sum() - tau[1::2].sum())  # N
     alpha = np.fft.fftshift(np.fft.fft(tau))
     # sum_t exp(-i*t*dx*xi_m) = exp(-i*t*dx*xi_0) exp(-2*pi*i*t*m/n): one FFT
     vals *= np.exp(-1j * np.fft.fftfreq(n, 1.0 / n) * xg.spacing * xi[0])
-    samples = alpha[None, :] + np.fft.fft(vals, axis=1)
-    return Symbol(grid, _frozen(samples))
+    np.fft.fft(vals, axis=1, out=vals)
+    vals += alpha
+    return Symbol(grid, _frozen(vals))
 
 
 def quantize_config(a: Symbol) -> LinOp:
@@ -522,23 +533,32 @@ def _groenewold_poly(pa: dict, pb: dict) -> dict:
 def _outer_sum(src: np.ndarray, base, terms: dict, in_place: bool) -> np.ndarray:
     """sum of c * base[0]**e0 * base[1]**e1 * src over ``terms``
     {(e0, e1): c}, with base[0] a column and base[1] a row: one
-    broadcast multiply per distinct e1.  The last product overwrites
-    ``src`` when ``in_place``."""
-    cols = dict(_xi_columns(terms, base[0]))
-    acc = None
-    for i, (e1, col) in enumerate(cols.items()):
-        if in_place and i == len(cols) - 1:
-            t = src
-            t *= col
-        else:
-            t = src * col
-        if e1:
-            t *= base[1] ** e1
-        if acc is None:
-            acc = t
-        else:
-            acc += t
-    return acc
+    broadcast multiply per distinct e1, formed :data:`fourier.BLOCK`
+    rows at a time into one array, ``src`` itself when ``in_place``,
+    else a new one in ``src``'s layout."""
+    cols = [(col, base[1] ** e1 if e1 else None)
+            for e1, col in _xi_columns(terms, base[0])]
+    out = src if in_place else np.empty_like(src, complex)
+    for lo in range(0, src.shape[0], fourier.BLOCK):
+        hi = lo + fourier.BLOCK
+        dst = out[lo:hi]
+        acc = None
+        for k, (col, row) in enumerate(cols):
+            # the output block takes the first product, or in place the
+            # last (src's block is then read for the last time)
+            into = dst if k == (len(cols) - 1 if in_place else 0) else None
+            t = np.multiply(src[lo:hi], col[lo:hi], out=into)
+            if row is not None:
+                t *= row
+            if acc is None:
+                acc = t
+            elif t is dst:
+                acc = np.add(acc, t, out=dst)   # acc + t, as acc += t (it commutes)
+            else:
+                acc += t
+        if acc is not dst:
+            dst[...] = acc
+    return out
 
 
 def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
@@ -547,25 +567,31 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
     series terminates at the polynomial degree.  Analytic derivatives on
     the polynomial side, spectral on the sampled side.
 
-    The sampled factor is transformed once along each axis, and the
-    :data:`ALIAS_GUARD_TOL` band-edge guard reads those spectra.  A term
-    c x**u xi**v (d_x**j d_xi**l values) needs the transform along each
-    axis it differentiates; the coordinate along an untransformed axis
-    commutes with that transform and joins the 1-D multipliers.  Terms
-    with the same transformed axes and the same coordinate powers along
-    them share one inverse transform, so a quadratic factor costs two
-    forward and two inverse one-axis passes, plus one 2-D pass when a
-    term carries d_x d_xi.
+    A term c x**u xi**v (d_x**j d_xi**l values) needs the transform of
+    the sampled factor along each axis it differentiates; the coordinate
+    along an untransformed axis commutes with that transform and joins
+    the 1-D multipliers.  Terms with the same transformed axes and the
+    same coordinate powers along them share one inverse transform, so a
+    quadratic factor costs two forward and two inverse one-axis passes,
+    plus one 2-D pass when a term carries d_x d_xi.
+
+    The :data:`ALIAS_GUARD_TOL` band-edge guard refuses before any term
+    is formed.  It reads the x spectrum, which is kept for the x terms,
+    and the p spectrum in row blocks; the whole p spectrum is formed
+    only when the last group of terms reads it, so at most one spectrum
+    and the sum are held at a time.
     """
     # complex C-ordered values, as the first term's array becomes the sum
     values = np.asarray(values, complex, order="C")
-    # the x spectrum is taken along the rows of a transposed copy and kept
-    # in that layout (a transposed view), so the x passes, forward and
-    # inverse, read contiguous memory
-    spectra = {(0,): np.fft.fft(np.ascontiguousarray(values.T), axis=1).T,
-               (1,): np.fft.fft(values, axis=1)}
-    fourier.require_band_limited(values, ALIAS_GUARD_TOL, "star-product factor",
-                                 (spectra[(0,)], spectra[(1,)]))
+    # the x spectrum is taken in place along the rows of a transposed copy
+    # and kept in that layout (a transposed view), so the x passes,
+    # forward and inverse, read contiguous memory
+    spec_x = np.array(values.T, order="C")
+    spec_x = np.fft.fft(spec_x, axis=1, out=spec_x).T
+    rows = range(0, values.shape[0], fourier.BLOCK)
+    fourier.require_band_limited(
+        values, ALIAS_GUARD_TOL, "star-product factor",
+        (spec_x, (np.fft.fft(values[lo:lo + fourier.BLOCK], axis=1) for lo in rows)))
     coords = (grid.x_grid.points[:, None], grid.p_grid.points[None, :])
     ik = (1j * np.fft.ifftshift(grid.x_grid.dual.points)[:, None],
           1j * np.fft.ifftshift(grid.p_grid.dual.points)[None, :])
@@ -580,22 +606,25 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
             exps = tuple(on_values[d] or powers[d] for d in (0, 1))
             terms = groups.setdefault(axes, {}).setdefault(after, {})
             terms[exps] = terms.get(exps, 0.0) + sgn * c
-    # a spectrum no group reads is dropped now, every other one after its
+    # the x spectrum is dropped now if no group reads it, else after its
     # last group
     if not groups.keys() & {(0,), (0, 1)}:
-        del spectra[(0,)]
-    if (1,) not in groups:
-        del spectra[(1,)]
+        spec_x = None
     out = None
     for axes in ((), (0,), (0, 1), (1,)):
         if axes not in groups:
             continue
         # the caller's values, and the x spectrum while the 2-D one is
-        # still to be built from it, are not overwritten; a spectrum read
-        # for the last time is popped (the 2-D one is the x spectrum,
-        # transformed along p in place)
+        # still to be built from it, are not overwritten; the last group
+        # to read the x spectrum takes it (the 2-D one is the x spectrum,
+        # transformed along p in place), and the p spectrum is formed here
         keep = axes == () or (axes == (0,) and (0, 1) in groups)
-        src = values if axes == () else spectra[axes] if keep else spectra.pop(axes[:1])
+        if axes == ():
+            src = values
+        elif axes == (1,):
+            src = np.fft.fft(values, axis=1)
+        else:
+            src, spec_x = spec_x, (spec_x if keep else None)
         if axes == (0, 1):
             np.fft.fft(src, axis=1, out=src)
         base = tuple(ik[d] if d in axes else coords[d] for d in (0, 1))

@@ -184,6 +184,30 @@ def moyal_map_inv_fourier_shift(values, grid):
     return fourier.ift_array(g1, grid.dual, grid, axis=1)
 
 
+def midpoint_indices(n, torus):
+    """Flat index S*n + D into the (2N, N) table of the half-lattice
+    midpoint index S of (x_i, x_j) and the periodic difference index
+    D = (i - j) mod n, for the whole n x n kernel at once: the torus
+    midpoint moves wrapped pairs (|i - j| > n/2) by the half period."""
+    i = np.arange(n)
+    S = i[:, None] + i[None, :]
+    if torus:
+        wrap = np.abs(i[:, None] - i[None, :]) > n // 2
+        S = np.where(wrap, (S + n) % (2 * n), S)
+    return S * n + (i[:, None] - i[None, :]) % n
+
+
+def offset_indices(n):
+    """Flat indices of (x_i + t/2, x_i - t/2) for every row i and offset
+    t in FFT order: [0] even t, into the kernel at (i + t/2, i - t/2);
+    [1] odd t, into the transposed half-cell shifted kernel at
+    (i - (t+1)/2, i + (t-1)/2)."""
+    i = np.arange(n)[:, None]
+    t = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    u, v = (i + t // 2) % n, (i - (t + 1) // 2) % n
+    return u[:, 0::2] * n + v[:, 0::2], v[:, 1::2] * n + u[:, 1::2]
+
+
 def symbol_to_kernel_dense(a):
     """Kernel values of a symbol with the xi quadrature as ``amid @ phase``."""
     xg = a.grid.x_grid
@@ -191,7 +215,50 @@ def symbol_to_kernel_dense(a):
     amid = weyl._midpoint_values(a)
     phase = np.exp(1j * np.outer(a.grid.p_grid.points, np.arange(n) * xg.spacing))
     B = (a.grid.p_grid.spacing / (2 * np.pi)) * (amid @ phase)
-    return B.take(weyl._midpoint_indices(n, torus=not a.is_polynomial))
+    return B.take(midpoint_indices(n, torus=not a.is_polynomial))
+
+
+def symbol_to_kernel_whole_table(a):
+    """:func:`weyl.symbol_to_kernel`'s matrix, its FFTs into fresh arrays
+    and its gather through the whole index table at once."""
+    xg = a.grid.x_grid
+    n = xg.n_points
+    xi = a.grid.p_grid.points
+    amid = weyl._midpoint_values(a)
+    post = (a.grid.p_grid.spacing * n / (2 * np.pi)) * np.exp(
+        1j * xi[0] * np.arange(n) * xg.spacing)
+    real = np.isrealobj(amid)
+    if real:
+        h = n // 2 + 1
+        B = np.empty((2 * n, n), complex)
+        np.multiply(np.fft.ihfft(amid, axis=1), post[:h], out=B[:, :h])
+        np.conjugate(B[:, h - 2:0:-1], out=B[:, h:])
+        B.imag[:, [0, n // 2]] = 0.0
+    else:
+        B = np.fft.ifft(amid, axis=1) * post
+    M = B.take(midpoint_indices(n, torus=not a.is_polynomial))
+    M *= xg.spacing
+    if real and np.abs(M.imag).max() <= weyl.REAL_EIGH_TOL * np.abs(M).max():
+        M = np.ascontiguousarray(M.real)
+    return M
+
+
+def kernel_to_symbol_whole_table(op):
+    """:func:`weyl.kernel_to_symbol`'s samples, gathered through the whole
+    offset tables at once, the last FFT into a fresh array."""
+    xg = op.grid
+    n = xg.n_points
+    M = op.matrix
+    mid_t = np.ascontiguousarray(fourier.half_shift(fourier.half_shift(M, 1), 0).T)
+    even, odd = offset_indices(n)
+    vals = np.empty((n, n), complex)
+    vals[:, 0::2], vals[:, 1::2] = M.take(even), mid_t.take(odd)
+    tau = vals.mean(axis=0)
+    vals -= tau
+    tau[1::2] -= 2.0 / n * (tau[0::2].sum() - tau[1::2].sum())
+    alpha = np.fft.fftshift(np.fft.fft(tau))
+    vals *= np.exp(-1j * np.fft.fftfreq(n, 1.0 / n) * xg.spacing * xg.dual.points[0])
+    return alpha[None, :] + np.fft.fft(vals, axis=1)
 
 
 def kernel_to_symbol_dense(op):
@@ -341,9 +408,32 @@ def eig_state_rows(op):
     return rows
 
 
+def outer_sum_whole(src, base, terms, in_place):
+    """sum of c * base[0]**e0 * base[1]**e1 * src over ``terms``
+    {(e0, e1): c}, one whole-array broadcast multiply per distinct e1;
+    the last product overwrites ``src`` when ``in_place``."""
+    cols = {}
+    for (e0, e1), c in terms.items():
+        cols[e1] = cols.get(e1, 0) + c * base[0] ** e0
+    acc = None
+    for i, (e1, col) in enumerate(cols.items()):
+        if in_place and i == len(cols) - 1:
+            t = src
+            t *= col
+        else:
+            t = src * col
+        if e1:
+            t *= base[1] ** e1
+        if acc is None:
+            acc = t
+        else:
+            acc += t
+    return acc
+
+
 def groenewold_mixed_zero_start(poly, values, grid, poly_on_left):
     """:func:`weyl.groenewold_mixed` summed into a zeros array, with every
-    spectrum held to the end."""
+    spectrum held to the end and each term group formed whole."""
     spectra = {(0,): np.fft.fft(np.ascontiguousarray(values.T), axis=1).T,
                (1,): np.fft.fft(values, axis=1)}
     fourier.require_band_limited(values, weyl.ALIAS_GUARD_TOL, "star-product factor",
@@ -370,7 +460,7 @@ def groenewold_mixed_zero_start(poly, values, grid, poly_on_left):
         keep = axes == () or (axes == (0,) and (0, 1) in groups)
         base = tuple(ik[d] if d in axes else coords[d] for d in (0, 1))
         for i, (after, terms) in enumerate(todo):
-            acc = weyl._outer_sum(src, base, terms, not keep and i == len(todo) - 1)
+            acc = outer_sum_whole(src, base, terms, not keep and i == len(todo) - 1)
             if axes:
                 np.fft.ifftn(acc, axes=axes, out=acc)
             for d in (0, 1):

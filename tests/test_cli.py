@@ -294,6 +294,19 @@ def test_band_limit_refusal_has_its_own_exit_code(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_star_refusal_at_64_names_the_interpolation_guard_and_its_value(tmp_path, capsys):
+    # the blocked kernel gathers and band-edge scans leave the refusal as it was
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_points = 64\n")
+    code = main(["verify", "star", "--config", str(cfg),
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        "psqm: refused: BandLimitError: star suite at n_points = 64: sampled symbol "
+        "(midpoint interpolation) is not band-limited enough: relative band-edge "
+        "amplitude 6.49e-05 exceeds 1e-05\n")
+
+
 def test_run_verify_refuses_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         run_verify(["nonsense"], {"n_points": 64})

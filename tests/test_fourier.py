@@ -5,7 +5,7 @@ from psqm import (ConfigState, make_grid, forward_ft, inverse_ft, norm_config,
                   hermite_state, random_config_state, inner_config,
                   GridMismatchError)
 from psqm import fourier
-from oracles import quadrature_ft
+from oracles import lattice_shear_out_of_place, quadrature_ft
 
 
 def test_gaussian_is_ft_fixed_point_against_quadrature():
@@ -168,6 +168,30 @@ def test_band_edge_fraction_from_given_spectra_is_bit_identical(shape, rng):
     assert fourier.band_edge_fraction(v) == want
     spectra = (np.fft.fft(v, axis=0), np.fft.fft(v, axis=1))
     assert fourier.band_edge_fraction(v, spectra) == want
+
+
+@pytest.mark.parametrize("shape", [(100, 100), (130, 70), (70, 130)])
+def test_band_edge_fraction_from_spectrum_blocks_is_bit_identical(shape, rng):
+    # each axis's spectrum given as blocks of 64 lines along the other axis
+    k = [np.fft.fftfreq(m, 1.0 / m) / (m / 4) for m in shape]
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v = np.fft.ifft2(np.fft.fft2(noise) * np.exp(-np.add.outer(k[0] ** 2, k[1] ** 2)))
+    want = fourier.band_edge_fraction(v)
+    assert 0.0 < want < 1.0
+    cols = (np.fft.fft(v[:, lo:lo + 64], axis=0) for lo in range(0, shape[1], 64))
+    rows = (np.fft.fft(v[lo:lo + 64], axis=1) for lo in range(0, shape[0], 64))
+    assert fourier.band_edge_fraction(v, (cols, rows)) == want
+
+
+@pytest.mark.parametrize("shape", [(100, 100), (130, 70), (70, 130), (200, 33)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_blocked_lattice_shear_equals_the_out_of_place_route_byte_for_byte(shape, axis, rng):
+    # sizes that are not multiples of the 64-slice block
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    n = shape[axis]
+    steps = rng.integers(-3 * n, 3 * n, shape[1 - axis])
+    got = fourier.lattice_shear(v.copy(), steps, axis)
+    assert got.tobytes() == lattice_shear_out_of_place(v, steps, axis).tobytes()
 
 
 def test_lattice_shear_refuses_mismatched_steps():

@@ -13,30 +13,42 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from psqm import (compare_representations, eig, gaussian_state, hermite_state,
-                  moyal_map, moyal_map_inv, moyal_product, quantize_config,
-                  random_phase_state, self_dual_phase_grid, Symbol, weyl)
+from psqm import (compare_representations, eig, fourier, gaussian_state,
+                  hermite_state, moyal_map, moyal_map_inv, moyal_product,
+                  quantize_config, random_phase_state, self_dual_phase_grid,
+                  spectrum_report, stargen_residual, Symbol, weyl)
 
 N = 256
 UNIT = N * N * np.dtype(complex).itemsize
 
 # Before each row's change: eig 1.13 (a scaled copy of all eigenvectors),
-# moyal_map and moyal_map_inv 3.51 (out-of-place shears), the oscillator
-# star product 5.16 (a zeros accumulator, spectra held to the end),
-# compare_representations 7.53, kernel_to_symbol of a real operator 4.14
-# and the sampled star product 6.51 (the kernel, a real factor's included,
-# was always complex).
+# moyal_map and moyal_map_inv 3.51 (out-of-place shears), then 2.53 and
+# 2.52 (an n x n transposed shear buffer), the oscillator star product
+# 5.16 (a zeros accumulator, spectra held to the end), then 4.16 (both
+# spectra and whole-array products), compare_representations 7.53, then
+# 6.54 (both pictures' states held at once), kernel_to_symbol of a real
+# operator 4.14, then 3.64, and of a complex one 4.14 (whole index
+# tables, the half-shifted kernel held to the end, an out-of-place last
+# FFT), symbol_to_kernel of a complex symbol 5.51 (whole index tables,
+# an out-of-place FFT of the midpoint table), and the sampled star
+# product 6.51 (the kernel, a real factor's included, was always
+# complex), then 6.01.  Rows added with the blocked passes, with their
+# earlier peaks: stargen_residual 4.15, spectrum_report 19.52 (the lifted
+# basis held while mapped) and lattice_shear along axis 0 1.51.
 BUDGET = {
     "eig": 0.01,
-    "moyal_map": 2.53,
-    "moyal_map_inv": 2.52,
-    "groenewold_mixed[oscillator, left]": 4.16,
-    "groenewold_mixed[oscillator, right]": 4.16,
-    "compare_representations": 6.54,
-    "symbol_to_kernel[damped complex]": 5.51,
-    "kernel_to_symbol[real]": 3.64,
-    "kernel_to_symbol[complex]": 4.14,
-    "moyal_product[sampled]": 6.01,
+    "moyal_map": 1.77,
+    "moyal_map_inv": 1.77,
+    "groenewold_mixed[oscillator, left]": 2.66,
+    "groenewold_mixed[oscillator, right]": 2.66,
+    "compare_representations": 4.15,
+    "symbol_to_kernel[damped complex]": 4.01,
+    "kernel_to_symbol[real]": 2.02,
+    "kernel_to_symbol[complex]": 3.14,
+    "moyal_product[sampled]": 4.51,
+    "stargen_residual": 2.66,
+    "spectrum_report": 12.78,
+    "lattice_shear[axis 0]": 0.76,
 }
 SLACK = 0.25
 
@@ -58,9 +70,8 @@ def calls():
     damped_op = quantize_config(damped)
     a = Symbol.from_samples(grid, damp)
     b = Symbol.from_samples(grid, (X * XI + 0.2j * XI ** 2) * damp)
-    # the kernel maps' index tables, cached per n, are built here
-    weyl.kernel_to_symbol(op)
-    moyal_product(a, b)
+    shear = Psi.values.copy()
+    steps = np.arange(N) - N // 2
     return {
         "eig": lambda: eig(op),
         "moyal_map": lambda: moyal_map(Psi),
@@ -74,6 +85,9 @@ def calls():
         "kernel_to_symbol[real]": lambda: weyl.kernel_to_symbol(op),
         "kernel_to_symbol[complex]": lambda: weyl.kernel_to_symbol(damped_op),
         "moyal_product[sampled]": lambda: moyal_product(a, b),
+        "stargen_residual": lambda: stargen_residual(osc, 2.5, Psi),
+        "spectrum_report": lambda: spectrum_report(osc, chi),
+        "lattice_shear[axis 0]": lambda: fourier.lattice_shear(shear, steps, 0),
     }
 
 

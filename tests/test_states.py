@@ -74,6 +74,39 @@ def test_gaussian_rejects_bad_width(g256):
         gaussian_state(g256, 0, 0, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [(0, 0, 1e200), (0, 0, 1e-160), (1e200, 0, 1),
+                                  (0, 0, np.inf), (np.nan, 0, 1), (0, -np.inf, 1),
+                                  (0, 0, np.nan), (2e6, 0, 1), (0, 0, 5e-7)])
+def test_gaussian_refuses_centres_and_widths_outside_the_window_bounds(g256, args):
+    # each was an OverflowError, an overflow warning, an all-zero or a NaN
+    # "normalized" state; now one ValueError naming the three values
+    with pytest.raises(ValueError, match="a Gaussian needs"):
+        gaussian_state(g256, *args)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [(1e6, -1e6, 1e-6), (-1e6, 1e6, 1e6), (0, 0, 1e-6)])
+def test_gaussian_at_the_bounds_samples_finite_values_without_warnings(g256, args):
+    assert np.isfinite(gaussian_state(g256, *args).values).all()
+
+
+def test_window_spec_refuses_through_the_shared_gaussian_check(monkeypatch):
+    # a window the check refuses is refused, whatever its values
+    from psqm import states, verify
+    assert verify.require_gaussian is states.require_gaussian
+    seen = []
+
+    def refuse(*args):
+        seen.append(args)
+        raise ValueError("refused")
+
+    monkeypatch.setattr(verify, "require_gaussian", refuse)
+    with pytest.raises(ValueError, match="got 'gaussian:0.5,0,1'"):
+        verify._window_spec("gaussian:0.5,0,1")
+    assert seen == [(0.5, 0.0, 1.0)]
+
+
 def test_inner_product_conventions(g256, rng):
     a = random_config_state(g256, rng)
     b = random_config_state(g256, rng)

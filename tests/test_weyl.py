@@ -14,7 +14,9 @@ from psqm.states import hermite_values
 from psqm.reference import fd_oscillator_levels
 from oracles import (weyl_symbol_quadrature, brute_star, groenewold_mixed_all_terms,
                      groenewold_mixed_zero_start, kernel_to_symbol_dense,
-                     symbol_to_kernel_dense, derivative_matrix, hermiticity_defect)
+                     kernel_to_symbol_whole_table, symbol_to_kernel_dense,
+                     symbol_to_kernel_whole_table, derivative_matrix,
+                     hermiticity_defect)
 
 
 def _rel(got, want):
@@ -155,6 +157,62 @@ def test_kernel_and_symbol_ffts_match_dense_quadratures(n, rng):
     assert _rel(kernel_to_symbol(op).values, kernel_to_symbol_dense(op)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [32, 128])
+def test_kernel_maps_equal_the_whole_table_routes_byte_for_byte(n, rng):
+    # blocked gathers and in-place transforms against whole index tables
+    # and fresh arrays: torus and arithmetic midpoints, real and complex
+    # tables, one partial 64-row block and two whole ones
+    grid = self_dual_phase_grid(n)
+    X, XI = grid.meshes()
+    damp = np.exp(-(X ** 2 + XI ** 2) / 2.0)
+    symbols = [
+        Symbol.oscillator(grid), Symbol.coordinate(grid), Symbol.momentum(grid),
+        Symbol.polynomial(grid, {(1, 1): 1.0}),
+        Symbol.polynomial(grid, {(1, 1): 1.0, (0, 2): 0.3j}),
+        Symbol.from_samples(grid, damp),
+        Symbol.from_samples(grid, (1 + 0.3j * XI) * damp),
+        Symbol.from_function(grid, lambda x, xi: np.exp(-(x ** 2 + xi ** 2) / 8) * (1 + 0.1j * x)),
+    ]
+    ops = []
+    for a in symbols:
+        op = symbol_to_kernel(a)
+        want = symbol_to_kernel_whole_table(a)
+        assert op.matrix.dtype == want.dtype
+        assert op.matrix.tobytes() == want.tobytes()
+        ops.append(op)
+    K = rng.standard_normal((n, n))
+    ops += [LinOp(grid.x_grid, K), LinOp(grid.x_grid, K + 1j * rng.standard_normal((n, n)))]
+    for op in ops:
+        assert kernel_to_symbol(op).values.tobytes() == kernel_to_symbol_whole_table(op).tobytes()
+
+
+def test_kernel_maps_keep_no_table_between_calls():
+    # with every psqm cache emptied, the traced memory after the two maps
+    # is the memory before them plus their results: no cache keeps an
+    # n x n table (the int32 index tables were cached per n once)
+    import sys
+    import tracemalloc
+    for name, module in list(sys.modules.items()):
+        if name.startswith("psqm."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+    n = 128
+    grid = self_dual_phase_grid(n)
+    X, XI = grid.meshes()
+    a = Symbol.from_samples(grid, np.exp(-(X ** 2 + XI ** 2) / 8.0) * (1 + 0.2j * XI))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = symbol_to_kernel(a)
+        back = kernel_to_symbol(op)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    results = op.matrix.nbytes + back.values.nbytes
+    assert abs(after - before - results) < 0.05 * n * n * 4   # 1/20 of an int32 table
+
+
 def test_rank_one_projector_symbol(pg128):
     # kernel phi(x) phi(y)* for the Gaussian ground state -> 2 e^{-(x^2+xi^2)}
     g = pg128.x_grid
@@ -256,6 +314,34 @@ def test_mixed_star_product_equals_the_zero_start_sum_byte_for_byte(n):
             want = groenewold_mixed_zero_start(poly, values, grid, left)
             assert got.tobytes() == want.tobytes(), (poly, left)
             assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("poly", [{(1, 0): 1.0}, {(0, 1): 1.0}, {(1, 1): 1.0},
+                                  {(2, 0): 0.5, (0, 2): 0.5}],
+                         ids=["x", "xi", "x xi", "oscillator"])
+def test_coordinate_star_products_equal_the_zero_start_sum_byte_for_byte(n, poly):
+    # one partial 64-row block of each blocked product, and two whole ones
+    grid = self_dual_phase_grid(n)
+    X, P = grid.meshes()
+    values = np.exp(-(X ** 2 + P ** 2) / 2) * (1 + 0.3 * X - 0.2j * P * X)
+    for left in (True, False):
+        got = weyl.groenewold_mixed(poly, values, grid, left)
+        want = groenewold_mixed_zero_start(poly, values, grid, left)
+        assert got.tobytes() == want.tobytes(), left
+
+
+def test_mixed_star_guard_reads_the_p_spectrum_in_blocks(rng):
+    # band-edge content along p only: the refusal names the stand-alone
+    # band-edge fraction, which the p axis sets
+    grid = self_dual_phase_grid(128)
+    X, P = grid.meshes()
+    values = np.exp(-(X ** 2 + P ** 2) / 2) + 1e-3 * np.exp(-X ** 2) * (-1.0) ** np.arange(128)
+    frac = fourier.band_edge_fraction(values)
+    x_only = fourier.band_edge_fraction(values, [fourier.axis_spectrum(values, 0)])
+    assert x_only < weyl.ALIAS_GUARD_TOL < frac
+    with pytest.raises(BandLimitError, match=f"amplitude {frac:.2e} exceeds"):
+        weyl.groenewold_mixed({(2, 0): 0.5, (0, 2): 0.5}, values, grid, True)
 
 
 def test_mixed_star_guard_reads_the_series_spectra(pg128, rng, monkeypatch):
