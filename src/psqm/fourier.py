@@ -101,21 +101,15 @@ BLOCK = 64
 def lattice_shear(values: np.ndarray, steps, axis: int) -> np.ndarray:
     """Shift slice j of the complex 2-D ``values`` along ``axis`` by
     ``steps[j]`` half cells (integers; slices run along the other axis),
-    in place, and return ``values``.
-
-    Slices are sheared :data:`BLOCK` at a time, as rows: along axis 1
-    rows of ``values`` itself, rolled from a copy of the block; along
-    axis 0 columns, rolled from a C-contiguous transposed copy of the
-    block into a second (BLOCK, n) buffer and written back.  The two
-    buffers serve every block, so no n x n buffer is made.
+    in place, :data:`BLOCK` slices at a time through (BLOCK, n) buffers,
+    and return ``values``.
 
     Whole cells move by an exact index roll; a slice with an odd count
-    then takes the unitary half-cell Fourier shift, the length-n
-    multiplier exp(-i*pi*k/n) on the signed frequencies k.  With the
-    Nyquist term at k = -n/2 as in :func:`fourier_shift`, this is the
-    same operator as ``fourier_shift(values, g, steps * g.spacing / 2,
-    axis)`` on any grid ``g``, without its per-call n x n phase table.
-    It is not :func:`half_shift`, which splits the Nyquist term.
+    then takes the unitary half-cell Fourier shift, exp(-i*pi*k/n) on
+    the signed frequencies k with the Nyquist term at k = -n/2: the
+    operator ``fourier_shift(values, g, steps * g.spacing / 2, axis)``
+    on any grid ``g``, without its n x n phase table.  It is not
+    :func:`half_shift`, which splits the Nyquist term.
     """
     axis %= 2
     steps = np.asarray(steps)
@@ -170,27 +164,32 @@ def half_shift(values: np.ndarray, axis: int = -1, spectrum=None) -> np.ndarray:
     differs from :func:`lattice_shear`'s half-cell step (and
     :func:`fourier_shift`'s), which keeps the whole Nyquist term at
     k = -n/2.  ``spectrum`` may give :func:`axis_spectrum` of
-    ``values``; the work runs with ``axis`` last, as there.
+    ``values``, which the call then overwrites: the shift is formed in
+    the spectrum's buffer, the result itself for complex values.
     """
     n = values.shape[axis]
     if spectrum is None:
         spectrum = axis_spectrum(values, axis)
     k = np.fft.fftfreq(n, 1.0 / n)[:spectrum.shape[axis]]    # rfft: 0 .. n//2
-    mult = np.where(k == -n / 2, 0.0, np.exp(1j * np.pi * k / n))
-    spec = np.multiply(np.moveaxis(spectrum, axis, -1), mult, order="C")
+    spec = np.moveaxis(spectrum, axis, -1)
+    spec *= np.where(k == -n / 2, 0.0, np.exp(1j * np.pi * k / n))
     out = np.fft.irfft(spec, n) if np.isrealobj(values) else np.fft.ifft(spec, out=spec)
     return np.moveaxis(out, -1, axis)
 
 
 def upsample2(values: np.ndarray, axis: int = -1, spectrum=None) -> np.ndarray:
     """Evaluate the band-limited interpolant on the half-spacing lattice
-    (2N points over the same box): the samples interleaved with their
-    :func:`half_shift` (``spectrum`` as there)."""
+    (2N points over the same box): the samples in the even entries of
+    one buffer, their :func:`half_shift` in the odd ones (``spectrum``
+    as there)."""
     axis %= values.ndim
-    pair = np.stack([values, half_shift(values, axis, spectrum)], axis=axis + 1)
+    half = half_shift(values, axis, spectrum)
     shape = list(values.shape)
     shape[axis] *= 2
-    return pair.reshape(shape)
+    out = np.empty(shape, half.dtype)
+    pairs = np.moveaxis(out, axis, 0)
+    pairs[0::2], pairs[1::2] = np.moveaxis(values, axis, 0), np.moveaxis(half, axis, 0)
+    return out
 
 
 def spectral_derivative(values: np.ndarray, grid: Grid1D, axis: int = -1) -> np.ndarray:

@@ -97,7 +97,7 @@ def _rotate_plane(values: np.ndarray, grid: Grid1D, theta: float) -> np.ndarray:
 
 
 def rotate(Psi: PhaseState, theta: float) -> PhaseState:
-    """Rotation group generated by -(d/dx)(d/dp) - x p: partial
+    """Rotation group exp(-i theta G), G = (d/dx)(d/dp) - x p: partial
     transform in p, rotation of the (x, xi_p) plane, inverse transform."""
     _require_self_dual(Psi.grid, "rotate")
     g = Psi.grid.x_grid

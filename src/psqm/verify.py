@@ -290,9 +290,10 @@ def suite_star(params: dict, inputs: tuple) -> list:
 
     comp = 0.0
     for a, b in [(sampled[0], sampled[1]), (sampled[1], sampled[2])]:
-        Mc = quantize_config(moyal_product(a, b)).matrix
+        Mc = quantize_config(moyal_product(a, b)).matrix   # stored: read-only
         Mab = quantize_config(a).matrix @ quantize_config(b).matrix
-        comp = max(comp, np.linalg.norm(Mc - Mab, ord=2))
+        comp = max(comp, np.linalg.norm(np.subtract(Mc, Mab, out=Mab), ord=2))
+        del Mc, Mab
 
     return [
         _check("star_apply_vs_quantize_moyal", act, tol_star),

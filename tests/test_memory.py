@@ -34,7 +34,13 @@ UNIT = N * N * np.dtype(complex).itemsize
 # product 6.51 (the kernel, a real factor's included, was always
 # complex), then 6.01.  Rows added with the blocked passes, with their
 # earlier peaks: stargen_residual 4.15, spectrum_report 19.52 (the lifted
-# basis held while mapped) and lattice_shear along axis 0 1.51.
+# basis held while mapped) and lattice_shear along axis 0 1.51.  Then
+# symbol_to_kernel 4.01 (the midpoint table stacked from the samples and
+# a separate half-shift array), kernel_to_symbol 3.14 and 2.02
+# (out-of-place half shifts), the sampled star product 4.51 (the same),
+# and building the oscillator 1.00 (its samples).  At n=1024, where a
+# 64-line block is 1/16 of an array rather than 1/4, symbol_to_kernel
+# peaks at 3.05 and kernel_to_symbol at 2.07 (complex) and 1.57 (real).
 BUDGET = {
     "eig": 0.01,
     "moyal_map": 1.77,
@@ -42,12 +48,13 @@ BUDGET = {
     "groenewold_mixed[oscillator, left]": 2.66,
     "groenewold_mixed[oscillator, right]": 2.66,
     "compare_representations": 4.15,
-    "symbol_to_kernel[damped complex]": 4.01,
-    "kernel_to_symbol[real]": 2.02,
-    "kernel_to_symbol[complex]": 3.14,
-    "moyal_product[sampled]": 4.51,
+    "symbol_to_kernel[damped complex]": 3.20,
+    "kernel_to_symbol[real]": 1.79,
+    "kernel_to_symbol[complex]": 2.29,
+    "moyal_product[sampled]": 3.71,
     "stargen_residual": 2.66,
     "spectrum_report": 12.78,
+    "Symbol.oscillator": 0.01,
     "lattice_shear[axis 0]": 0.76,
 }
 SLACK = 0.25
@@ -88,6 +95,7 @@ def calls():
         "stargen_residual": lambda: stargen_residual(osc, 2.5, Psi),
         "spectrum_report": lambda: spectrum_report(osc, chi),
         "lattice_shear[axis 0]": lambda: fourier.lattice_shear(shear, steps, 0),
+        "Symbol.oscillator": lambda: Symbol.oscillator(grid),
     }
 
 

@@ -88,6 +88,27 @@ def test_rotate_unitary_and_additive(pg128, rng):
     assert np.abs(a.values - b.values).max() < 1e-9
 
 
+def test_rotate_is_generated_by_dxdp_minus_xp(pg128, rng):
+    # d/dtheta rotate(Psi, theta) at 0 = -i G Psi, G = d_x d_p - x p: a
+    # central difference (h = 1e-3, truncation ~h**2) against G applied
+    # by spectral derivatives, which the shear route never uses
+    Psi = random_phase_state(pg128, rng)
+    h = 1e-3
+    diff = (rotate(Psi, h).values - rotate(Psi, -h).values) / (2 * h)
+    x, p = pg128.x_grid.points[:, None], pg128.p_grid.points[None, :]
+    dxdp = fourier.spectral_derivative(
+        fourier.spectral_derivative(Psi.values, pg128.x_grid, 0), pg128.p_grid, 1)
+
+    def miss(generator):
+        return np.linalg.norm(diff + 1j * generator) / np.linalg.norm(diff)
+
+    assert miss(dxdp - x * p * Psi.values) < 2e-5            # measured 5.4e-6
+    # the opposite sign, and -d_x d_p - x p read either way, miss by O(1)
+    assert miss(x * p * Psi.values - dxdp) > 1.0
+    assert min(miss(-dxdp - x * p * Psi.values),
+               miss(dxdp + x * p * Psi.values)) > 1.0
+
+
 def test_rotate_past_quarter_turn_splits(pg128):
     # beyond pi/2 the three-shear rotation is split in halves
     x = pg128.x_grid.points
