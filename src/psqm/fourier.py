@@ -101,15 +101,21 @@ BLOCK = 64
 def lattice_shear(values: np.ndarray, steps, axis: int) -> np.ndarray:
     """Shift slice j of the complex 2-D ``values`` along ``axis`` by
     ``steps[j]`` half cells (integers; slices run along the other axis),
-    in place, :data:`BLOCK` slices at a time through (BLOCK, n) buffers,
-    and return ``values``.
+    in place, and return ``values``.
+
+    Slices are sheared :data:`BLOCK` at a time, as rows: along axis 1
+    rows of ``values`` itself, rolled from a copy of the block; along
+    axis 0 columns, rolled from a C-contiguous transposed copy of the
+    block into a second (BLOCK, n) buffer and written back.  The two
+    buffers serve every block, so no n x n buffer is made.
 
     Whole cells move by an exact index roll; a slice with an odd count
-    then takes the unitary half-cell Fourier shift, exp(-i*pi*k/n) on
-    the signed frequencies k with the Nyquist term at k = -n/2: the
-    operator ``fourier_shift(values, g, steps * g.spacing / 2, axis)``
-    on any grid ``g``, without its n x n phase table.  It is not
-    :func:`half_shift`, which splits the Nyquist term.
+    then takes the unitary half-cell Fourier shift, the length-n
+    multiplier exp(-i*pi*k/n) on the signed frequencies k.  With the
+    Nyquist term at k = -n/2 as in :func:`fourier_shift`, this is the
+    same operator as ``fourier_shift(values, g, steps * g.spacing / 2,
+    axis)`` on any grid ``g``, without its per-call n x n phase table.
+    It is not :func:`half_shift`, which splits the Nyquist term.
     """
     axis %= 2
     steps = np.asarray(steps)
@@ -165,7 +171,8 @@ def half_shift(values: np.ndarray, axis: int = -1, spectrum=None) -> np.ndarray:
     :func:`fourier_shift`'s), which keeps the whole Nyquist term at
     k = -n/2.  ``spectrum`` may give :func:`axis_spectrum` of
     ``values``, which the call then overwrites: the shift is formed in
-    the spectrum's buffer, the result itself for complex values.
+    the spectrum's buffer, the result itself for complex values.  The
+    work runs with ``axis`` last, as there.
     """
     n = values.shape[axis]
     if spectrum is None:

@@ -54,8 +54,9 @@ ALIAS_GUARD_TOL = 1e-5    # sampled factor of a polynomial star product
 
 # State components below sqrt(tiny) (1.5e-154) are zeroed before a dense
 # product, so no partial product in the GEMM is subnormal (BLAS runs
-# several times slower on those); lifted n=1024 states carry tails near
-# 1e-300, while the oscillator's eigenvectors bottom out near 1e-29.
+# several times slower on those).  Lifted n=1024 states carry tails near
+# 1e-300; matrix entries stay above sqrt(tiny) (the oscillator's
+# eigenvectors bottom out near 1e-29 at n=1024).
 FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 
 # A real symbol's matrix M is stored real (symbol_to_kernel) when
@@ -138,15 +139,20 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Symbol:
-    """Classical observable a(x, xi_x) on ``grid``: samples, or the
-    monomial coefficients ``poly`` of a polynomial symbol, which unlock
-    the exact finite star-product expansion.  ``evaluator`` (optional)
-    gives exact values at arbitrary points, for the kernel's midpoints.
+    """Classical observable a(x, xi_x) sampled on ``grid``.
+
+    ``evaluator`` (optional) returns exact values at arbitrary points
+    and is used for midpoint evaluation in the kernel formulas; ``poly``
+    (optional) holds monomial coefficients and unlocks the exact
+    finite star-product expansion.
 
     A symbol is immutable: ``values`` is a read-only array.  A caller's
-    writeable array is copied; a read-only one is taken as is, its owner
-    promising not to write it while the symbol lives.  A polynomial
-    symbol keeps no samples: its ``values`` are evaluated on each read.
+    writeable array is copied, so writing into it later changes neither
+    the symbol nor the operator :func:`quantize_config` stores on it; a
+    read-only array is taken as is, its owner promising not to write it
+    while the symbol lives.  A polynomial symbol keeps its coefficients
+    and no samples: its ``values`` are evaluated on each read, into a
+    fresh read-only array.
     """
 
     grid: PhaseGrid
@@ -218,10 +224,15 @@ class Symbol:
 @dataclass(eq=False)
 class LinOp:
     """Dense config-space matrix of an operator: a real or complex
-    (n, n) array on a :class:`Grid1D`, acting along axis 0 (a symbol's
-    Weyl kernel times dx, :func:`symbol_to_kernel`).  It is held as a
-    read-only view, so its Hermiticity defect max|M - M*|/max|M| and
-    eigendecomposition, each computed once on first use, stay valid.
+    (n, n) array on a :class:`Grid1D`, acting along axis 0.  A symbol's
+    operator is its Weyl kernel times dx (:func:`symbol_to_kernel`), the
+    phase-space operator is this matrix along x, the Moyal operator its
+    conjugate by the Moyal map, so no other dense operator is needed.
+
+    The matrix is held as a read-only view, so its Hermiticity defect
+    max|M - M*|/max|M| and eigendecomposition, each computed once on first
+    use, stay valid for its lifetime.  A real symbol's matrix, Hermitian by
+    construction, gets defect 0 from :func:`symbol_to_kernel` unmeasured.
     """
 
     grid: Grid1D
@@ -261,10 +272,13 @@ class LinOp:
         return self._defect
 
     def eigh(self, herm_tol: float = 1e-8):
-        """(w ascending, V) of H = (M + M*)/2, computed once per operator
-        (H is M itself when the defect is 0), both read-only; refuses
-        (ValueError) a Hermiticity defect above ``herm_tol`` on every
-        call.  V is real when M is."""
+        """(w ascending, V) of H = (M + M*)/2, computed once per operator;
+        refuses (ValueError) a Hermiticity defect above ``herm_tol`` on
+        every call.  H is M itself when the defect is 0 (M = M* bit for
+        bit): only a matrix with a nonzero defect is symmetrized.  V is
+        real when M is (:func:`symbol_to_kernel` stores a real symbol's
+        matrix real when it is real up to round-off).  Both arrays are
+        read-only."""
         if self.hermiticity_defect() > herm_tol:
             raise ValueError(f"operator is not Hermitian (defect {self._defect:.2e})")
         if self._eigh is None:
@@ -293,17 +307,11 @@ class LinOp:
 
 # ------------------------------------------------------------ kernel machinery
 
-def _require_weyl_ready(grid: PhaseGrid) -> None:
-    if not grid.is_weyl_ready:
-        raise GridMismatchError(
-            "symbol grid must have p axis dual to the x axis for Weyl "
-            "quantization (use a self-dual phase grid or PhaseGrid(g, g.dual))"
-        )
-
-
-# The kernel maps gather with int32 flat indices formed for one block of
-# fourier.BLOCK rows at a time.  The largest, 2n**2 - 1 into the (2N, N)
-# midpoint table, fits for every n up to this bound; larger are refused.
+# The kernel maps gather with int32 flat indices, half the size of intp,
+# formed for one block of fourier.BLOCK rows at a time, so neither they
+# nor the intp copy np.take makes of them approach an n x n array.  The
+# largest, 2n**2 - 1 into the (2N, N) midpoint table, fits for every n
+# up to this bound, and larger lattices are refused.
 MAX_INDEX_POINTS = 32768
 
 
@@ -318,12 +326,16 @@ def _index_base(n: int) -> np.ndarray:
 def _midpoint_block(i: np.ndarray, j: np.ndarray, torus: bool) -> np.ndarray:
     """Flat int32 index S*n + D into the (2N, N) table of the half-lattice
     midpoint index S of (x_i, x_j) and the periodic difference index
-    D = (i - j) mod n, for the rows ``i`` (a column) and the columns
-    ``j`` (all n of them), both int32.  ``torus`` selects the
-    torus-geodesic midpoint (shifted by the half period for wrapped
-    pairs), which makes the composition correspondence exact for
-    decaying symbols; polynomials take the arithmetic midpoint, which
-    reproduces the symmetrized operator products exactly."""
+    D = (i - j) mod n: entry (i, j) of the kernel, for the rows ``i`` (a
+    column) and the columns ``j`` (all n of them), both int32.
+
+    ``torus`` selects the torus-geodesic midpoint (short-path midpoint,
+    shifted by the half period for wrapped pairs): the right choice for
+    decaying symbols, making the composition correspondence exact on the
+    lattice.  Unbounded polynomial symbols instead use the arithmetic
+    midpoint, which reproduces the canonical symmetrized operator
+    products exactly.  S is symmetric; (j, i) has index (n - D) mod n.
+    """
     n = j.size
     S, D = i + j, i - j
     if torus:
@@ -337,10 +349,11 @@ def _midpoint_block(i: np.ndarray, j: np.ndarray, torus: bool) -> np.ndarray:
 
 
 def _midpoint_values(a: Symbol) -> np.ndarray:
-    """Symbol values on the half lattice (2N x N), exact from an
-    evaluator, else interpolated (:func:`fourier.upsample2`) from the
-    x spectrum the band-edge guard reads.  The table is real when its
-    imaginary part is 0, and a fresh array the caller may overwrite."""
+    """Symbol values on the half lattice (2N x N), exact when an
+    evaluator is attached; interpolation is guarded by the band-edge
+    test for sample-only symbols, and reuses its x spectrum.  The table
+    is real when its imaginary part is 0 (real samples take the real
+    half shift), and a fresh array the caller may overwrite."""
     xg = a.grid.x_grid
     n = xg.n_points
     if a.evaluator is not None:
@@ -360,12 +373,20 @@ def _midpoint_values(a: Symbol) -> np.ndarray:
 def symbol_to_kernel(a: Symbol) -> LinOp:
     """Symbol -> its Weyl operator: the kernel K_a(x_i, x_j) of the
     midpoint/oscillatory integral times dx, built on every call
-    (:func:`quantize_config` builds it once per symbol).  A real
-    midpoint table is transformed over the offsets 0..n/2 only, the rest
-    set to their conjugates, so the matrix equals its conjugate
-    transpose bit for bit (defect 0, unmeasured), and is stored real
-    when it is real up to :data:`REAL_EIGH_TOL`."""
-    _require_weyl_ready(a.grid)
+    (:func:`quantize_config` builds it once per symbol).
+
+    A real midpoint table (a real symbol) is transformed over the offsets
+    0..n/2 only; offsets n/2+1..n-1 are their conjugates and offsets 0
+    and n/2 are set real, so the matrix equals its conjugate transpose
+    bit for bit and its :class:`LinOp` takes the Hermiticity defect as 0
+    unmeasured.  Such a matrix that is real up to round-off
+    (:data:`REAL_EIGH_TOL`: x, the oscillator, the free particle) is
+    stored real, so it applies as one real GEMM and decomposes in real
+    arithmetic."""
+    if not a.grid.is_weyl_ready:
+        raise GridMismatchError(
+            "symbol grid must have p axis dual to the x axis for Weyl "
+            "quantization (use a self-dual phase grid or PhaseGrid(g, g.dual))")
     xg = a.grid.x_grid
     n = xg.n_points
     xi = a.grid.p_grid.points
@@ -390,8 +411,9 @@ def symbol_to_kernel(a: Symbol) -> LinOp:
     j = _index_base(n)
     for lo in range(0, n, fourier.BLOCK):
         i = j[lo:lo + fourier.BLOCK, None]
+        # "raise" would buffer out as a (BLOCK, n) copy; S < 2n, D < n: no index wraps
         B.take(_midpoint_block(i, j, not a.is_polynomial), out=M[lo:lo + fourier.BLOCK],
-               mode="wrap")   # every index is in range; "wrap" writes out unbuffered
+               mode="wrap")
     del B
     M *= xg.spacing
     if real and np.abs(M.imag).max() <= REAL_EIGH_TOL * np.abs(M).max():
@@ -407,9 +429,7 @@ def _offset_block(i: np.ndarray, n: int) -> tuple:
     at (i + t/2, i - t/2), odd t into the transposed half-cell shifted
     kernel at (i - (t+1)/2, i + (t-1)/2)."""
     t = np.fft.fftfreq(n, 1.0 / n).astype(np.int32)
-    u, v = i + t // 2, i - (t + 1) // 2
-    u %= n
-    v %= n
+    u, v = (i + t // 2) % n, (i - (t + 1) // 2) % n
     return u[:, 0::2] * n + v[:, 0::2], v[:, 1::2] * n + u[:, 1::2]
 
 
@@ -436,9 +456,8 @@ def kernel_to_symbol(op: LinOp) -> Symbol:
     M = op.matrix
     # both shifts run in place, the second along the rows of the transpose
     mid_t = np.ascontiguousarray(fourier.half_shift(M, 1).T)
-    spec = np.fft.rfft(mid_t) if np.isrealobj(M) else np.fft.fft(mid_t, out=mid_t)
-    mid_t = fourier.half_shift(mid_t, 1, spec)
-    del spec
+    mid_t = fourier.half_shift(mid_t, 1, np.fft.rfft(mid_t) if np.isrealobj(M)
+                               else np.fft.fft(mid_t, out=mid_t))
     vals = np.empty((n, n), complex)
     rows = _index_base(n)[:, None]
     for lo in range(0, n, fourier.BLOCK):
@@ -460,11 +479,13 @@ def kernel_to_symbol(op: LinOp) -> Symbol:
 
 def quantize_config(a: Symbol) -> LinOp:
     """The Weyl operator of ``a`` on the x grid: :func:`symbol_to_kernel`,
-    built on the first call and stored on ``a``, so one symbol has one
-    matrix and one eigendecomposition, shared by every picture and
-    report, for as long as ``a`` lives.  The identity symbol yields the
-    identity matrix to round-off (max|M - I| is 2.2e-16 at n = 64, 256
-    and 1024), not exactly.
+    built on the first call and stored on ``a``.  Every later call
+    returns the same :class:`LinOp`, so one symbol has one matrix and
+    one eigendecomposition, shared by :func:`psqm.spectral.eig`, the
+    phase-space and Moyal operators and every report built on them.
+    The matrix (and the eigenbasis once taken) live as long as ``a``.
+    The identity symbol yields the identity matrix to round-off
+    (max|M - I| is 2.2e-16 at n = 64, 256 and 1024), not exactly.
     """
     if a._op is None:
         object.__setattr__(a, "_op", symbol_to_kernel(a))
@@ -560,10 +581,15 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
     the sampled factor along each axis it differentiates; the coordinate
     along an untransformed axis commutes with that transform and joins
     the 1-D multipliers.  Terms with the same transformed axes and the
-    same coordinate powers along them share one inverse transform.  The
-    :data:`ALIAS_GUARD_TOL` band-edge guard refuses before any term is
-    formed, reading the x spectrum (kept for the x terms) and the p
-    spectrum in row blocks, so one spectrum is held at a time.
+    same coordinate powers along them share one inverse transform, so a
+    quadratic factor costs two forward and two inverse one-axis passes,
+    plus one 2-D pass when a term carries d_x d_xi.
+
+    The :data:`ALIAS_GUARD_TOL` band-edge guard refuses before any term
+    is formed.  It reads the x spectrum, which is kept for the x terms,
+    and the p spectrum in row blocks; the whole p spectrum is formed
+    only when the last group of terms reads it, so at most one spectrum
+    and the sum are held at a time.
     """
     # complex C-ordered values, as the first term's array becomes the sum
     values = np.asarray(values, complex, order="C")

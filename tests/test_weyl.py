@@ -190,32 +190,34 @@ def test_kernel_maps_keep_no_table_between_calls():
     # with every psqm cache emptied, the traced memory after the two maps
     # is the memory before them plus their results: no cache keeps an
     # n x n table (the int32 index tables were cached per n once)
+    import gc
     import sys
     import tracemalloc
-    n = 128
-    grid = self_dual_phase_grid(n)
-    X, XI = grid.meshes()
-    a = Symbol.from_samples(grid, np.exp(-(X ** 2 + XI ** 2) / 8.0) * (1 + 0.2j * XI))
-    # one call first, so numpy's lazy imports and small-buffer cache are
-    # warm whatever ran before; the psqm caches are emptied after it
-    kernel_to_symbol(symbol_to_kernel(a))
+
+    def damped(n):
+        grid = self_dual_phase_grid(n)
+        X, XI = grid.meshes()
+        return Symbol.from_samples(grid, np.exp(-(X ** 2 + XI ** 2) / 8.0) * (1 + 0.2j * XI))
+
+    # both maps once on another lattice first, so numpy's lazy imports
+    # are done whatever ran before; any n = 128 table is built traced.
+    # A full collection empties Python's free lists on both readings.
+    kernel_to_symbol(symbol_to_kernel(damped(64)))
     for name, module in list(sys.modules.items()):
         if name.startswith("psqm."):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
-
-    def array_bytes():
-        # numpy's data allocations only, not the results' Python objects
-        numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
-        return sum(t.size for t in tracemalloc.take_snapshot().filter_traces([numpy_data]).traces)
-
+    n = 128
+    a = damped(n)
     tracemalloc.start()
     try:
-        before = array_bytes()
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
         op = symbol_to_kernel(a)
         back = kernel_to_symbol(op)
-        after = array_bytes()
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     results = op.matrix.nbytes + back.values.nbytes
