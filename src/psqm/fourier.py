@@ -10,8 +10,6 @@ outside the box).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .grids import Grid1D, GridMismatchError, grids_compatible
@@ -208,27 +206,16 @@ def spectral_derivative(values: np.ndarray, grid: Grid1D, axis: int = -1) -> np.
     return np.fft.ifft(np.fft.fft(values, axis=axis) * (1j * xif).reshape(shp), axis=axis)
 
 
-# One entry: each is an n x n complex matrix (16 MiB at n = 1024), and
-# what is reused is the one (grid, alpha) that both axes of a dilate share.
-@lru_cache(maxsize=1)
-def _resample_matrix(grid: Grid1D, alpha: float) -> np.ndarray:
-    """Matrix R with (R f)[k] = f(alpha * x_k) on the band-limited class."""
-    xi = grid.dual.points
-    E = (grid.dual.spacing / np.sqrt(2.0 * np.pi)) * np.exp(
-        1j * np.outer(alpha * grid.points, xi)
-    )
-    m = E @ ft_array(np.eye(grid.n_points, dtype=complex), grid, axis=0)
-    m.flags.writeable = False
-    return m
-
-
 def resample_scaled(values: np.ndarray, grid: Grid1D, alpha: float,
                     axis: int = -1) -> np.ndarray:
-    """values(x) -> values(alpha * x) along ``axis``."""
-    R = _resample_matrix(grid, float(alpha))
-    moved = np.moveaxis(values, axis, 0)
-    out = np.tensordot(R, moved, axes=(1, 0))
-    return np.moveaxis(out, 0, axis)
+    """values(x) -> values(alpha * x) along ``axis``: the transform
+    (:func:`ft_array`) summed back at the points alpha * x_k by the table
+    E = (dxi/sqrt(2*pi)) exp(i*alpha*x (x) xi), formed on each call."""
+    xi = grid.dual.points
+    E = (grid.dual.spacing / np.sqrt(2.0 * np.pi)) * np.exp(
+        1j * np.outer(alpha * grid.points, xi))
+    spec = np.moveaxis(ft_array(values, grid, axis), axis, 0)
+    return np.moveaxis(np.tensordot(E, spec, axes=(1, 0)), 0, axis)
 
 
 def band_edge_fraction(values: np.ndarray, spectra=None) -> float:

@@ -9,7 +9,6 @@ accurate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 from numbers import Integral
 
 import numpy as np
@@ -185,32 +184,24 @@ def boundary_mass(state) -> float:
 # lattice, set by the dilation-by-sqrt(2) margin inside the Moyal-map
 # composition check).
 
-@lru_cache(maxsize=4)
-def _envelopes(grid) -> tuple:
-    """(spectral, spatial) Gaussian envelopes, products over the axes, of a
-    random state on a :class:`Grid1D` or :class:`PhaseGrid` (read-only)."""
-    axes = (grid.x_grid, grid.p_grid) if isinstance(grid, PhaseGrid) else (grid,)
-    frac = max(3.0, float(np.sqrt(np.pi * min(g.n_points for g in axes) / 10.0)))
-    spec_env = np.exp(-reduce(np.add.outer, [
-        (g.dual.points / (g.dual.half_width / frac)) ** 2 for g in axes]))
-    env = np.exp(-reduce(np.add.outer, [
-        ((g.points - g.center) / (g.half_width / frac)) ** 2 for g in axes]))
-    spec_env.flags.writeable = False
-    env.flags.writeable = False
-    return spec_env, env
-
-
 def _random_state(state_type, grid, rng: np.random.Generator):
     """A normalized ``state_type`` on ``grid``: a complex normal draw
     (real parts, then imaginary parts) damped by the spectral envelope,
-    inverse transformed, then damped by the spatial one."""
-    spec_env, env = _envelopes(grid)
-    spec = np.empty(spec_env.shape, complex)
+    inverse transformed, then damped by the spatial one.  Each envelope
+    is a product of 1-D Gaussians, one per axis, applied in turn (x, then
+    p) and broadcast along the other axis, so no n x n envelope is made."""
+    axes = (grid.x_grid, grid.p_grid) if isinstance(grid, PhaseGrid) else (grid,)
+    frac = max(3.0, float(np.sqrt(np.pi * min(g.n_points for g in axes) / 10.0)))
+    spec = np.empty(tuple(g.n_points for g in axes), complex)
     spec.real = rng.standard_normal(spec.shape)
     spec.imag = rng.standard_normal(spec.shape)
-    spec *= spec_env
+    for env in np.ix_(*[np.exp(-(g.dual.points / (g.dual.half_width / frac)) ** 2)
+                        for g in axes]):
+        spec *= env
     vals = np.fft.ifftn(np.fft.ifftshift(spec))
-    vals *= env
+    for env in np.ix_(*[np.exp(-((g.points - g.center) / (g.half_width / frac)) ** 2)
+                        for g in axes]):
+        vals *= env
     state = state_type(grid, vals)
     vals /= norm_phase(state) if state_type is PhaseState else norm_config(state)
     return state

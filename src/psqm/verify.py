@@ -414,8 +414,11 @@ def run_verify(suites, params: dict | None = None) -> dict:
     deterministic report.  Every parameter is checked before any suite
     runs; a ValueError naming the key and its value refuses keys outside
     :data:`PARAM_KEYS`, non-integer (or bool) ``n_points`` or ``seed``, a
-    negative ``seed``, an empty ``times`` or non-finite entries in it,
-    ``tol_*`` values that are not positive finite numbers and ``window``
+    negative ``seed``, ``tol_*`` values that are not positive finite
+    numbers, an empty ``times`` or entries in it that are not finite or
+    whose phase e^{-i*lam*t} keeps no digit the dynamics checks read
+    (|t| * lam_max * eps >= ``tol_dynamics``, lam_max = pi*n_points/2:
+    |t| >= 2.8e6 at n = 1024 with the default tolerance), and ``window``
     specs other than ``hermite:K`` or ``gaussian:x0,p0,w``.  A single
     ``times`` value runs as a one-element list.  The suites share one
     ``inputs`` = (grid, window, oscillator), :func:`resolve_params` of the
@@ -436,13 +439,22 @@ def run_verify(suites, params: dict | None = None) -> dict:
         merged["times"] = [merged["times"]]
     if len(merged["times"]) == 0:
         raise ValueError("times must hold at least one time, got []")
-    for t in merged["times"]:
-        if not _finite_number(t):
-            raise ValueError(f"times entries must be finite numbers, got {t!r}")
     for key in sorted(TOLERANCES.keys() & merged.keys()):
         if not (_finite_number(merged[key]) and merged[key] > 0):
             raise ValueError(f"{key} must be a positive finite number, "
                              f"got {merged[key]!r}")
+    # e^{-i*lam*t} is rounded by about lam*|t|*eps; lam_max = pi*n/2, the
+    # lattice's largest x**2/2 + xi**2/2, bounds the oscillator's top level
+    # (1565 against 1608 at n = 1024)
+    lam_eps = np.pi * merged["n_points"] / 2 * np.finfo(float).eps
+    tol_d = _tol(merged, "tol_dynamics")
+    for t in merged["times"]:
+        if not _finite_number(t):
+            raise ValueError(f"times entries must be finite numbers, got {t!r}")
+        if abs(t) * lam_eps >= tol_d:
+            raise ValueError(f"times entries must keep |t| * lam_max * eps below "
+                             f"tol_dynamics, |t| < {tol_d / lam_eps:.3g} at n_points = "
+                             f"{merged['n_points']}, got {t!r}")
     _window_spec(merged["window"])
     if isinstance(suites, str):
         suites = [suites]

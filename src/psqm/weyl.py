@@ -658,21 +658,21 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
     return np.zeros(grid.shape, complex) if out is None else out
 
 
-def star_values(avals_or_poly, bvals_or_poly, grid: PhaseGrid) -> np.ndarray:
-    """Array-level star product of sampled values with sampled values or
-    a polynomial dict (two polynomials multiply in :func:`moyal_product`).
-    A sampled factor of a polynomial one is refused (BandLimitError)
-    when its spectrum reaches the band edge."""
-    if isinstance(avals_or_poly, dict):
-        return groenewold_mixed(avals_or_poly, bvals_or_poly, grid, True)
-    if isinstance(bvals_or_poly, dict):
-        return groenewold_mixed(bvals_or_poly, avals_or_poly, grid, False)
-    # both sampled: the symbol of the product of the operators' matrices
+def star_values(a, b, grid: PhaseGrid) -> np.ndarray:
+    """Array-level star product of a sampled :class:`Symbol` with a
+    sampled one or a polynomial dict (two polynomials multiply in
+    :func:`moyal_product`).  A sampled factor of a polynomial one is
+    refused (BandLimitError) when its spectrum reaches the band edge."""
+    if isinstance(a, dict):
+        return groenewold_mixed(a, b.values, grid, True)
+    if isinstance(b, dict):
+        return groenewold_mixed(b, a.values, grid, False)
+    # both sampled: the symbol of the product of the operators' matrices,
+    # each the operator its factor already owns, else a transient one
     # (the interpolation guard in symbol_to_kernel refuses factors
-    # reaching the band edge); the factors' matrices are dropped before
-    # kernel_to_symbol runs
-    Mab = symbol_to_kernel(Symbol(grid, avals_or_poly)).matrix
-    Mab = Mab @ symbol_to_kernel(Symbol(grid, bvals_or_poly)).matrix
+    # reaching the band edge), dropped before kernel_to_symbol runs
+    Mab = (a._op or symbol_to_kernel(a)).matrix
+    Mab = Mab @ (b._op or symbol_to_kernel(b)).matrix
     return kernel_to_symbol(LinOp(grid.x_grid, Mab)).values
 
 
@@ -690,6 +690,6 @@ def moyal_product(a: Symbol, b: Symbol) -> Symbol:
         raise GridMismatchError("star product of symbols on different grids")
     if a.is_polynomial and b.is_polynomial:
         return Symbol.polynomial(a.grid, _groenewold_poly(a.poly, b.poly))
-    first = a.poly if a.is_polynomial else a.values
-    second = b.poly if b.is_polynomial else b.values
+    first = a.poly if a.is_polynomial else a
+    second = b.poly if b.is_polynomial else b
     return Symbol(a.grid, _frozen(star_values(first, second, a.grid)))

@@ -552,18 +552,17 @@ def random_config_state_sum(grid, rng):
 
 def random_phase_state_sum(grid, rng):
     """``states.random_phase_state`` in its original form: the complex
-    draw built as ``a + 1j*b`` and the envelope applied out of place."""
+    draw built as ``a + 1j*b`` and each axis's 1-D envelope applied out
+    of place, x then p."""
     nx, npnt = grid.shape
     frac = max(3.0, float(np.sqrt(np.pi * min(nx, npnt) / 10.0)))
-    kx = grid.x_grid.dual.points
-    kp = grid.p_grid.dual.points
+    gx, gp = grid.x_grid, grid.p_grid
     spec = (rng.standard_normal((nx, npnt))
             + 1j * rng.standard_normal((nx, npnt)))
-    spec *= np.exp(-np.add.outer((kx / (grid.x_grid.dual.half_width / frac)) ** 2,
-                                 (kp / (grid.p_grid.dual.half_width / frac)) ** 2))
+    spec = (spec * np.exp(-(gx.dual.points / (gx.dual.half_width / frac)) ** 2)[:, None]
+            * np.exp(-(gp.dual.points / (gp.dual.half_width / frac)) ** 2)[None, :])
     vals = np.fft.ifft2(np.fft.ifftshift(spec))
-    X, P = grid.meshes()
-    env = np.exp(-((X - grid.x_grid.center) / (grid.x_grid.half_width / frac)) ** 2
-                 - ((P - grid.p_grid.center) / (grid.p_grid.half_width / frac)) ** 2)
-    state = PhaseState(grid, vals * env)
+    vals = (vals * np.exp(-((gx.points - gx.center) / (gx.half_width / frac)) ** 2)[:, None]
+            * np.exp(-((gp.points - gp.center) / (gp.half_width / frac)) ** 2)[None, :])
+    state = PhaseState(grid, vals)
     return state.with_values(state.values / norm_phase(state))

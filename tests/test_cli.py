@@ -280,6 +280,30 @@ def test_run_verify_refuses_empty_times():
         run_verify(["dynamics"], {"n_points": 64, "times": []})
 
 
+@pytest.mark.parametrize("t", ["1e308", "1e17"])
+def test_times_past_the_phase_bound_refused_before_any_suite(tmp_path, capsys, t):
+    # e^{-i*lam*t} keeps no correct digit there: refused with exit 2 and no
+    # report (1e308 once overflowed in propagate and wrote NaN into it)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"times = 0.1, {t}\n")
+    out = tmp_path / "rep.json"
+    assert main(["verify", "dynamics", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "times entries must keep |t| * lam_max * eps below tol_dynamics" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_times_bound_is_tol_dynamics_over_lam_max_eps():
+    # lam_max = pi*n/2 = 1608 at n = 1024: |t| < 1e-6 / (1608 * 2.2e-16) = 2.8e6
+    for n in (256, 1024):
+        report = run_verify([], {"n_points": n, "times": [0.1, 0.5, 1.0]})
+        assert report["params"]["times"] == [0.1, 0.5, 1.0]
+    run_verify([], {"n_points": 1024, "times": [-2.7e6]})
+    with pytest.raises(ValueError, match=r"\|t\| < 2.8e\+06 at n_points = 1024, got -2900000"):
+        run_verify([], {"n_points": 1024, "times": [-2.9e6]})
+    run_verify([], {"n_points": 1024, "times": [2.9e6], "tol_dynamics": 2e-6})
+
+
 def test_band_limit_refusal_has_its_own_exit_code(tmp_path, capsys):
     # the sampled star-product guard refuses the n=64 corpus: a numerical
     # refusal (exit 4), not a usage error (2)

@@ -3,7 +3,7 @@ import pytest
 
 from psqm import (ConfigState, make_grid, forward_ft, inverse_ft, norm_config,
                   hermite_state, random_config_state, inner_config,
-                  GridMismatchError)
+                  GridMismatchError, gaussian_values, self_dual_grid)
 from psqm import fourier
 from oracles import lattice_shear_out_of_place, quadrature_ft
 
@@ -226,3 +226,19 @@ def test_inverse_transforms_refuse_non_dual_grids():
     other = make_grid(64, 9.0)
     with pytest.raises(GridMismatchError):
         inverse_ft(forward_ft(hermite_state(g, 0)), other)
+
+
+@pytest.mark.parametrize("alpha", [2 ** -0.5, 0.9, 1.1])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_resample_scaled_matches_the_closed_form_at_alpha_x(axis, alpha):
+    # an off-centre complex packet along either axis of a field that is
+    # no product of 1-D factors (x - 0.4 y couples them)
+    g = self_dual_grid(128)
+    X, Y = np.meshgrid(g.points, g.points, indexing="ij")
+
+    def field(x, y):
+        return gaussian_values(x - 0.4 * y, 1.0, 1.5, 0.8) * gaussian_values(y, -0.5, 0.3, 1.1)
+
+    want = field(alpha * X, Y) if axis == 0 else field(X, alpha * Y)
+    got = fourier.resample_scaled(field(X, Y), g, alpha, axis=axis)
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()

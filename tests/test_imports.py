@@ -1,8 +1,8 @@
 """Every name a psqm module, test module or demo imports is referenced
 in that file, no psqm module uses another psqm module's private
 (``_name``) names, psqm modules import at module level only, every
-``__all__`` entry resolves, the oracles import numpy only and importing
-psqm loads no scipy."""
+``__all__`` entry resolves, no psqm module defines a cache, the oracles
+import numpy only and importing psqm loads no scipy."""
 
 import ast
 import importlib
@@ -141,6 +141,40 @@ def test_function_import_guard_sees_nested_imports(tmp_path):
                    "        if True:\n"
                    "            import json\n")
     assert _function_level_imports(bad) == ["bad.py:3: in f", "bad.py:7: in g"]
+
+
+# A cache keeps what it holds for the life of the process; psqm keeps no
+# state between calls beyond what a caller's objects own.
+CACHES = {"cache", "cached_property", "lru_cache"}
+
+
+def _caches(path: Path) -> list:
+    """Every functools cache a module imports or reads as an attribute."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{path.name}:{node.lineno}: {alias.name}"
+                      for alias in node.names if alias.name in CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in CACHES
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append(f"{path.name}:{node.lineno}: functools.{node.attr}")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_defines_a_cache(path):
+    assert _caches(path) == []
+
+
+def test_cache_guard_sees_imports_and_decorators(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import functools\n"
+                   "from functools import lru_cache as memo, partial\n"
+                   "@functools.cache\n"
+                   "def f(n):\n"
+                   "    return n\n")
+    assert _caches(bad) == ["bad.py:2: lru_cache", "bad.py:3: functools.cache"]
 
 
 # The oracles stay an independent route, and psqm starts without scipy:

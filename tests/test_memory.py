@@ -8,6 +8,7 @@ array or more fails too until its row is lowered.  Inputs, including
 the oscillator's matrix and eigendecomposition, are built before the
 measurement starts."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from psqm import (compare_representations, eig, fourier, gaussian_state,
                   hermite_state, moyal_map, moyal_map_inv, moyal_product,
                   quantize_config, random_phase_state, self_dual_phase_grid,
                   spectrum_report, stargen_residual, Symbol, weyl)
+from psqm.verify import run_verify
 
 N = 256
 UNIT = N * N * np.dtype(complex).itemsize
@@ -117,3 +119,18 @@ def test_high_water_within_budget(calls, name):
     assert used <= BUDGET[name], f"{name} peaks {used:.3f} arrays above its inputs"
     assert used > BUDGET[name] - SLACK, (
         f"{name} now peaks {used:.3f} arrays: lower its budget")
+
+
+def test_run_verify_leaves_no_n2_array_behind():
+    # the unitarity suite dilates and draws random phase states: neither
+    # a dilation table nor a random-state envelope outlives the run
+    tracemalloc.start()
+    try:
+        assert run_verify(["unitarity"], {"n_points": N})["passed"]
+        gc.collect()
+        traces = tracemalloc.take_snapshot().traces
+    finally:
+        tracemalloc.stop()
+    left = [f"{t.traceback[0]}: {t.size} B" for t in traces
+            if t.size >= N * N * np.dtype(float).itemsize]
+    assert left == []

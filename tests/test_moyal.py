@@ -407,7 +407,7 @@ def test_star_apply_matches_quantize_moyal(pg128, rng):
     # the check can fail: the reversed product Psi * a is not a * Psi
     a = corpus[0]
     Psi = random_phase_state(pg128, rng)
-    rev = star_values(Psi.values, a.values, pg128)
+    rev = star_values(Symbol(pg128, Psi.values), a, pg128)
     assert norm_phase(Psi.with_values(rev - quantize_moyal(a).apply(Psi).values)) > 1e-2
 
 

@@ -187,11 +187,10 @@ def test_kernel_maps_equal_the_whole_table_routes_byte_for_byte(n, rng):
 
 
 def test_kernel_maps_keep_no_table_between_calls():
-    # with every psqm cache emptied, the traced memory after the two maps
-    # is the memory before them plus their results: no cache keeps an
-    # n x n table (the int32 index tables were cached per n once)
+    # the traced memory after the two maps is the memory before them plus
+    # their results: no cache keeps an n x n table (the int32 index tables
+    # were cached per n once)
     import gc
-    import sys
     import tracemalloc
 
     def damped(n):
@@ -203,11 +202,6 @@ def test_kernel_maps_keep_no_table_between_calls():
     # are done whatever ran before; any n = 128 table is built traced.
     # A full collection empties Python's free lists on both readings.
     kernel_to_symbol(symbol_to_kernel(damped(64)))
-    for name, module in list(sys.modules.items()):
-        if name.startswith("psqm."):
-            for obj in vars(module).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
     n = 128
     a = damped(n)
     tracemalloc.start()
@@ -302,7 +296,7 @@ def test_mixed_star_product_skips_only_vanishing_terms(pg128, rng, poly):
     Psi = random_phase_state(pg128, rng)
     a = Symbol.polynomial(pg128, poly)
     for got, left in ((star_apply(a, Psi).values, True),
-                      (star_values(Psi.values, poly, pg128), False)):
+                      (star_values(Symbol(pg128, Psi.values), poly, pg128), False)):
         ref = groenewold_mixed_all_terms(poly, Psi.values, pg128, left)
         assert np.abs(got - ref).max() <= 2e-15 * np.abs(ref).max()
 
@@ -368,8 +362,8 @@ def test_mixed_star_guard_reads_the_series_spectra(pg128, rng, monkeypatch):
         return frac
 
     monkeypatch.setattr(fourier, "band_edge_fraction", spy)
-    star_values({(2, 0): 0.5, (0, 2): 0.5}, Psi.values, pg128)
-    star_values(Psi.values, {(1, 1): 1.0}, pg128)
+    star_values({(2, 0): 0.5, (0, 2): 0.5}, Symbol(pg128, Psi.values), pg128)
+    star_values(Symbol(pg128, Psi.values), {(1, 1): 1.0}, pg128)
     want = band_edge(Psi.values)
     assert want > 0.0
     assert seen == [(True, want), (True, want)]
@@ -378,7 +372,7 @@ def test_mixed_star_guard_reads_the_series_spectra(pg128, rng, monkeypatch):
 @pytest.mark.parametrize("poly_on_left", [True, False], ids=["poly_left", "poly_right"])
 def test_mixed_star_product_refuses_band_edge_factor(pg64, poly_on_left):
     X, XI = pg64.meshes()
-    saw = X + 0.0 * XI                                  # full-band sawtooth
+    saw = Symbol(pg64, X + 0.0 * XI)                    # full-band sawtooth
     poly = {(2, 0): 0.5, (0, 2): 0.5}
     args = (poly, saw) if poly_on_left else (saw, poly)
     with pytest.raises(BandLimitError, match="star-product factor"):
