@@ -63,31 +63,17 @@ def ift_array(values: np.ndarray, dual_grid: Grid1D, out_grid: Grid1D,
 
 
 def fourier_shift(values: np.ndarray, grid: Grid1D, shift, axis: int = -1) -> np.ndarray:
-    """values(t) -> values(t - shift) via the band-limited interpolant.
-
-    ``shift`` may be a scalar or an array broadcastable over the other
-    axes (per-row/column shear shifts).
-    """
-    n = grid.n_points
-    xif = np.fft.ifftshift(grid.dual.points)
-    spec = np.fft.fft(values, axis=axis)
-    shift = np.asarray(shift, dtype=float)
-    if shift.ndim == 0:
-        shp = [1] * values.ndim
-        shp[axis] = n
-        phase = np.exp(-1j * xif * shift).reshape(shp)
-    else:
-        # shear: shift amount depends on the complementary axis (2-D only)
-        if values.ndim != 2:
-            raise ValueError("array-valued shifts are only supported for 2-D fields")
-        other = 1 - (axis % 2)
-        if shift.shape != (values.shape[other],):
-            raise ValueError("shift array must match the complementary axis length")
-        if axis % 2 == 1:
-            phase = np.exp(-1j * np.outer(shift, xif))
-        else:
-            phase = np.exp(-1j * np.outer(xif, shift))
-    return np.fft.ifft(spec * phase, axis=axis)
+    """values(t) -> values(t - shift) along ``axis`` via the band-limited
+    interpolant, in a complex copy: :func:`lattice_shear` by
+    2 * shift / spacing half cells.  ``shift`` is a scalar or one shift
+    per slice, broadcastable over the other axes."""
+    if values.shape[axis] != grid.n_points:
+        raise GridMismatchError("axis length does not match grid")
+    out = np.array(np.moveaxis(values, axis, -1), complex)
+    steps = np.broadcast_to(2.0 * np.asarray(shift, float) / grid.spacing,
+                            out.shape[:-1]).ravel()
+    lattice_shear(out.reshape(-1, grid.n_points), steps, 1)
+    return np.moveaxis(out, -1, axis)
 
 
 # Lines per block of the blocked in-place passes (lattice_shear, the
@@ -98,8 +84,8 @@ BLOCK = 64
 
 def lattice_shear(values: np.ndarray, steps, axis: int) -> np.ndarray:
     """Shift slice j of the complex 2-D ``values`` along ``axis`` by
-    ``steps[j]`` half cells (integers; slices run along the other axis),
-    in place, and return ``values``.
+    ``steps[j]`` half cells (finite reals; slices run along the other
+    axis), in place, and return ``values``: the package's one shift.
 
     Slices are sheared :data:`BLOCK` at a time, as rows: along axis 1
     rows of ``values`` itself, rolled from a copy of the block; along
@@ -107,13 +93,13 @@ def lattice_shear(values: np.ndarray, steps, axis: int) -> np.ndarray:
     block into a second (BLOCK, n) buffer and written back.  The two
     buffers serve every block, so no n x n buffer is made.
 
-    Whole cells move by an exact index roll; a slice with an odd count
-    then takes the unitary half-cell Fourier shift, the length-n
-    multiplier exp(-i*pi*k/n) on the signed frequencies k.  With the
-    Nyquist term at k = -n/2 as in :func:`fourier_shift`, this is the
-    same operator as ``fourier_shift(values, g, steps * g.spacing / 2,
-    axis)`` on any grid ``g``, without its per-call n x n phase table.
-    It is not :func:`half_shift`, which splits the Nyquist term.
+    A step is 2w + r, 0 <= r < 2: w whole cells by an exact index roll,
+    then, if r != 0, the Fourier step exp(-i*pi*r*k/n) on the signed
+    frequencies k, the Nyquist term whole at k = -n/2 (not
+    :func:`half_shift`, which splits it).  Its multiplier is one
+    length-n row for the call when every nonzero r agrees (the Moyal
+    map's half cells), else one row per slice of a block, never an
+    n x n phase table.
     """
     axis %= 2
     steps = np.asarray(steps)
@@ -121,9 +107,17 @@ def lattice_shear(values: np.ndarray, steps, axis: int) -> np.ndarray:
         raise ValueError("steps must match the complementary axis of a 2-D field")
     if values.dtype != complex:
         raise ValueError(f"lattice_shear shears complex values in place, got {values.dtype}")
+    if not np.isfinite(steps).all():
+        raise ValueError("lattice_shear steps must be finite numbers of half cells")
     n = values.shape[axis]
-    shifts = ((steps // 2) % n).tolist()
-    mult = np.exp(-1j * np.pi * np.fft.fftfreq(n, 1.0 / n) / n)
+    shifts = ((steps // 2) % n).astype(int).tolist()
+
+    def step(r):  # the Fourier step exp(-i*pi*r*k/n), one row per remainder r
+        return np.exp(-1j * np.pi * (r[:, None] * np.fft.fftfreq(n, 1.0 / n)) / n)
+
+    fracs = steps[steps % 2 != 0] % 2
+    mult = step(fracs[:1]) if fracs.size and (fracs == fracs[0]).all() else None
+    del fracs
     # one (BLOCK, n) copy to roll from, and along axis 0 one to roll into
     src = np.empty((min(BLOCK, len(shifts)), n), complex)
     buf = np.empty_like(src) if axis == 0 else None
@@ -139,12 +133,12 @@ def lattice_shear(values: np.ndarray, steps, axis: int) -> np.ndarray:
         for j, s in enumerate(part):
             rows[j, s:] = src[j, :n - s]
             rows[j, :s] = src[j, n - s:]
-        odd = np.flatnonzero(steps[lo:hi] % 2)
-        if odd.size:
-            block = rows[odd]
+        frac = np.flatnonzero(steps[lo:hi] % 2)
+        if frac.size:
+            block = rows[frac]
             np.fft.fft(block, axis=1, out=block)
-            block *= mult
-            rows[odd] = np.fft.ifft(block, axis=1, out=block)
+            block *= step(steps[lo:hi][frac] % 2) if mult is None else mult
+            rows[frac] = np.fft.ifft(block, axis=1, out=block)
             del block
         if axis == 0:
             values[:, lo:hi] = rows.T

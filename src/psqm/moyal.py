@@ -8,14 +8,16 @@ exact Fourier shifts.
 
 The unitary map U acts as
     U Psi(x, p) = IFT_p[ Psihat(x - xi_p/2, x + xi_p/2) ],
-implemented as one FFT pair along p around two lattice shears (whole
-cells by index rolls, half cells by a Fourier shift), both in place on
-the transform's one buffer: on the self-dual lattice the transforms'
-phase tables and scales cancel to signs.  It
-carries lifted product states onto (2*pi)**(1/2) times the
-cross-Wigner function of the factors, and conjugates the phase-space
-Schrodinger operators x, -i d/dx into the Bopp operators
-x + (i/2) d/dp and p - (i/2) d/dx.
+implemented as one FFT pair along p around two lattice shears, both in
+place on the transform's one buffer: on the self-dual lattice the
+transforms' phase tables and scales cancel to signs.  It carries lifted
+product states onto (2*pi)**(1/2) times the cross-Wigner function of
+the factors, and conjugates the phase-space Schrodinger operators
+x, -i d/dx into the Bopp operators x + (i/2) d/dp and p - (i/2) d/dx.
+
+Every shift here, the map's and the rotation's shears and the
+displacements, is one :func:`psqm.fourier.lattice_shear`; none builds
+an n x n phase table.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ def dilate(Psi: PhaseState, s: float) -> PhaseState:
 
     Band-limited rescaling along both axes; a unitarity check guards
     against mass leaving the box (states must decay inside the
-    contraction region).
+    contraction region); ``s`` must be finite.
     """
     _require_self_dual(Psi.grid, "dilate")
+    if not np.isfinite(s):
+        raise ValueError(f"dilation parameter s must be finite, got {s!r}")
     g = Psi.grid.x_grid
     alpha = float(np.exp(-s))
     vals = fourier.resample_scaled(Psi.values, g, alpha, axis=0)
@@ -76,35 +80,33 @@ def dilate(Psi: PhaseState, s: float) -> PhaseState:
 
 
 def _rotate_plane(values: np.ndarray, grid: Grid1D, theta: float) -> np.ndarray:
-    """F -> F o R(theta), R = [[cos, sin], [-sin, cos]], by the standard
-    three-shear decomposition; angles beyond pi/2 are split recursively
-    and full turns reduce away exactly."""
+    """F -> F o R(theta), R = [[cos, sin], [-sin, cos]], in place on the
+    complex ``values`` (returned) by three shears, each one
+    :func:`psqm.fourier.lattice_shear`; angles beyond pi/2 are split
+    recursively and full turns reduce away exactly."""
     theta = float(theta) % (2 * np.pi)
     if theta > np.pi:
         theta -= 2 * np.pi
-    if abs(theta) < 1e-15:
-        return values.copy()
     if abs(theta) > np.pi / 2:
         return _rotate_plane(_rotate_plane(values, grid, theta / 2), grid, theta / 2)
+    # Sx(t): (a,b) -> (a + t*b, b); Sy(-s): (a,b) -> (a, b - s*a), in half cells
+    half_cells = 2.0 * grid.points / grid.spacing
     t = np.tan(theta / 2)
-    s = np.sin(theta)
-    pts = grid.points
-    # Sx(t): (a,b) -> (a + t*b, b); Sy(-s): (a,b) -> (a, b - s*a)
-    out = fourier.fourier_shift(values, grid, -t * pts, axis=0)
-    out = fourier.fourier_shift(out, grid, s * pts, axis=1)
-    out = fourier.fourier_shift(out, grid, -t * pts, axis=0)
-    return out
+    fourier.lattice_shear(values, -t * half_cells, axis=0)
+    fourier.lattice_shear(values, np.sin(theta) * half_cells, axis=1)
+    return fourier.lattice_shear(values, -t * half_cells, axis=0)
 
 
 def rotate(Psi: PhaseState, theta: float) -> PhaseState:
     """Rotation group exp(-i theta G), G = (d/dx)(d/dp) - x p: partial
-    transform in p, rotation of the (x, xi_p) plane, inverse transform."""
+    transform in p, rotation of the (x, xi_p) plane in place on the
+    transform's buffer, inverse transform; ``theta`` must be finite."""
     _require_self_dual(Psi.grid, "rotate")
+    if not np.isfinite(theta):
+        raise ValueError(f"rotate angle theta must be finite, got {theta!r}")
     g = Psi.grid.x_grid
-    hat = fourier.ft_array(Psi.values, g, axis=1)
-    hat = _rotate_plane(hat, g, theta)
-    vals = fourier.ift_array(hat, g.dual, g, axis=1)
-    return Psi.with_values(vals)
+    hat = _rotate_plane(fourier.ft_array(Psi.values, g, axis=1), g, theta)
+    return Psi.with_values(fourier.ift_array(hat, g.dual, g, axis=1))
 
 
 def moyal_map(Psi: PhaseState) -> PhaseState:

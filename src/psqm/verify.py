@@ -16,7 +16,7 @@ from .states import (MAX_GAUSSIAN_CENTER, GAUSSIAN_WIDTHS, MAX_HERMITE_LEVEL,
                      hermite_state, hermite_values, inner_config, inner_phase,
                      norm_config, norm_phase, random_config_state,
                      random_phase_state, require_gaussian)
-from .weyl import Symbol, quantize_config, moyal_product
+from .weyl import MAX_INDEX_POINTS, Symbol, quantize_config, moyal_product
 from .isometry import UNIT_NORM_TOL, WindowedIsometry
 from .phase_weyl import intertwining_report
 from .moyal import (bopp_apply, cross_wigner, dilate, moyal_map,
@@ -413,8 +413,9 @@ def run_verify(suites, params: dict | None = None) -> dict:
     """Run named suites ('all' expands to every suite) and assemble the
     deterministic report.  Every parameter is checked before any suite
     runs; a ValueError naming the key and its value refuses keys outside
-    :data:`PARAM_KEYS`, non-integer (or bool) ``n_points`` or ``seed``, a
-    negative ``seed``, ``tol_*`` values that are not positive finite
+    :data:`PARAM_KEYS`, non-integer (or bool) ``n_points`` or ``seed``,
+    ``n_points`` above :data:`psqm.weyl.MAX_INDEX_POINTS`, a negative
+    ``seed``, ``tol_*`` values that are not positive finite
     numbers, an empty ``times`` or entries in it that are not finite or
     whose phase e^{-i*lam*t} keeps no digit the dynamics checks read
     (|t| * lam_max * eps >= ``tol_dynamics``, lam_max = pi*n_points/2:
@@ -435,6 +436,9 @@ def run_verify(suites, params: dict | None = None) -> dict:
             raise ValueError(f"{key} must be an integer, got {merged[key]!r}")
     if merged["seed"] < 0:
         raise ValueError(f"seed must be a non-negative integer, got {merged['seed']!r}")
+    if merged["n_points"] > MAX_INDEX_POINTS:
+        raise ValueError(f"n_points must be at most {MAX_INDEX_POINTS}, the kernel "
+                         f"maps' index bound, got {merged['n_points']!r}")
     if np.ndim(merged["times"]) == 0:
         merged["times"] = [merged["times"]]
     if len(merged["times"]) == 0:

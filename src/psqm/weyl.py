@@ -496,14 +496,13 @@ def quantize_config(a: Symbol) -> LinOp:
 
 def displace(z0, values: np.ndarray, grid: Grid1D) -> np.ndarray:
     """Displacement f -> exp(i*(xi0*x - xi0*x0/2)) f(x - x0) along axis
-    0 of ``values`` sampled on ``grid``: an exact index roll for lattice
-    steps x0, the band-limited Fourier shift otherwise."""
+    0 of ``values`` sampled on ``grid``: :func:`psqm.fourier.fourier_shift`
+    by x0 (whole cells move by an exact index roll), then the phase.  A
+    non-finite x0 or xi0 is refused (ValueError)."""
     x0, xi0 = float(z0[0]), float(z0[1])
-    steps = x0 / grid.spacing
-    if abs(steps - round(steps)) < 1e-9:
-        shifted = np.roll(values, int(round(steps)), axis=0)
-    else:
-        shifted = fourier.fourier_shift(values, grid, x0, axis=0)
+    if not (np.isfinite(x0) and np.isfinite(xi0)):
+        raise ValueError(f"displacement z0 = (x0, xi0) must be finite, got ({x0!r}, {xi0!r})")
+    shifted = fourier.fourier_shift(values, grid, x0, axis=0)
     phase = np.exp(1j * (xi0 * grid.points - 0.5 * xi0 * x0))
     return phase.reshape((-1,) + (1,) * (values.ndim - 1)) * shifted
 

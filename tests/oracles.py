@@ -163,15 +163,36 @@ def explicit_propagator(matrix, t):
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
-# Dense phase-table routes that the lattice FFT routes replaced; each
-# builds an n x n exp table per call (references for the fast routes).
+# Dense phase-table routes that the lattice shear replaced; each builds
+# an n x n exp table per call (references for the package's one shear,
+# which none of them calls).
+
+def fourier_shift_phase_table(values, grid, shift, axis=-1):
+    """values(t) -> values(t - shift) by one FFT, a phase table
+    exp(-i*xi*shift) on the grid's dual frequencies and one inverse FFT;
+    ``shift`` is a scalar, or for a 2-D field one shift per slice along
+    the other axis (an n x n table)."""
+    n = grid.n_points
+    xif = np.fft.ifftshift(grid.dual.points)
+    spec = np.fft.fft(values, axis=axis)
+    shift = np.asarray(shift, dtype=float)
+    if shift.ndim == 0:
+        shp = [1] * values.ndim
+        shp[axis] = n
+        phase = np.exp(-1j * xif * shift).reshape(shp)
+    elif axis % 2 == 1:
+        phase = np.exp(-1j * np.outer(shift, xif))
+    else:
+        phase = np.exp(-1j * np.outer(xif, shift))
+    return np.fft.ifft(spec * phase, axis=axis)
+
 
 def moyal_map_fourier_shift(values, grid):
     """U on (x, p) samples by two Fourier shears of the p-transform."""
     pts = grid.points
     hat = fourier.ft_array(values, grid, axis=1)
-    g1 = fourier.fourier_shift(hat, grid, -pts, axis=1)
-    h = fourier.fourier_shift(g1, grid, pts / 2, axis=0)
+    g1 = fourier_shift_phase_table(hat, grid, -pts, axis=1)
+    h = fourier_shift_phase_table(g1, grid, pts / 2, axis=0)
     return fourier.ift_array(h, grid.dual, grid, axis=1)
 
 
@@ -179,8 +200,8 @@ def moyal_map_inv_fourier_shift(values, grid):
     """U^{-1} on (x, p) samples: the two Fourier shears unwound."""
     pts = grid.points
     hat = fourier.ft_array(values, grid, axis=1)
-    h = fourier.fourier_shift(hat, grid, -pts / 2, axis=0)
-    g1 = fourier.fourier_shift(h, grid, pts, axis=1)
+    h = fourier_shift_phase_table(hat, grid, -pts / 2, axis=0)
+    g1 = fourier_shift_phase_table(h, grid, pts, axis=1)
     return fourier.ift_array(g1, grid.dual, grid, axis=1)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from psqm import hermite_state, self_dual_phase_grid, serialize, spectrum_report
 from psqm.cli import main, parse_config, ConfigError
-from psqm import cli, verify
+from psqm import cli, verify, weyl
 from psqm.verify import run_verify
 
 
@@ -291,6 +291,22 @@ def test_times_past_the_phase_bound_refused_before_any_suite(tmp_path, capsys, t
     assert "times entries must keep |t| * lam_max * eps below tol_dynamics" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+@pytest.mark.parametrize("n", [2 ** 1100, 2 * weyl.MAX_INDEX_POINTS])
+def test_huge_n_points_refused_before_any_lattice(tmp_path, capsys, command, n):
+    # 2**1100 once overflowed the times bound's pi * n_points (exit 3);
+    # both are refused with exit 2 and no report, before any grid is built
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"n_points = {n}\n")
+    out = tmp_path / "rep.json"
+    args = [command] + (["dynamics"] if command == "verify" else [])
+    assert main(args + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"n_points must be at most {weyl.MAX_INDEX_POINTS}" in err and str(n) in err
+    assert not out.exists()
+    assert run_verify([], {"n_points": 1024})["passed"]
 
 
 def test_times_bound_is_tol_dynamics_over_lam_max_eps():

@@ -5,7 +5,7 @@ from psqm import (ConfigState, make_grid, forward_ft, inverse_ft, norm_config,
                   hermite_state, random_config_state, inner_config,
                   GridMismatchError, gaussian_values, self_dual_grid)
 from psqm import fourier
-from oracles import lattice_shear_out_of_place, quadrature_ft
+from oracles import fourier_shift_phase_table, lattice_shear_out_of_place, quadrature_ft
 
 
 def test_gaussian_is_ft_fixed_point_against_quadrature():
@@ -130,7 +130,7 @@ def test_lattice_shear_is_the_half_cell_fourier_shift(n, axis, rng):
                   2 * rng.integers(-n, n, n) + 1,      # every count odd
                   rng.integers(-3 * n, 3 * n, n)):     # mixed
         got = fourier.lattice_shear(v.copy(), steps, axis)
-        want = fourier.fourier_shift(v, g, steps * g.spacing / 2, axis=axis)
+        want = fourier_shift_phase_table(v, g, steps * g.spacing / 2, axis=axis)
         assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
     # whole cells are exact index rolls
     steps = 2 * rng.integers(-n, n, n)
@@ -148,10 +148,54 @@ def test_lattice_shear_on_real_and_non_square_fields(shape, axis, rng):
     v = rng.standard_normal(shape)
     steps = rng.integers(-3 * n, 3 * n, shape[1 - axis])
     got = fourier.lattice_shear(v + 0j, steps, axis)
-    want = fourier.fourier_shift(v, g, steps * g.spacing / 2, axis=axis)
+    want = fourier_shift_phase_table(v, g, steps * g.spacing / 2, axis=axis)
     assert got.shape == shape and got.flags.c_contiguous
     assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
     assert np.array_equal(fourier.lattice_shear(np.asfortranarray(v + 0j), steps, axis), got)
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_lattice_shear_of_real_steps_matches_the_phase_table(n, axis, rng):
+    # one real shift per slice, the rotation's kind: against the
+    # phase-table route, which builds the n x n table the shear avoids
+    g = make_grid(n, 5.0)
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    steps = rng.uniform(-3 * n, 3 * n, n)
+    got = fourier.lattice_shear(v.copy(), steps, axis)
+    want = fourier_shift_phase_table(v, g, steps * g.spacing / 2, axis=axis)
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+    # a scalar shift of 1-D samples, through fourier_shift
+    shift = 0.37 * g.spacing
+    got = fourier.fourier_shift(v[0], g, shift)
+    want = fourier_shift_phase_table(v[0], g, shift)
+    assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_whole_cell_shifts_are_exact_rolls(axis, rng):
+    n = 64
+    g = make_grid(n, 4.0)                   # spacing 1/8: whole cells exact
+    v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    cells = rng.integers(-2 * n, 2 * n, n)
+    got = fourier.lattice_shear(v.copy(), 2.0 * cells, axis)
+    for j in range(n):
+        want = np.roll(np.take(v, j, axis=1 - axis), cells[j])
+        assert np.take(got, j, axis=1 - axis).tobytes() == want.tobytes()
+    # 1-D and 2-D values through fourier_shift, by a scalar shift
+    for m in (3, -70):
+        assert fourier.fourier_shift(v[0], g, m * g.spacing).tobytes() == \
+            np.roll(v[0], m).tobytes()
+        assert np.array_equal(fourier.fourier_shift(v, g, m * g.spacing, axis=axis),
+                              np.roll(v, m, axis=axis))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lattice_shear_refuses_non_finite_steps(bad):
+    steps = np.zeros(8)
+    steps[3] = bad
+    with pytest.raises(ValueError, match="steps"):
+        fourier.lattice_shear(np.zeros((8, 8), complex), steps, 0)
 
 
 @pytest.mark.parametrize("shape", [(64, 64), (9, 12), (15, 7)])

@@ -16,7 +16,7 @@ import pytest
 
 from psqm import (compare_representations, eig, fourier, gaussian_state,
                   hermite_state, moyal_map, moyal_map_inv, moyal_product,
-                  quantize_config, random_phase_state, self_dual_phase_grid,
+                  quantize_config, random_phase_state, rotate, self_dual_phase_grid,
                   spectrum_report, stargen_residual, Symbol, weyl)
 from psqm.verify import run_verify
 
@@ -40,7 +40,9 @@ UNIT = N * N * np.dtype(complex).itemsize
 # symbol_to_kernel 4.01 (the midpoint table stacked from the samples and
 # a separate half-shift array), kernel_to_symbol 3.14 and 2.02
 # (out-of-place half shifts), the sampled star product 4.51 (the same),
-# and building the oscillator 1.00 (its samples).  At n=1024, where a
+# and building the oscillator 1.00 (its samples).  rotate was 6.01 (three
+# copying Fourier shifts, each with its n x n phase table) before it
+# sheared its transform buffer in place.  At n=1024, where a
 # 64-line block is 1/16 of an array rather than 1/4, symbol_to_kernel
 # peaks at 3.05 and kernel_to_symbol at 2.07 (complex) and 1.57 (real).
 BUDGET = {
@@ -58,6 +60,7 @@ BUDGET = {
     "spectrum_report": 12.78,
     "Symbol.oscillator": 0.01,
     "lattice_shear[axis 0]": 0.76,
+    "rotate": 4.14,
 }
 SLACK = 0.25
 
@@ -97,6 +100,7 @@ def calls():
         "stargen_residual": lambda: stargen_residual(osc, 2.5, Psi),
         "spectrum_report": lambda: spectrum_report(osc, chi),
         "lattice_shear[axis 0]": lambda: fourier.lattice_shear(shear, steps, 0),
+        "rotate": lambda: rotate(Psi, -np.pi / 4),
         "Symbol.oscillator": lambda: Symbol.oscillator(grid),
     }
 

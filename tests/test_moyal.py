@@ -15,6 +15,7 @@ from psqm.weyl import star_values
 from psqm.reference import cross_wigner_quadrature
 from psqm import fourier
 from oracles import (double_phase_space_quantize, cross_wigner_dense,
+                     fourier_shift_phase_table,
                      moyal_map_fourier_shift, moyal_map_inv_fourier_shift,
                      moyal_map_out_of_place, moyal_map_inv_out_of_place,
                      apply_dense, bopp_dense, explicit_propagator,
@@ -119,6 +120,28 @@ def test_rotate_past_quarter_turn_splits(pg128):
     assert np.abs(rotate(odd, np.pi).values + odd.values).max() < 1e-9
 
 
+def test_rotate_matches_the_phase_table_shears(pg128, rng):
+    # the three shears applied by the n x n phase-table route
+    Psi = random_phase_state(pg128, rng)
+    g, theta = pg128.x_grid, -np.pi / 4
+    t, pts = np.tan(theta / 2), g.points
+    hat = fourier.ft_array(Psi.values, g, axis=1)
+    hat = fourier_shift_phase_table(hat, g, -t * pts, axis=0)
+    hat = fourier_shift_phase_table(hat, g, np.sin(theta) * pts, axis=1)
+    hat = fourier_shift_phase_table(hat, g, -t * pts, axis=0)
+    want = fourier.ift_array(hat, g.dual, g, axis=1)
+    assert _rel(rotate(Psi, theta).values, want) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rotate_and_dilate_refuse_non_finite_parameters(pg64, rng, bad):
+    Psi = random_phase_state(pg64, rng)
+    with pytest.raises(ValueError, match="theta"):
+        rotate(Psi, bad)
+    with pytest.raises(ValueError, match="dilation parameter s"):
+        dilate(Psi, bad)
+
+
 # ---------------------------------------------------------- the Moyal map
 
 def test_moyal_map_of_lifted_ground_state(pg128):
@@ -188,9 +211,10 @@ def test_moyal_map_calls_no_fourier_shift(pg64, rng, monkeypatch):
     monkeypatch.setattr(fourier, "fourier_shift", counting_shift)
     Psi = random_phase_state(pg64, rng)
     moyal_map_inv(moyal_map(Psi))
+    # the rotation's shears, too, act in place on its own transform buffer
+    rotate(Psi, 0.3)
+    rotate(Psi, 2.5)            # split into two half-angle rotations
     assert len(calls) == 0
-    rotate(Psi, 0.3)            # the general shears still use it
-    assert len(calls) == 3
 
 
 def test_moyal_map_equals_group_composition(pg256, rng):

@@ -267,6 +267,13 @@ def test_displacement_generator_property(weyl_grid_256_10):
     assert np.abs(fd - want).max() / np.abs(want).max() < 1e-5
 
 
+@pytest.mark.parametrize("z0", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 1.0), (0.5, np.nan)])
+def test_displacement_refuses_non_finite_components(weyl_grid_256_10, z0):
+    psi = gaussian_state(weyl_grid_256_10.x_grid, 0.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="z0"):
+        heisenberg_weyl(z0, psi)
+
+
 # ----------------------------------------------------------- moyal product
 
 def test_unit_star_is_identity(pg128, rng):
