@@ -45,7 +45,8 @@ def ft_array(values: np.ndarray, grid: Grid1D, axis: int = -1) -> np.ndarray:
     sgn = _sign_alternation(n).reshape(shp)
     spec = np.fft.fft(values * sgn, axis=axis)
     phase = (grid.spacing / np.sqrt(2.0 * np.pi)) * np.exp(-1j * grid.points[0] * xi)
-    return spec * phase.reshape(shp)
+    spec *= phase.reshape(shp)
+    return spec
 
 
 def ift_array(values: np.ndarray, dual_grid: Grid1D, out_grid: Grid1D,
@@ -59,7 +60,11 @@ def ift_array(values: np.ndarray, dual_grid: Grid1D, out_grid: Grid1D,
     shp[axis] = n
     g = values * np.exp(1j * out_grid.points[0] * dual_grid.points).reshape(shp)
     sgn = _sign_alternation(n).reshape(shp)
-    return (dual_grid.spacing / np.sqrt(2.0 * np.pi)) * sgn * np.fft.ifft(g, axis=axis) * n
+    # in place on g, as ((scale * sgn) * ifft(g)) * n
+    np.fft.ifft(g, axis=axis, out=g)
+    np.multiply((dual_grid.spacing / np.sqrt(2.0 * np.pi)) * sgn, g, out=g)
+    g *= n
+    return g
 
 
 def fourier_shift(values: np.ndarray, grid: Grid1D, shift, axis: int = -1) -> np.ndarray:
@@ -214,7 +219,8 @@ def resample_scaled(values: np.ndarray, grid: Grid1D, alpha: float,
 
 def band_edge_fraction(values: np.ndarray, spectra=None) -> float:
     """Relative spectral amplitude in the outer quarter of the band,
-    maximized over axes; the aliasing guards test this.  ``spectra``
+    maximized over axes, NaN if a spectrum holds one; the band-edge
+    guard (:func:`require_band_limited`) tests this.  ``spectra``
     may give, for each axis in turn, the unshifted FFT (or rfft) of
     ``values`` along it, for a caller that transforms them anyway, or an
     iterable of the blocks that tile that spectrum along another axis,
@@ -235,17 +241,24 @@ def band_edge_fraction(values: np.ndarray, spectra=None) -> float:
         total = np.max(totals)
         if total == 0:
             continue
-        worst = max(worst, np.max(outers) / total)
-    return worst
+        worst = np.maximum(worst, np.max(outers) / total)   # NaN propagates
+    return float(worst)
 
 
-def require_band_limited(values: np.ndarray, tol: float, what: str,
-                         spectra=None) -> None:
+# Both band-edge guards of psqm.weyl (sampled-symbol interpolation, the
+# sampled factor of a polynomial star product) refuse fractions above this:
+# admissible symbols sit at 1e-8 or below, periodized polynomials near 1e-2.
+BAND_EDGE_TOL = 1e-5
+
+
+def require_band_limited(values: np.ndarray, what: str, spectra=None) -> None:
+    """Refuse (:class:`BandLimitError`) a :func:`band_edge_fraction`
+    (``spectra`` as there) not at most :data:`BAND_EDGE_TOL`, NaN included."""
     frac = band_edge_fraction(values, spectra)
-    if frac > tol:
+    if not frac <= BAND_EDGE_TOL:
         raise BandLimitError(
             f"{what} is not band-limited enough: relative band-edge "
-            f"amplitude {frac:.2e} exceeds {tol:.0e}"
+            f"amplitude {frac:.2e} exceeds {BAND_EDGE_TOL:.0e}"
         )
 
 

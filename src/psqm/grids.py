@@ -28,9 +28,17 @@ class GridMismatchError(ValueError):
     incompatible grids."""
 
 
+# psqm.weyl's kernel maps index with int32, up to 2n**2 - 1 into their
+# (2N, N) midpoint table: that fits up to this bound, and larger lattices are refused.
+MAX_INDEX_POINTS = 32768
+
+
 def _require_lattice_size(n: int) -> None:
     if n < 8 or n & (n - 1):
         raise GridMismatchError(f"n_points must be a power of two >= 8, got {n}")
+    if n > MAX_INDEX_POINTS:
+        raise GridMismatchError(f"n_points must be at most {MAX_INDEX_POINTS}, the kernel "
+                                f"maps' index bound, got {n}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +47,9 @@ class Grid1D:
     [center - half_width, center + half_width).
 
     Samples sit at ``center - half_width + k * spacing`` for
-    k = 0 .. n_points - 1.  ``n_points`` must be a power of two (>= 8)
-    so that all transforms stay FFT-friendly.
+    k = 0 .. n_points - 1.  ``n_points`` must be a power of two from 8
+    to :data:`MAX_INDEX_POINTS`, so that all transforms stay
+    FFT-friendly and the kernel maps can index the lattice.
     """
 
     n_points: int

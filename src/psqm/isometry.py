@@ -29,8 +29,9 @@ class WindowedIsometry:
 
     def __post_init__(self):
         nrm = norm_config(self.window)
-        if abs(nrm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"window must have unit norm, got {nrm:.12f}")
+        if not abs(nrm - 1.0) <= UNIT_NORM_TOL:
+            raise ValueError(f"window must have unit norm to within {UNIT_NORM_TOL:g}, "
+                             f"got {nrm:.12f}")
 
     @property
     def p_grid(self):

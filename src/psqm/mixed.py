@@ -52,7 +52,7 @@ class MixedState:
         for psi, chi in comps:
             if not (grids_compatible(psi.grid, xg) and grids_compatible(chi.grid, pg)):
                 raise GridMismatchError("all components must share the two grids")
-            if abs(norm_config(psi) - 1.0) > 1e-8:
+            if not abs(norm_config(psi) - 1.0) <= 1e-8:
                 raise ValueError("component psi_k must be normalized")
         # norm-preserving Gram-Schmidt on the windows
         ortho = []
@@ -75,7 +75,7 @@ class MixedState:
                 "orthogonality", stacklevel=2)
         self.components = [(psi, chi) for (psi, _), chi in zip(comps, ortho)]
         total = sum(norm_config(chi) ** 2 for _, chi in self.components)
-        if abs(total - 1.0) > 1e-10:
+        if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"window weights must sum to 1, got {total:.12f}")
 
     @property
@@ -105,7 +105,8 @@ def measure_probability(M: MixedState, phi_alpha: ConfigState) -> float:
 def collapse(M: MixedState, phi_alpha: ConfigState) -> PhaseState:
     """Normalized projection of the mixed state onto the eigenspace of
     phi_alpha; |((Psi | collapsed))|^2 reproduces the measurement
-    probability."""
+    probability.  A projection whose norm is below 1e-12, or NaN, is
+    refused (ZeroProjectionError)."""
     psi0, chi0 = M.components[0]
     grid = PhaseGrid(psi0.grid, chi0.grid)
     vals = np.zeros(grid.shape, complex)
@@ -114,9 +115,10 @@ def collapse(M: MixedState, phi_alpha: ConfigState) -> PhaseState:
         vals += coef * np.outer(phi_alpha.values, np.conj(chi.values))
     out = PhaseState(grid, vals)
     nrm = norm_phase(out)
-    if nrm < 1e-12:
+    if not nrm >= 1e-12:
         raise ZeroProjectionError(
-            "outcome has zero probability; the projected state vanishes")
+            f"outcome has zero probability: the projected state's norm {nrm:.2e} "
+            "is not at least 1e-12")
     return out.with_values(out.values / nrm)
 
 

@@ -58,9 +58,9 @@ def _require_self_dual(grid: PhaseGrid, what: str) -> None:
 def dilate(Psi: PhaseState, s: float) -> PhaseState:
     """Dilation group: Psi -> e^{-s} Psi(e^{-s} x, e^{-s} p).
 
-    Band-limited rescaling along both axes; a unitarity check guards
-    against mass leaving the box (states must decay inside the
-    contraction region); ``s`` must be finite.
+    Band-limited rescaling along both axes; a unitarity check (a NaN
+    norm fails it) guards against mass leaving the box (states must
+    decay inside the contraction region); ``s`` must be finite.
     """
     _require_self_dual(Psi.grid, "dilate")
     if not np.isfinite(s):
@@ -71,7 +71,7 @@ def dilate(Psi: PhaseState, s: float) -> PhaseState:
     vals = fourier.resample_scaled(vals, g, alpha, axis=1)
     out = Psi.with_values(np.exp(-s) * vals)
     n_in, n_out = norm_phase(Psi), norm_phase(out)
-    if n_in > 0 and abs(n_out - n_in) > _UNITARITY_GUARD * n_in:
+    if not abs(n_out - n_in) <= _UNITARITY_GUARD * n_in:
         raise BandLimitError(
             f"dilation lost mass through the box boundary "
             f"(norm {n_in:.3e} -> {n_out:.3e}); state is not confined enough"

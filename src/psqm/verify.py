@@ -16,8 +16,8 @@ from .states import (MAX_GAUSSIAN_CENTER, GAUSSIAN_WIDTHS, MAX_HERMITE_LEVEL,
                      hermite_state, hermite_values, inner_config, inner_phase,
                      norm_config, norm_phase, random_config_state,
                      random_phase_state, require_gaussian)
-from .weyl import MAX_INDEX_POINTS, Symbol, quantize_config, moyal_product
-from .isometry import UNIT_NORM_TOL, WindowedIsometry
+from .weyl import Symbol, quantize_config, moyal_product
+from .isometry import WindowedIsometry
 from .phase_weyl import intertwining_report
 from .moyal import (bopp_apply, cross_wigner, dilate, moyal_map,
                     quantize_moyal, rotate, star_apply,
@@ -88,47 +88,50 @@ def _symbol(grid: PhaseGrid, name: str) -> Symbol:
     return _SYMBOLS[name](grid)
 
 
+# The refusal of a ``window`` value names the key and both forms.
+_WINDOW_FORMS = (f"window must be 'hermite:K' (K in 0..{MAX_HERMITE_LEVEL}) or "
+                 f"'gaussian:x0,p0,w' (|x0|, |p0| <= {MAX_GAUSSIAN_CENTER:g}, "
+                 f"{GAUSSIAN_WIDTHS[0]:g} <= w <= {GAUSSIAN_WIDTHS[1]:g})")
+
+
 def resolve_params(params: dict, symbol: str = "oscillator"):
     """(grid, window, symbol) named by a parameter set: the self-dual
     phase grid of ``n_points``, the ``window`` spec (``hermite:K`` or
     ``gaussian:x0,p0,w``) sampled on its p axis, and the named symbol
-    on the grid.  A window off unit norm there is refused, naming both."""
+    on the grid, each refused (ValueError) by the code that builds it;
+    a window off unit norm there is refused naming both."""
     n = int(params["n_points"])
     grid = self_dual_phase_grid(n)
     spec = params.get("window", "hermite:0")
-    kind, args = _window_spec(spec)
-    if kind == "hermite":
-        chi = hermite_state(grid.p_grid, *args)
-    else:
-        chi = gaussian_state(grid.p_grid, *args)
-    nrm = norm_config(chi)
-    if abs(nrm - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"window {spec!r} sampled on the p axis of n_points = {n} has "
-                         f"norm {nrm:.12f}, not 1 to within {UNIT_NORM_TOL:g}")
+    build, args = _window_spec(spec)
+    try:
+        chi = build(grid.p_grid, *args)
+    except ValueError:  # hermite_state refuses the level
+        raise ValueError(f"{_WINDOW_FORMS}, got {spec!r}") from None
+    try:
+        WindowedIsometry(chi)
+    except ValueError as exc:
+        raise ValueError(f"window {spec!r} sampled on the p axis of n_points = {n}: "
+                         f"{exc}") from None
     return grid, chi, _symbol(grid, str(symbol))
 
 
 def _window_spec(spec) -> tuple:
-    """('hermite', (K,)) or ('gaussian', (x0, p0, w)) from a ``window``
-    value; anything else is refused (ValueError naming the key).  The
-    Gaussian's bounds are :func:`psqm.states.require_gaussian`'s."""
+    """(hermite_state, (K,)) or (gaussian_state, (x0, p0, w)) from a
+    ``window`` value, else a ValueError naming the key; the Gaussian's
+    bounds are :func:`psqm.states.require_gaussian`'s."""
     kind, _, rest = str(spec).partition(":")
     fields = rest.split(",")
     try:
         if kind == "hermite" and len(fields) == 1:
-            args = (int(fields[0]),)
-            if 0 <= args[0] <= MAX_HERMITE_LEVEL:
-                return kind, args
-        elif kind == "gaussian" and len(fields) == 3:
+            return hermite_state, (int(fields[0]),)
+        if kind == "gaussian" and len(fields) == 3:
             args = tuple(float(v) for v in fields)
             require_gaussian(*args)
-            return kind, args
+            return gaussian_state, args
     except ValueError:
         pass
-    lo, hi = GAUSSIAN_WIDTHS
-    raise ValueError(f"window must be 'hermite:K' (K in 0..{MAX_HERMITE_LEVEL}) "
-                     f"or 'gaussian:x0,p0,w' (|x0|, |p0| <= {MAX_GAUSSIAN_CENTER:g}, "
-                     f"{lo:g} <= w <= {hi:g}), got {spec!r}")
+    raise ValueError(f"{_WINDOW_FORMS}, got {spec!r}")
 
 
 def _sampled_corpus(grid: PhaseGrid) -> list:
@@ -412,18 +415,16 @@ _SUITES = {
 def run_verify(suites, params: dict | None = None) -> dict:
     """Run named suites ('all' expands to every suite) and assemble the
     deterministic report.  Every parameter is checked before any suite
-    runs; a ValueError naming the key and its value refuses keys outside
-    :data:`PARAM_KEYS`, non-integer (or bool) ``n_points`` or ``seed``,
-    ``n_points`` above :data:`psqm.weyl.MAX_INDEX_POINTS`, a negative
-    ``seed``, ``tol_*`` values that are not positive finite
-    numbers, an empty ``times`` or entries in it that are not finite or
-    whose phase e^{-i*lam*t} keeps no digit the dynamics checks read
-    (|t| * lam_max * eps >= ``tol_dynamics``, lam_max = pi*n_points/2:
-    |t| >= 2.8e6 at n = 1024 with the default tolerance), and ``window``
-    specs other than ``hermite:K`` or ``gaussian:x0,p0,w``.  A single
-    ``times`` value runs as a one-element list.  The suites share one
-    ``inputs`` = (grid, window, oscillator), :func:`resolve_params` of the
-    checked parameters, and so the oscillator's one operator."""
+    runs, ``suites`` empty included: a ValueError naming the key and its
+    value refuses keys outside :data:`PARAM_KEYS`, non-integer (or bool)
+    ``n_points`` or ``seed``, whatever :func:`resolve_params` cannot build
+    (the grid, window and oscillator every suite shares), a negative
+    ``seed``, ``tol_*`` values that are not positive finite numbers, an
+    empty ``times`` or entries in it that are not finite or whose phase
+    e^{-i*lam*t} keeps no digit the dynamics checks read (|t| * lam_max *
+    eps >= ``tol_dynamics``, lam_max = pi*n_points/2: |t| >= 2.8e6 at
+    n = 1024 with the default tolerance).  A single ``times`` value runs
+    as a one-element list."""
     bad_keys = sorted(set(params or ()) - PARAM_KEYS)
     if bad_keys:
         raise ValueError(f"unknown parameter(s) {bad_keys}; choose from "
@@ -434,11 +435,9 @@ def run_verify(suites, params: dict | None = None) -> dict:
     for key in ("n_points", "seed"):
         if isinstance(merged[key], bool) or not isinstance(merged[key], Integral):
             raise ValueError(f"{key} must be an integer, got {merged[key]!r}")
+    inputs = resolve_params(merged)  # one oscillator, quantized once per run
     if merged["seed"] < 0:
         raise ValueError(f"seed must be a non-negative integer, got {merged['seed']!r}")
-    if merged["n_points"] > MAX_INDEX_POINTS:
-        raise ValueError(f"n_points must be at most {MAX_INDEX_POINTS}, the kernel "
-                         f"maps' index bound, got {merged['n_points']!r}")
     if np.ndim(merged["times"]) == 0:
         merged["times"] = [merged["times"]]
     if len(merged["times"]) == 0:
@@ -447,10 +446,10 @@ def run_verify(suites, params: dict | None = None) -> dict:
         if not (_finite_number(merged[key]) and merged[key] > 0):
             raise ValueError(f"{key} must be a positive finite number, "
                              f"got {merged[key]!r}")
-    # e^{-i*lam*t} is rounded by about lam*|t|*eps; lam_max = pi*n/2, the
-    # lattice's largest x**2/2 + xi**2/2, bounds the oscillator's top level
-    # (1565 against 1608 at n = 1024)
-    lam_eps = np.pi * merged["n_points"] / 2 * np.finfo(float).eps
+    # e^{-i*lam*t} is rounded by about lam*|t|*eps; lam_max = half_width**2
+    # (pi*n/2 here), the lattice's largest x**2/2 + xi**2/2, bounds the
+    # oscillator's top level (1565 against 1608 at n = 1024)
+    lam_eps = inputs[0].x_grid.half_width ** 2 * np.finfo(float).eps
     tol_d = _tol(merged, "tol_dynamics")
     for t in merged["times"]:
         if not _finite_number(t):
@@ -459,7 +458,6 @@ def run_verify(suites, params: dict | None = None) -> dict:
             raise ValueError(f"times entries must keep |t| * lam_max * eps below "
                              f"tol_dynamics, |t| < {tol_d / lam_eps:.3g} at n_points = "
                              f"{merged['n_points']}, got {t!r}")
-    _window_spec(merged["window"])
     if isinstance(suites, str):
         suites = [suites]
     names = list(SUITE_NAMES) if "all" in suites else list(suites)
@@ -470,9 +468,6 @@ def run_verify(suites, params: dict | None = None) -> dict:
     out = {"seed": int(merged["seed"]),
            "params": {k: merged[k] for k in sorted(merged)},
            "suites": [], "n_checks": 0, "passed": True}
-    # one grid, window and oscillator for the run: every suite quantizes
-    # (and decomposes) the same oscillator symbol, so it is done once
-    inputs = resolve_params(merged) if names else None
     for name in names:
         try:
             checks = _SUITES[name](merged, inputs)

@@ -42,16 +42,6 @@ __all__ = [
     "moyal_product",
 ]
 
-# Both guards test the relative spectral amplitude near the band edge
-# (the content whose midpoint/shift behavior is unconstrained by the
-# samples).  Admissible symbols sit at 1e-8 or below; periodized
-# polynomials land around 1e-2 and are rejected.  The achieved 1e-8
-# interpolation/round-trip residuals on admissible symbols are locked in
-# by the test suite.
-INTERP_GUARD_TOL = 1e-5   # symbol midpoint interpolation support test
-ALIAS_GUARD_TOL = 1e-5    # sampled factor of a polynomial star product
-
-
 # State components below sqrt(tiny) (1.5e-154) are zeroed before a dense
 # product, so no partial product in the GEMM is subnormal (BLAS runs
 # several times slower on those).  Lifted n=1024 states carry tails near
@@ -273,13 +263,13 @@ class LinOp:
 
     def eigh(self, herm_tol: float = 1e-8):
         """(w ascending, V) of H = (M + M*)/2, computed once per operator;
-        refuses (ValueError) a Hermiticity defect above ``herm_tol`` on
-        every call.  H is M itself when the defect is 0 (M = M* bit for
-        bit): only a matrix with a nonzero defect is symmetrized.  V is
-        real when M is (:func:`symbol_to_kernel` stores a real symbol's
-        matrix real when it is real up to round-off).  Both arrays are
-        read-only."""
-        if self.hermiticity_defect() > herm_tol:
+        refuses (ValueError) a Hermiticity defect above ``herm_tol``, or
+        NaN, on every call.  H is M itself when the defect is 0 (M = M*
+        bit for bit): only a matrix with a nonzero defect is symmetrized.
+        V is real when M is (:func:`symbol_to_kernel` stores a real
+        symbol's matrix real when it is real up to round-off).  Both
+        arrays are read-only."""
+        if not self.hermiticity_defect() <= herm_tol:
             raise ValueError(f"operator is not Hermitian (defect {self._defect:.2e})")
         if self._eigh is None:
             M = self.matrix
@@ -306,22 +296,6 @@ class LinOp:
 
 
 # ------------------------------------------------------------ kernel machinery
-
-# The kernel maps gather with int32 flat indices, half the size of intp,
-# formed for one block of fourier.BLOCK rows at a time, so neither they
-# nor the intp copy np.take makes of them approach an n x n array.  The
-# largest, 2n**2 - 1 into the (2N, N) midpoint table, fits for every n
-# up to this bound, and larger lattices are refused.
-MAX_INDEX_POINTS = 32768
-
-
-def _index_base(n: int) -> np.ndarray:
-    """arange(n) in int32, refusing lattices above :data:`MAX_INDEX_POINTS`."""
-    if n > MAX_INDEX_POINTS:
-        raise ValueError(f"kernel index tables hold n <= {MAX_INDEX_POINTS} points, "
-                         f"got {n}")
-    return np.arange(n, dtype=np.int32)
-
 
 def _midpoint_block(i: np.ndarray, j: np.ndarray, torus: bool) -> np.ndarray:
     """Flat int32 index S*n + D into the (2N, N) table of the half-lattice
@@ -364,8 +338,7 @@ def _midpoint_values(a: Symbol) -> np.ndarray:
         return amid.real if np.iscomplexobj(amid) and not amid.imag.any() else amid
     values = a.values if a.values.imag.any() else a.values.real
     spec_x = fourier.axis_spectrum(values, 0)
-    fourier.require_band_limited(values, INTERP_GUARD_TOL,
-                                 "sampled symbol (midpoint interpolation)",
+    fourier.require_band_limited(values, "sampled symbol (midpoint interpolation)",
                                  (spec_x, fourier.axis_spectrum(values, 1)))
     return fourier.upsample2(values, 0, spec_x)
 
@@ -408,7 +381,9 @@ def symbol_to_kernel(a: Symbol) -> LinOp:
         B = np.fft.ifft(amid, axis=1, out=amid)   # the table is this call's
         B *= post
     M = np.empty((n, n), B.dtype)
-    j = _index_base(n)
+    # int32 flat indices (they fit every lattice psqm.grids admits), formed
+    # per fourier.BLOCK of rows, so neither they nor np.take's intp copy is n x n
+    j = np.arange(n, dtype=np.int32)
     for lo in range(0, n, fourier.BLOCK):
         i = j[lo:lo + fourier.BLOCK, None]
         # "raise" would buffer out as a (BLOCK, n) copy; S < 2n, D < n: no index wraps
@@ -459,7 +434,7 @@ def kernel_to_symbol(op: LinOp) -> Symbol:
     mid_t = fourier.half_shift(mid_t, 1, np.fft.rfft(mid_t) if np.isrealobj(M)
                                else np.fft.fft(mid_t, out=mid_t))
     vals = np.empty((n, n), complex)
-    rows = _index_base(n)[:, None]
+    rows = np.arange(n, dtype=np.int32)[:, None]
     for lo in range(0, n, fourier.BLOCK):
         hi = lo + fourier.BLOCK
         even, odd = _offset_block(rows[lo:hi], n)
@@ -565,8 +540,6 @@ def _outer_sum(src: np.ndarray, base, terms: dict, in_place: bool) -> np.ndarray
                 acc = np.add(acc, t, out=dst)   # acc + t, as acc += t (it commutes)
             else:
                 acc += t
-        if acc is not dst:
-            dst[...] = acc
     return out
 
 
@@ -584,11 +557,11 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
     quadratic factor costs two forward and two inverse one-axis passes,
     plus one 2-D pass when a term carries d_x d_xi.
 
-    The :data:`ALIAS_GUARD_TOL` band-edge guard refuses before any term
-    is formed.  It reads the x spectrum, which is kept for the x terms,
-    and the p spectrum in row blocks; the whole p spectrum is formed
-    only when the last group of terms reads it, so at most one spectrum
-    and the sum are held at a time.
+    The band-edge guard (:func:`psqm.fourier.require_band_limited`)
+    refuses before any term is formed.  It reads the x spectrum, which
+    is kept for the x terms, and the p spectrum in row blocks; the whole
+    p spectrum is formed only when the last group of terms reads it, so
+    at most one spectrum and the sum are held at a time.
     """
     # complex C-ordered values, as the first term's array becomes the sum
     values = np.asarray(values, complex, order="C")
@@ -599,7 +572,7 @@ def groenewold_mixed(poly: dict, values: np.ndarray, grid: PhaseGrid,
     spec_x = np.fft.fft(spec_x, axis=1, out=spec_x).T
     rows = range(0, values.shape[0], fourier.BLOCK)
     fourier.require_band_limited(
-        values, ALIAS_GUARD_TOL, "star-product factor",
+        values, "star-product factor",
         (spec_x, (np.fft.fft(values[lo:lo + fourier.BLOCK], axis=1) for lo in rows)))
     coords = (grid.x_grid.points[:, None], grid.p_grid.points[None, :])
     ik = (1j * np.fft.ifftshift(grid.x_grid.dual.points)[:, None],

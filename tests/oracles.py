@@ -457,7 +457,7 @@ def groenewold_mixed_zero_start(poly, values, grid, poly_on_left):
     spectrum held to the end and each term group formed whole."""
     spectra = {(0,): np.fft.fft(np.ascontiguousarray(values.T), axis=1).T,
                (1,): np.fft.fft(values, axis=1)}
-    fourier.require_band_limited(values, weyl.ALIAS_GUARD_TOL, "star-product factor",
+    fourier.require_band_limited(values, "star-product factor",
                                  (spectra[(0,)], spectra[(1,)]))
     coords = (grid.x_grid.points[:, None], grid.p_grid.points[None, :])
     ik = (1j * np.fft.ifftshift(grid.x_grid.dual.points)[:, None],

@@ -7,7 +7,7 @@ import pytest
 
 from psqm import hermite_state, self_dual_phase_grid, serialize, spectrum_report
 from psqm.cli import main, parse_config, ConfigError
-from psqm import cli, verify, weyl
+from psqm import cli, grids, verify
 from psqm.verify import run_verify
 
 
@@ -238,6 +238,22 @@ def test_wigner_refuses_non_power_of_two_csv(tmp_path, capsys):
     assert code == 2 and "bad.csv" in err and "power of two" in err
 
 
+def test_wigner_refuses_a_csv_above_the_index_bound_at_load(tmp_path, capsys, monkeypatch):
+    # 65536 rows would make cross_wigner allocate a 64 GiB field: the grid
+    # the loader builds refuses the lattice first, a config error (exit 2)
+    def refuse(*args):
+        raise AssertionError("cross_wigner ran on a lattice above the index bound")
+
+    monkeypatch.setattr(cli, "cross_wigner", refuse)
+    x = 0.01 * np.arange(2 * grids.MAX_INDEX_POINTS)
+    rows = np.column_stack([x, np.zeros_like(x), np.zeros_like(x)])
+    code, err = _wigner_with_psi_csv(tmp_path, capsys, rows)
+    assert code == 2 and "bad.csv" in err
+    assert f"n_points must be at most {grids.MAX_INDEX_POINTS}" in err
+    with pytest.raises(ValueError, match="n_points must be at most"):
+        serialize.load_config_csv(tmp_path / "bad.csv")
+
+
 def test_wigner_refuses_nonuniform_csv(tmp_path, capsys):
     g = self_dual_phase_grid(64).x_grid
     x = g.points.copy()
@@ -294,17 +310,17 @@ def test_times_past_the_phase_bound_refused_before_any_suite(tmp_path, capsys, t
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
-@pytest.mark.parametrize("n", [2 ** 1100, 2 * weyl.MAX_INDEX_POINTS])
+@pytest.mark.parametrize("n", [2 ** 1100, 2 * grids.MAX_INDEX_POINTS])
 def test_huge_n_points_refused_before_any_lattice(tmp_path, capsys, command, n):
     # 2**1100 once overflowed the times bound's pi * n_points (exit 3);
-    # both are refused with exit 2 and no report, before any grid is built
+    # both are refused with exit 2 and no report, by the grid when it is made
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"n_points = {n}\n")
     out = tmp_path / "rep.json"
     args = [command] + (["dynamics"] if command == "verify" else [])
     assert main(args + ["--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"n_points must be at most {weyl.MAX_INDEX_POINTS}" in err and str(n) in err
+    assert f"n_points must be at most {grids.MAX_INDEX_POINTS}" in err and str(n) in err
     assert not out.exists()
     assert run_verify([], {"n_points": 1024})["passed"]
 
@@ -511,3 +527,23 @@ def test_window_refusal_names_window_and_n_points(tmp_path, capsys, text, named)
     cfg.write_text(text)
     assert main(["verify", "all", "--config", str(cfg)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suites", [[], ["mixed"], "all"])
+@pytest.mark.parametrize("params, message", [
+    ({"n_points": 2 * grids.MAX_INDEX_POINTS}, "n_points must be at most"),
+    ({"n_points": 96}, "n_points must be a power of two >= 8, got 96"),
+    ({"window": "hermite:13"}, "got 'hermite:13'"),
+    ({"window": "gaussian:0,0,0"}, "got 'gaussian:0,0,0'"),
+    ({"n_points": 8}, "window 'hermite:0' sampled on the p axis of n_points = 8"),
+])
+def test_run_verify_builds_its_inputs_before_any_suite(monkeypatch, suites, params, message):
+    # the grid, the window and the isometry refuse what they cannot
+    # build, also for run_verify([], ...), which psqm spectrum runs to
+    # check its parameters
+    def refuse(*args):
+        raise AssertionError("a suite ran before its inputs were built")
+
+    monkeypatch.setattr(verify, "_SUITES", dict.fromkeys(verify.SUITE_NAMES, refuse))
+    with pytest.raises(ValueError, match=message):
+        run_verify(suites, params)

@@ -3,6 +3,7 @@ import pytest
 
 from psqm import (Grid1D, GridMismatchError, make_grid, self_dual_grid,
                   self_dual_phase_grid, grids_compatible)
+from psqm.grids import MAX_INDEX_POINTS
 
 
 def test_make_grid_points_and_spacing():
@@ -57,3 +58,15 @@ def test_grid_equality_is_tolerant():
     h = Grid1D(64, 5.0 * (1 + 1e-14), 0.0)
     assert grids_compatible(g, h)
     assert not grids_compatible(g, Grid1D(64, 5.1, 0.0))
+
+
+def test_every_lattice_above_the_index_bound_refused_when_made():
+    # the kernel maps' int32 index bound holds for every Grid1D: no
+    # module past psqm.grids checks it again
+    n = 2 * MAX_INDEX_POINTS
+    for make in (lambda: Grid1D(n, 1.0), lambda: make_grid(n, 1.0),
+                 lambda: self_dual_grid(n), lambda: self_dual_phase_grid(n)):
+        with pytest.raises(GridMismatchError,
+                           match=f"n_points must be at most {MAX_INDEX_POINTS}.*got {n}"):
+            make()
+    assert Grid1D(MAX_INDEX_POINTS, 1.0).n_points == MAX_INDEX_POINTS

@@ -2,7 +2,8 @@
 in that file, no psqm module uses another psqm module's private
 (``_name``) names, psqm modules import at module level only, every
 ``__all__`` entry resolves, no psqm module defines a cache, the oracles
-import numpy only and importing psqm loads no scipy."""
+import numpy only, importing psqm loads no scipy and only ``grids``
+compares against the lattice bound."""
 
 import ast
 import importlib
@@ -217,3 +218,18 @@ def test_oracle_import_guard_sees_package_imports(tmp_path):
                    "from psqm.moyal import cross_wigner\n"
                    "import psqm.weyl\n")
     assert _imported_roots(bad) == {"numpy", "scipy", "psqm"}
+
+
+def _index_bound_comparisons(path: Path) -> list:
+    """Lines of ``path`` comparing against ``MAX_INDEX_POINTS``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted({node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                   for sub in ast.walk(node)
+                   if getattr(sub, "id", getattr(sub, "attr", None)) == "MAX_INDEX_POINTS"})
+
+
+def test_only_grids_compares_against_the_lattice_bound():
+    # Grid1D refuses every lattice above the bound when it is made; a
+    # second comparison elsewhere would be a copy of that rule
+    found = {p.name: _index_bound_comparisons(p) for p in sorted(SRC.glob("*.py"))}
+    assert {name for name, lines in found.items() if lines} == {"grids.py"}

@@ -154,3 +154,10 @@ def test_grid_mismatch_raises(pg128, iso128):
     bad = PhaseState(PhaseGrid(pg128.x_grid, other), np.zeros(pg128.shape))
     with pytest.raises(Exception):
         iso128.adjoint(bad)
+
+
+def test_window_holding_a_nan_refused(pg128):
+    chi = hermite_state(pg128.p_grid, 0)
+    chi.values[3] = np.nan
+    with pytest.raises(ValueError, match="unit norm.*got nan"):
+        WindowedIsometry(chi)

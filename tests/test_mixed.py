@@ -169,3 +169,25 @@ def test_dependent_windows_refused(setting):
     with pytest.raises(ValueError, match="linearly dependent"):
         MixedState([(basis[0][1], weighted(chi, 0.5)),
                     (basis[1][1], weighted(chi, 0.5))])
+
+
+def test_nan_component_and_nan_window_refused(setting):
+    pg, _, basis = setting
+    psi, chi = basis[0][1], hermite_state(pg.p_grid, 0)
+    bad_psi = psi.with_values(psi.values.copy())
+    bad_psi.values[7] = np.nan
+    with pytest.raises(ValueError, match="psi_k must be normalized"):
+        MixedState([(bad_psi, chi)])
+    bad_chi = chi.with_values(chi.values.copy())
+    bad_chi.values[7] = np.nan
+    with pytest.raises(ValueError, match="window weights must sum to 1, got nan"):
+        MixedState([(psi, bad_chi)])
+
+
+def test_collapse_refuses_a_nan_projection(setting):
+    pg, _, basis = setting
+    M = MixedState([(basis[0][1], hermite_state(pg.p_grid, 0))])
+    phi = basis[0][1].with_values(basis[0][1].values.copy())
+    phi.values[7] = np.nan
+    with pytest.raises(ZeroProjectionError, match="norm nan"):
+        collapse(M, phi)

@@ -496,3 +496,20 @@ def test_metaplectic_covariance_specialization():
     v = blob.reshape(-1)
     v = v / np.linalg.norm(v)
     assert np.abs((dense - oracle) @ v).max() < 1e-3
+
+
+# --------------------------------------------------- guards refuse NaN
+
+def test_star_apply_refuses_a_non_finite_sample(pg64, rng):
+    Psi = random_phase_state(pg64, rng)
+    Psi.values[10, 20] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(BandLimitError, match="nan"):
+        star_apply(Symbol.oscillator(pg64), Psi)
+
+
+def test_dilate_refuses_a_non_finite_norm(pg64, rng):
+    # e^{800} overflows: the unitarity guard sees a NaN norm and refuses
+    Psi = random_phase_state(pg64, rng)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(BandLimitError, match="nan"):
+        dilate(Psi, -800.0)

@@ -351,7 +351,7 @@ def test_mixed_star_guard_reads_the_p_spectrum_in_blocks(rng):
     values = np.exp(-(X ** 2 + P ** 2) / 2) + 1e-3 * np.exp(-X ** 2) * (-1.0) ** np.arange(128)
     frac = fourier.band_edge_fraction(values)
     x_only = fourier.band_edge_fraction(values, [fourier.axis_spectrum(values, 0)])
-    assert x_only < weyl.ALIAS_GUARD_TOL < frac
+    assert x_only < fourier.BAND_EDGE_TOL < frac
     with pytest.raises(BandLimitError, match=f"amplitude {frac:.2e} exceeds"):
         weyl.groenewold_mixed({(2, 0): 0.5, (0, 2): 0.5}, values, grid, True)
 
@@ -697,3 +697,23 @@ def test_star_product_of_polynomials_keeps_coefficients(pg64):
     assert c.poly == {(1, 1): 1.0, (0, 0): 0.5j}      # x * xi = x xi + i/2
     X, XI = pg64.meshes()
     assert np.array_equal(c.values, X * XI + 0.5j)
+
+
+# --------------------------------------------------- guards refuse NaN
+
+def test_band_edge_guard_refuses_a_nan_sample(pg64):
+    # the fraction is NaN, not 0.0, so quantize_config refuses the symbol
+    # instead of building a NaN matrix
+    X, XI = pg64.meshes()
+    values = np.exp(-(X ** 2 + XI ** 2) / 2)
+    values[5, 7] = np.nan
+    assert np.isnan(fourier.band_edge_fraction(values))
+    with pytest.raises(BandLimitError, match="amplitude nan exceeds"):
+        quantize_config(Symbol.from_samples(pg64, values))
+
+
+def test_eigh_refuses_a_nan_hermiticity_defect(pg64):
+    M = np.eye(64)
+    M[3, 3] = np.nan
+    with pytest.raises(ValueError, match=r"not Hermitian \(defect nan\)"):
+        LinOp(pg64.x_grid, M).eigh()
