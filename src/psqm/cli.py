@@ -7,10 +7,10 @@ Subcommands:
   evolve --config PATH [--out PATH]           three-representation dynamics
 
 Config files are flat ``key = value`` lines (# comments); recognized
-keys: those of ``verify.PARAM_KEYS`` (n_points, seed, window, times and
-the tolerance overrides tol_* of ``verify.TOLERANCES``) and t, plus
-symbol for ``spectrum`` only; any other key, a key given twice and t
-with times are refused.  Exit codes: 0 pass, 1 check failure, 2 usage
+keys: those of ``verify.PARAM_KEYS`` (n_points, seed, window and times)
+and t, plus symbol for ``spectrum`` only; any other key (a tolerance
+too: each check's is fixed in ``verify.TOLERANCES``), a key given twice
+and t with times are refused.  Exit codes: 0 pass, 1 check failure, 2 usage
 or config error, 3 internal error (any other exception, reported on
 stderr by type and message), 4 numerical refusal (``BandLimitError``).
 """

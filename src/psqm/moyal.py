@@ -60,16 +60,19 @@ def dilate(Psi: PhaseState, s: float) -> PhaseState:
 
     Band-limited rescaling along both axes; a unitarity check (a NaN
     norm fails it) guards against mass leaving the box (states must
-    decay inside the contraction region); ``s`` must be finite.
+    decay inside the contraction region); ``s`` must be finite with
+    e^{-s} a positive normal float (|s| below about 708).
     """
     _require_self_dual(Psi.grid, "dilate")
-    if not np.isfinite(s):
-        raise ValueError(f"dilation parameter s must be finite, got {s!r}")
+    with np.errstate(over="ignore"):
+        alpha = float(np.exp(-s))
+    if not np.finfo(float).tiny <= alpha < np.inf:  # NaN fails too
+        raise ValueError(f"dilation parameter s must be finite with e^-s a positive "
+                         f"normal float, got s = {s!r} (e^-s = {alpha:.3g})")
     g = Psi.grid.x_grid
-    alpha = float(np.exp(-s))
     vals = fourier.resample_scaled(Psi.values, g, alpha, axis=0)
     vals = fourier.resample_scaled(vals, g, alpha, axis=1)
-    out = Psi.with_values(np.exp(-s) * vals)
+    out = Psi.with_values(alpha * vals)
     n_in, n_out = norm_phase(Psi), norm_phase(out)
     if not abs(n_out - n_in) <= _UNITARITY_GUARD * n_in:
         raise BandLimitError(

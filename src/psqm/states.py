@@ -186,19 +186,25 @@ def boundary_mass(state) -> float:
 
 def _random_state(state_type, grid, rng: np.random.Generator):
     """A normalized ``state_type`` on ``grid``: a complex normal draw
-    (real parts, then imaginary parts) damped by the spectral envelope,
-    inverse transformed, then damped by the spatial one.  Each envelope
+    (real parts, then imaginary parts, in one call) damped by the spectral
+    envelope, inverse transformed in place one axis at a time (last axis
+    first, as ``ifftn``), then damped by the spatial one.  Each envelope
     is a product of 1-D Gaussians, one per axis, applied in turn (x, then
-    p) and broadcast along the other axis, so no n x n envelope is made."""
+    p) and broadcast along the other axis, so no n x n envelope is made;
+    the draw is moved to FFT order and the spectral envelopes with it."""
     axes = (grid.x_grid, grid.p_grid) if isinstance(grid, PhaseGrid) else (grid,)
     frac = max(3.0, float(np.sqrt(np.pi * min(g.n_points for g in axes) / 10.0)))
-    spec = np.empty(tuple(g.n_points for g in axes), complex)
-    spec.real = rng.standard_normal(spec.shape)
-    spec.imag = rng.standard_normal(spec.shape)
-    for env in np.ix_(*[np.exp(-(g.dual.points / (g.dual.half_width / frac)) ** 2)
-                        for g in axes]):
-        spec *= env
-    vals = np.fft.ifftn(np.fft.ifftshift(spec))
+    shape = tuple(g.n_points for g in axes)
+    draw = np.fft.ifftshift(rng.standard_normal((2,) + shape),
+                            axes=tuple(range(1, 1 + len(axes))))
+    vals = np.empty(shape, complex)
+    vals.real, vals.imag = draw
+    del draw
+    spectral = [np.exp(-(g.dual.points / (g.dual.half_width / frac)) ** 2) for g in axes]
+    for env in np.ix_(*[np.fft.ifftshift(e) for e in spectral]):
+        vals *= env
+    for axis in reversed(range(len(axes))):
+        np.fft.ifft(vals, axis=axis, out=vals)
     for env in np.ix_(*[np.exp(-((g.points - g.center) / (g.half_width / frac)) ** 2)
                         for g in axes]):
         vals *= env

@@ -10,12 +10,12 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .grids import PhaseGrid, self_dual_phase_grid
+from .grids import Grid1D, PhaseGrid, self_dual_phase_grid
 from .states import (MAX_GAUSSIAN_CENTER, GAUSSIAN_WIDTHS, MAX_HERMITE_LEVEL,
                      ConfigState, PhaseState, gaussian_state, gaussian_values,
                      hermite_state, hermite_values, inner_config, inner_phase,
                      norm_config, norm_phase, random_config_state,
-                     random_phase_state, require_gaussian)
+                     random_phase_state)
 from .weyl import Symbol, quantize_config, moyal_product
 from .isometry import WindowedIsometry
 from .phase_weyl import intertwining_report
@@ -34,14 +34,21 @@ SUITE_NAMES = ("isometry", "intertwining", "unitarity", "star", "spectrum",
                "dynamics", "mixed")
 
 
-# Acceptance tolerance of every check, by its config override key.
+# Acceptance tolerance of every check, by its report name up to "[".
 TOLERANCES = {
-    "tol_isometry": 1e-10, "tol_intertwining": 1e-8, "tol_unitarity": 1e-8,
-    "tol_wigner": 1e-7, "tol_ucomp": 1e-7, "tol_star": 1e-6,
-    "tol_bopp": 1e-8, "tol_stargen": 1e-6, "tol_compose": 1e-6,
-    "tol_spectrum": 1e-6, "tol_spectrum_oracle": 1e-5, "tol_dynamics": 1e-6,
-    "tol_norm_drift": 1e-8, "tol_mixed": 1e-10, "tol_total": 1e-8,
-    "tol_expect": 1e-8,
+    "inner_product_preserved": 1e-10, "projector_idempotent": 1e-10,
+    "projector_self_adjoint": 1e-10,
+    "forward": 1e-8, "adjoint": 1e-8,
+    "norm_preserved": 1e-8, "lift_vs_wigner_quadrature": 1e-7,
+    "lift_vs_cross_wigner": 1e-7, "closed_form_vs_composition": 1e-7,
+    "star_apply_vs_quantize_moyal": 1e-6, "bopp_canonical_commutators": 1e-8,
+    "bopp_vanishing_commutators": 1e-8, "stargen_oscillator_ground": 1e-6,
+    "quantize_star_vs_compose": 1e-6,
+    "ladders_pairwise": 1e-6, "config_vs_fd_oracle": 1e-5,
+    "distance": 1e-6, "norm_drift": 1e-8,
+    "convex_combination_exact": 1e-10, "phase_route_equals_formula": 1e-10,
+    "collapse_transition_probability": 1e-10, "total_probability_bound": 1e-8,
+    "expectation_consistency": 1e-8,
 }
 
 
@@ -55,21 +62,13 @@ def default_params() -> dict:
 
 
 # Every parameter key run_verify accepts.
-PARAM_KEYS = frozenset(default_params()) | frozenset(TOLERANCES)
+PARAM_KEYS = frozenset(default_params())
 
 
-def _finite_number(value) -> bool:
-    return (isinstance(value, Real) and not isinstance(value, bool)
-            and bool(np.isfinite(value)))
-
-
-def _check(name: str, value: float, tol: float) -> dict:
-    return {"name": name, "value": float(value), "tolerance": float(tol),
+def _check(name: str, value: float) -> dict:
+    tol = TOLERANCES[name.split("[", 1)[0]]
+    return {"name": name, "value": float(value), "tolerance": tol,
             "passed": bool(value < tol)}
-
-
-def _tol(params: dict, key: str) -> float:
-    return float(params.get(key, TOLERANCES[key]))
 
 
 _SYMBOLS = {
@@ -103,11 +102,7 @@ def resolve_params(params: dict, symbol: str = "oscillator"):
     n = int(params["n_points"])
     grid = self_dual_phase_grid(n)
     spec = params.get("window", "hermite:0")
-    build, args = _window_spec(spec)
-    try:
-        chi = build(grid.p_grid, *args)
-    except ValueError:  # hermite_state refuses the level
-        raise ValueError(f"{_WINDOW_FORMS}, got {spec!r}") from None
+    chi = _window(spec, grid.p_grid)
     try:
         WindowedIsometry(chi)
     except ValueError as exc:
@@ -116,19 +111,17 @@ def resolve_params(params: dict, symbol: str = "oscillator"):
     return grid, chi, _symbol(grid, str(symbol))
 
 
-def _window_spec(spec) -> tuple:
-    """(hermite_state, (K,)) or (gaussian_state, (x0, p0, w)) from a
-    ``window`` value, else a ValueError naming the key; the Gaussian's
-    bounds are :func:`psqm.states.require_gaussian`'s."""
+def _window(spec, axis: Grid1D) -> ConfigState:
+    """A ``window`` value sampled on ``axis`` by :func:`hermite_state` or
+    :func:`gaussian_state`, which refuse their own bounds; a refused or
+    malformed value is a ValueError naming the key and both forms."""
     kind, _, rest = str(spec).partition(":")
     fields = rest.split(",")
     try:
         if kind == "hermite" and len(fields) == 1:
-            return hermite_state, (int(fields[0]),)
+            return hermite_state(axis, int(fields[0]))
         if kind == "gaussian" and len(fields) == 3:
-            args = tuple(float(v) for v in fields)
-            require_gaussian(*args)
-            return gaussian_state, args
+            return gaussian_state(axis, *(float(v) for v in fields))
     except ValueError:
         pass
     raise ValueError(f"{_WINDOW_FORMS}, got {spec!r}")
@@ -152,7 +145,6 @@ def suite_isometry(params: dict, inputs: tuple) -> list:
     rng = np.random.default_rng(int(params["seed"]))
     grid, chi, _ = inputs
     iso = WindowedIsometry(chi)
-    tol = _tol(params, "tol_isometry")
 
     dev = 0.0
     for _ in range(50):
@@ -170,9 +162,9 @@ def suite_isometry(params: dict, inputs: tuple) -> list:
         idem = max(idem, norm_phase(P2.with_values(P2.values - P1.values)))
         sadj = max(sadj, abs(inner_phase(Phi, P1) - inner_phase(iso.project(Phi), Psi)))
     return [
-        _check("inner_product_preserved[50 pairs]", dev, tol),
-        _check("projector_idempotent", idem, tol),
-        _check("projector_self_adjoint", sadj, tol),
+        _check("inner_product_preserved[50 pairs]", dev),
+        _check("projector_idempotent", idem),
+        _check("projector_self_adjoint", sadj),
     ]
 
 
@@ -180,22 +172,18 @@ def suite_intertwining(params: dict, inputs: tuple) -> list:
     rng = np.random.default_rng(int(params["seed"]))
     grid, chi, osc = inputs
     iso = WindowedIsometry(chi)
-    tol = _tol(params, "tol_intertwining")
     checks = []
     for name in ("x", "xi", "xxi", "oscillator"):
         a = osc if name == "oscillator" else _symbol(grid, name)
         report = intertwining_report(a, iso, 20, rng)
-        checks.append(_check(f"forward[{name}]", report["forward_residual"], tol))
-        checks.append(_check(f"adjoint[{name}]", report["adjoint_residual"], tol))
+        checks.append(_check(f"forward[{name}]", report["forward_residual"]))
+        checks.append(_check(f"adjoint[{name}]", report["adjoint_residual"]))
     return checks
 
 
 def suite_unitarity(params: dict, inputs: tuple) -> list:
     rng = np.random.default_rng(int(params["seed"]))
     grid, _, _ = inputs
-    tol_norm = _tol(params, "tol_unitarity")
-    tol_wig = _tol(params, "tol_wigner")
-    tol_comp = _tol(params, "tol_ucomp")
 
     drift = 0.0
     for _ in range(50):
@@ -241,20 +229,16 @@ def suite_unitarity(params: dict, inputs: tuple) -> list:
         comp = max(comp, np.abs(moyal_map(Psi).values - via.values).max())
 
     return [
-        _check("norm_preserved[50 states]", drift, tol_norm),
-        _check("lift_vs_wigner_quadrature[10 pairs]", wig_err, tol_wig),
-        _check("lift_vs_cross_wigner", xw_err, tol_wig),
-        _check("closed_form_vs_composition", comp, tol_comp),
+        _check("norm_preserved[50 states]", drift),
+        _check("lift_vs_wigner_quadrature[10 pairs]", wig_err),
+        _check("lift_vs_cross_wigner", xw_err),
+        _check("closed_form_vs_composition", comp),
     ]
 
 
 def suite_star(params: dict, inputs: tuple) -> list:
     rng = np.random.default_rng(int(params["seed"]))
     grid, _, osc = inputs
-    tol_star = _tol(params, "tol_star")
-    tol_bopp = _tol(params, "tol_bopp")
-    tol_gen = _tol(params, "tol_stargen")
-    tol_cmp = _tol(params, "tol_compose")
 
     # the sampled symbols' operators, built by the star-action loop, are
     # reused by the composition check below
@@ -299,11 +283,11 @@ def suite_star(params: dict, inputs: tuple) -> list:
         del Mc, Mab
 
     return [
-        _check("star_apply_vs_quantize_moyal", act, tol_star),
-        _check("bopp_canonical_commutators", comm, tol_bopp),
-        _check("bopp_vanishing_commutators", zero, tol_bopp),
-        _check("stargen_oscillator_ground", gen, tol_gen),
-        _check("quantize_star_vs_compose", comp, tol_cmp),
+        _check("star_apply_vs_quantize_moyal", act),
+        _check("bopp_canonical_commutators", comm),
+        _check("bopp_vanishing_commutators", zero),
+        _check("stargen_oscillator_ground", gen),
+        _check("quantize_star_vs_compose", comp),
     ]
 
 
@@ -316,40 +300,33 @@ def spectrum_checks(params: dict, report: dict) -> list:
     """The spectrum suite's checks, made from the oscillator's
     :func:`spectrum_report` (a caller that has it runs no second one)
     and the finite-difference oracle."""
-    tol_pair = _tol(params, "tol_spectrum")
-    tol_oracle = _tol(params, "tol_spectrum_oracle")
     if not report["discrete"]:
         raise ValueError(f"the spectrum checks need n_points >= 64: at n_points = "
                          f"{params['n_points']} the oscillator's levels lie < 3 spacings apart")
     fd = reference.fd_oscillator_levels(8)
     oracle_dev = float(np.abs(np.asarray(report["config"]) - fd).max())
     return [
-        _check("ladders_pairwise[8 levels]", report["max_deviation"], tol_pair),
-        _check("config_vs_fd_oracle", oracle_dev, tol_oracle),
+        _check("ladders_pairwise[8 levels]", report["max_deviation"]),
+        _check("config_vs_fd_oracle", oracle_dev),
     ]
 
 
 def suite_dynamics(params: dict, inputs: tuple) -> list:
     grid, chi, osc = inputs
-    tol_d = _tol(params, "tol_dynamics")
-    tol_n = _tol(params, "tol_norm_drift")
     psi0 = gaussian_state(grid.x_grid, 1.0, 0.5, 1.0)
     checks = []
     times = params["times"]
     for name, a in (("oscillator", osc), ("free", _symbol(grid, "free"))):
         reports = compare_representations(a, chi, [float(t) for t in times], psi0)
         for t, report in zip(times, reports):
-            checks.append(_check(f"distance[{name}, t={t}]",
-                                 report["max_distance"], tol_d))
-            checks.append(_check(f"norm_drift[{name}, t={t}]",
-                                 report["norm_drift"], tol_n))
+            checks.append(_check(f"distance[{name}, t={t}]", report["max_distance"]))
+            checks.append(_check(f"norm_drift[{name}, t={t}]", report["norm_drift"]))
     return checks
 
 
 def suite_mixed(params: dict, inputs: tuple) -> list:
     grid, _, osc = inputs
     xg, pg = grid.x_grid, grid.p_grid
-    tol = _tol(params, "tol_mixed")
     cfg = quantize_config(osc)
     basis = measurement_basis(cfg, 8)
     phi0 = basis[0][1]
@@ -393,11 +370,11 @@ def suite_mixed(params: dict, inputs: tuple) -> list:
     expect = abs(lhs - rhs)
 
     return [
-        _check("convex_combination_exact", exact_dev, tol),
-        _check("phase_route_equals_formula", route_dev, tol),
-        _check("collapse_transition_probability", trans_dev, tol),
-        _check("total_probability_bound", total_dev, _tol(params, "tol_total")),
-        _check("expectation_consistency", expect, _tol(params, "tol_expect")),
+        _check("convex_combination_exact", exact_dev),
+        _check("phase_route_equals_formula", route_dev),
+        _check("collapse_transition_probability", trans_dev),
+        _check("total_probability_bound", total_dev),
+        _check("expectation_consistency", expect),
     ]
 
 
@@ -419,12 +396,12 @@ def run_verify(suites, params: dict | None = None) -> dict:
     value refuses keys outside :data:`PARAM_KEYS`, non-integer (or bool)
     ``n_points`` or ``seed``, whatever :func:`resolve_params` cannot build
     (the grid, window and oscillator every suite shares), a negative
-    ``seed``, ``tol_*`` values that are not positive finite numbers, an
-    empty ``times`` or entries in it that are not finite or whose phase
-    e^{-i*lam*t} keeps no digit the dynamics checks read (|t| * lam_max *
-    eps >= ``tol_dynamics``, lam_max = pi*n_points/2: |t| >= 2.8e6 at
-    n = 1024 with the default tolerance).  A single ``times`` value runs
-    as a one-element list."""
+    ``seed``, an empty ``times`` or entries in it that are not finite or
+    whose phase e^{-i*lam*t} keeps no digit the dynamics checks read
+    (|t| * lam_max * eps >= the distance checks' tolerance 1e-6, with
+    lam_max = pi*n_points/2: |t| >= 2.8e6 at n = 1024).  A single
+    ``times`` value runs as a one-element list.  Every check's tolerance
+    is fixed, in :data:`TOLERANCES`."""
     bad_keys = sorted(set(params or ()) - PARAM_KEYS)
     if bad_keys:
         raise ValueError(f"unknown parameter(s) {bad_keys}; choose from "
@@ -442,22 +419,19 @@ def run_verify(suites, params: dict | None = None) -> dict:
         merged["times"] = [merged["times"]]
     if len(merged["times"]) == 0:
         raise ValueError("times must hold at least one time, got []")
-    for key in sorted(TOLERANCES.keys() & merged.keys()):
-        if not (_finite_number(merged[key]) and merged[key] > 0):
-            raise ValueError(f"{key} must be a positive finite number, "
-                             f"got {merged[key]!r}")
     # e^{-i*lam*t} is rounded by about lam*|t|*eps; lam_max = half_width**2
     # (pi*n/2 here), the lattice's largest x**2/2 + xi**2/2, bounds the
     # oscillator's top level (1565 against 1608 at n = 1024)
     lam_eps = inputs[0].x_grid.half_width ** 2 * np.finfo(float).eps
-    tol_d = _tol(merged, "tol_dynamics")
+    tol_d = TOLERANCES["distance"]
     for t in merged["times"]:
-        if not _finite_number(t):
+        if isinstance(t, bool) or not isinstance(t, Real) or not np.isfinite(t):
             raise ValueError(f"times entries must be finite numbers, got {t!r}")
         if abs(t) * lam_eps >= tol_d:
-            raise ValueError(f"times entries must keep |t| * lam_max * eps below "
-                             f"tol_dynamics, |t| < {tol_d / lam_eps:.3g} at n_points = "
-                             f"{merged['n_points']}, got {t!r}")
+            raise ValueError(f"times entries must keep |t| * lam_max * eps below the "
+                             f"distance checks' tolerance {tol_d:g}, |t| < "
+                             f"{tol_d / lam_eps:.3g} at n_points = {merged['n_points']}, "
+                             f"got {t!r}")
     if isinstance(suites, str):
         suites = [suites]
     names = list(SUITE_NAMES) if "all" in suites else list(suites)

@@ -20,13 +20,12 @@ def run_cli(*args):
 def test_config_parser(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("n_points = 64\nseed = 7\nwindow = hermite:1\n"
-                   "t = 0.1, 0.5\n# comment\ntol_isometry = 1e-9\n")
+                   "t = 0.1, 0.5\n# comment\n")
     params = parse_config(cfg)
     assert params["n_points"] == 64
     assert params["seed"] == 7
     assert params["window"] == "hermite:1"
     assert params["t"] == [0.1, 0.5]
-    assert params["tol_isometry"] == 1e-9
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(ConfigError):
@@ -160,25 +159,16 @@ def test_main_entry_returns_int(tmp_path):
     assert code == 0
 
 
-def test_verify_all_with_tolerance_override(tmp_path):
-    # full sweep on the 128 lattice; the U-composition margin is only
-    # available at 256 (acceptance), so its tolerance is overridden here
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("n_points = 128\ntol_ucomp = 1e-5\n")
-    out = tmp_path / "rep.json"
-    code = main(["verify", "all", "--config", str(cfg), "--out", str(out)])
-    assert code == 0
-    rep = json.loads(out.read_text())
-    assert rep["passed"] and rep["n_checks"] >= 20
-    assert len(rep["suites"]) == 7
-
-
 def test_verify_failure_exit_code(tmp_path):
-    # impossible tolerance forces a check failure -> exit 1
+    # the 128 lattice lacks the boundary margin of the U-composition
+    # check (dilation by sqrt 2): a real check failure, exit 1
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("n_points = 64\ntol_isometry = 1e-30\n")
-    proc = run_cli("verify", "isometry", "--config", str(cfg))
+    cfg.write_text("n_points = 128\n")
+    out = tmp_path / "rep.json"
+    proc = run_cli("verify", "unitarity", "--config", str(cfg), "--out", str(out))
     assert proc.returncode == 1
+    checks = json.loads(out.read_text())["suites"][0]["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["closed_form_vs_composition"]
 
 
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -201,20 +191,17 @@ def test_config_gaussian_window_reaches_the_suite(tmp_path):
     assert json.loads(out.read_text())["params"]["window"] == "gaussian:0.8,-0.4,1.0"
 
 
-@pytest.mark.parametrize("line", ["tol_isometri = 1e-30", "half_width = 10"])
+# a check's tolerance is fixed: tol_isometry is refused like any other key
+@pytest.mark.parametrize("line", ["tol_isometri = 1e-30", "half_width = 10",
+                                  "tol_isometry = 1e-9"])
 def test_config_unknown_key_refused(tmp_path, capsys, line):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"n_points = 64\n{line}\n")
-    assert main(["verify", "isometry", "--config", str(cfg)]) == 2
+    out = tmp_path / "rep.json"
+    assert main(["verify", "isometry", "--config", str(cfg), "--out", str(out)]) == 2
     key = line.split("=")[0].strip()
     assert repr(key) in capsys.readouterr().err
-
-
-def test_config_accepts_every_tolerance_key(tmp_path):
-    from psqm.verify import TOLERANCES
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("".join(f"{k} = 1e-3\n" for k in TOLERANCES))
-    assert parse_config(cfg) == dict.fromkeys(TOLERANCES, 1e-3)
+    assert not out.exists()
 
 
 def _wigner_with_psi_csv(tmp_path, capsys, rows):
@@ -286,8 +273,8 @@ def test_spectrum_command_reads_symbol(tmp_path):
 def test_run_verify_refuses_unknown_parameter_keys():
     with pytest.raises(ValueError, match="tol_isometri") as err:
         run_verify(["isometry"], {"n_points": 64, "symbol": "x",
-                                  "tol_isometri": 1e-30})
-    assert "'symbol'" in str(err.value)
+                                  "tol_isometri": 1e-30, "tol_ucomp": 1e-5})
+    assert "'symbol'" in str(err.value) and "'tol_ucomp'" in str(err.value)
 
 
 def test_run_verify_refuses_empty_times():
@@ -304,8 +291,8 @@ def test_times_past_the_phase_bound_refused_before_any_suite(tmp_path, capsys, t
     cfg.write_text(f"times = 0.1, {t}\n")
     out = tmp_path / "rep.json"
     assert main(["verify", "dynamics", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "times entries must keep |t| * lam_max * eps below tol_dynamics" \
-        in capsys.readouterr().err
+    assert "times entries must keep |t| * lam_max * eps below the distance " \
+        "checks' tolerance 1e-06" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -333,7 +320,6 @@ def test_times_bound_is_tol_dynamics_over_lam_max_eps():
     run_verify([], {"n_points": 1024, "times": [-2.7e6]})
     with pytest.raises(ValueError, match=r"\|t\| < 2.8e\+06 at n_points = 1024, got -2900000"):
         run_verify([], {"n_points": 1024, "times": [-2.9e6]})
-    run_verify([], {"n_points": 1024, "times": [2.9e6], "tol_dynamics": 2e-6})
 
 
 def test_band_limit_refusal_has_its_own_exit_code(tmp_path, capsys):
@@ -410,9 +396,6 @@ def test_negative_seed_refused_before_any_suite(tmp_path, capsys, suite):
 @pytest.mark.parametrize("line, message", [
     ("times = abc", "times entries must be finite numbers, got 'abc'"),
     ("times = 0.1, nan", "times entries must be finite numbers, got nan"),
-    ("tol_isometry = tiny", "tol_isometry must be a positive finite number, got 'tiny'"),
-    ("tol_wigner = -1e-7", "tol_wigner must be a positive finite number, got -1e-07"),
-    ("tol_star = inf", "tol_star must be a positive finite number, got inf"),
     ("window = gaussian:1,2", "window must be 'hermite:K'"),
     ("window = gaussian:1,2,0", "got 'gaussian:1,2,0'"),
     ("window = hermite:13", "got 'hermite:13'"),

@@ -13,7 +13,7 @@ from psqm.states import hermite_values
 from psqm.spectral import eig, evolve
 from psqm.weyl import star_values
 from psqm.reference import cross_wigner_quadrature
-from psqm import fourier
+from psqm import fourier, weyl
 from oracles import (double_phase_space_quantize, cross_wigner_dense,
                      fourier_shift_phase_table,
                      moyal_map_fourier_shift, moyal_map_inv_fourier_shift,
@@ -337,6 +337,18 @@ def test_bopp_is_conjugated_multiplication(pg128, rng):
     assert np.abs(lhs4.values - bopp_apply("Xi_p", Psi).values).max() < 1e-7
 
 
+@pytest.mark.parametrize("name, factor, left", [
+    ("X", "coordinate", True), ("Xi_x", "momentum", True),
+    ("P", "momentum", False), ("Xi_p", "coordinate", False)])
+def test_bopp_operators_are_star_multiplications(pg128, rng, name, factor, left):
+    # X = x * (.), Xi_x = xi * (.), P = (.) * xi and Xi_p = (.) * x: the
+    # Bopp shifts are the star product's first-order terms
+    Psi = random_phase_state(pg128, rng)
+    poly = getattr(Symbol, factor)(pg128).poly
+    want = weyl.groenewold_mixed(poly, Psi.values, pg128, left)
+    assert _rel(bopp_apply(name, Psi).values, want) <= 1e-14
+
+
 # --------------------------------------------------- displacement operator
 
 def test_moyal_displacement(pg128, rng):
@@ -507,9 +519,13 @@ def test_star_apply_refuses_a_non_finite_sample(pg64, rng):
         star_apply(Symbol.oscillator(pg64), Psi)
 
 
-def test_dilate_refuses_a_non_finite_norm(pg64, rng):
-    # e^{800} overflows: the unitarity guard sees a NaN norm and refuses
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [-800.0, 800.0])
+def test_dilate_refuses_a_scale_that_is_not_a_normal_float(pg64, rng, s):
+    # e^{800} overflows and e^{-800} underflows to 0: each once reached the
+    # unitarity guard as a lost mass (norm -> nan, -> 0); now s is refused
+    # before resampling, without a floating point warning
     Psi = random_phase_state(pg64, rng)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(BandLimitError, match="nan"):
-        dilate(Psi, -800.0)
+    with pytest.raises(ValueError, match=f"got s = {s}") as err:
+        dilate(Psi, s)
+    assert not isinstance(err.value, BandLimitError)

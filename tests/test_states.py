@@ -92,19 +92,29 @@ def test_gaussian_at_the_bounds_samples_finite_values_without_warnings(g256, arg
 
 
 def test_window_spec_refuses_through_the_shared_gaussian_check(monkeypatch):
-    # a window the check refuses is refused, whatever its values
+    # the window is parsed and built in one step, so the shared check runs
+    # once (a copy bound in verify would count too); a window it refuses
+    # is refused, whatever its values
     from psqm import states, verify
-    assert verify.require_gaussian is states.require_gaussian
+    check = states.require_gaussian
     seen = []
 
-    def refuse(*args):
+    def counting(*args):
         seen.append(args)
+        check(*args)
+
+    for module in (states, verify):
+        monkeypatch.setattr(module, "require_gaussian", counting, raising=False)
+    params = {"n_points": 64, "window": "gaussian:0.5,0,1"}
+    verify.resolve_params(params)
+    assert seen == [(0.5, 0.0, 1.0)]
+
+    def refuse(*args):
         raise ValueError("refused")
 
-    monkeypatch.setattr(verify, "require_gaussian", refuse)
+    monkeypatch.setattr(states, "require_gaussian", refuse)
     with pytest.raises(ValueError, match="got 'gaussian:0.5,0,1'"):
-        verify._window_spec("gaussian:0.5,0,1")
-    assert seen == [(0.5, 0.0, 1.0)]
+        verify.resolve_params(params)
 
 
 def test_inner_product_conventions(g256, rng):
@@ -157,7 +167,7 @@ def test_random_states_are_admissible(rng):
     assert boundary_mass(Psi) < 1e-12
 
 
-@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("n", [64, 256, 1024])
 @pytest.mark.parametrize("seed", [5, 1234])
 def test_random_phase_state_matches_the_sum_formula(n, seed):
     pg = self_dual_phase_grid(n)
