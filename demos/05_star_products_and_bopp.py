@@ -10,7 +10,7 @@ import numpy as np
 
 from psqm import (Symbol, PhaseState, bopp_apply, star_apply,
                   stargen_residual, quantize_moyal, self_dual_phase_grid,
-                  random_phase_state, norm_phase)
+                  random_phase_state, norm_phase, moyal_map, moyal_map_inv)
 
 grid = self_dual_phase_grid(256)
 rng = np.random.default_rng(3)
@@ -22,10 +22,11 @@ c = c.with_values(c.values - bopp_apply("Xi_x", bopp_apply("X", Psi)).values)
 print(f"[X, Xi_x] = i on states: "
       f"{norm_phase(c.with_values(c.values - 1j * Psi.values)):.2e}")
 
-# x * Psi is the Bopp action
-lhs = star_apply(Symbol.coordinate(grid), Psi)
+# the Bopp operator X = x * (.) is multiplication by x conjugated by U
+inner = moyal_map_inv(Psi)
+lhs = moyal_map(inner.with_values(grid.meshes()[0] * inner.values))
 rhs = bopp_apply("X", Psi)
-print(f"x * Psi = (x + i/2 d/dp) Psi: {np.abs(lhs.values - rhs.values).max():.2e}")
+print(f"U x U^-1 Psi = x * Psi: {np.abs(lhs.values - rhs.values).max():.2e}")
 
 # star action = Moyal-Weyl operator action (two independent routes)
 X, P = grid.meshes()

@@ -196,15 +196,6 @@ def upsample2(values: np.ndarray, axis: int = -1, spectrum=None) -> np.ndarray:
     return out
 
 
-def spectral_derivative(values: np.ndarray, grid: Grid1D, axis: int = -1) -> np.ndarray:
-    """d/dx along ``axis`` (note: plain derivative, not -i d/dx)."""
-    n = grid.n_points
-    xif = np.fft.ifftshift(grid.dual.points)
-    shp = [1] * values.ndim
-    shp[axis] = n
-    return np.fft.ifft(np.fft.fft(values, axis=axis) * (1j * xif).reshape(shp), axis=axis)
-
-
 def resample_scaled(values: np.ndarray, grid: Grid1D, alpha: float,
                     axis: int = -1) -> np.ndarray:
     """values(x) -> values(alpha * x) along ``axis``: the transform

@@ -13,7 +13,9 @@ place on the transform's one buffer: on the self-dual lattice the
 transforms' phase tables and scales cancel to signs.  It carries lifted
 product states onto (2*pi)**(1/2) times the cross-Wigner function of
 the factors, and conjugates the phase-space Schrodinger operators
-x, -i d/dx into the Bopp operators x + (i/2) d/dp and p - (i/2) d/dx.
+x, -i d/dx into the Bopp operators x + (i/2) d/dp and p - (i/2) d/dx,
+the star multiplications x * (.) and xi * (.): like the star action,
+they are applied by :func:`psqm.weyl.moyal_product`.
 
 Every shift here, the map's and the rotation's shears and the
 displacements, is one :func:`psqm.fourier.lattice_shear`; none builds
@@ -41,8 +43,6 @@ __all__ = [
 
 _UNITARITY_GUARD = 1e-6
 
-BOPP_NAMES = ("X", "P", "Xi_x", "Xi_p")
-
 
 def _require_self_dual(grid: PhaseGrid, what: str) -> None:
     if not grid.is_self_dual:
@@ -60,16 +60,17 @@ def dilate(Psi: PhaseState, s: float) -> PhaseState:
 
     Band-limited rescaling along both axes; a unitarity check (a NaN
     norm fails it) guards against mass leaving the box (states must
-    decay inside the contraction region); ``s`` must be finite with
-    e^{-s} a positive normal float (|s| below about 708).
+    decay inside the contraction region).  ``s`` must satisfy
+    |s| <= ln n on an n-point lattice: a larger e^{|s|} carries every
+    nonzero lattice frequency (s < 0) or position (s > 0) out of the box.
     """
     _require_self_dual(Psi.grid, "dilate")
-    with np.errstate(over="ignore"):
-        alpha = float(np.exp(-s))
-    if not np.finfo(float).tiny <= alpha < np.inf:  # NaN fails too
-        raise ValueError(f"dilation parameter s must be finite with e^-s a positive "
-                         f"normal float, got s = {s!r} (e^-s = {alpha:.3g})")
     g = Psi.grid.x_grid
+    bound = float(np.log(g.n_points))
+    if not abs(s) <= bound:  # NaN fails too
+        raise ValueError(f"dilation parameter s must satisfy |s| <= ln(n_points) = "
+                         f"{bound:.3f} on this lattice, got s = {s!r}")
+    alpha = float(np.exp(-s))
     vals = fourier.resample_scaled(Psi.values, g, alpha, axis=0)
     vals = fourier.resample_scaled(vals, g, alpha, axis=1)
     out = Psi.with_values(alpha * vals)
@@ -186,31 +187,36 @@ def cross_wigner(psi: ConfigState, phi: ConfigState) -> PhaseState:
 
 # ------------------------------------------------------------- Bopp operators
 
-def _dd(values: np.ndarray, grid: PhaseGrid, axis: int) -> np.ndarray:
-    g = grid.x_grid if axis == 0 else grid.p_grid
-    return fourier.spectral_derivative(values, g, axis=axis)
+# Bopp operator -> (monomial, on the left): X = x * (.), Xi_x = xi * (.),
+# P = (.) * xi and Xi_p = (.) * x, the first-order star multiplications
+_BOPP = {"X": ((1, 0), True), "Xi_x": ((0, 1), True),
+         "P": ((0, 1), False), "Xi_p": ((1, 0), False)}
+
+
+def _as_symbol(Psi: PhaseState) -> Symbol:
+    """The state's values as a sampled symbol, taken without a copy
+    through a read-only view."""
+    values = Psi.values.view()
+    values.flags.writeable = False
+    return Symbol(Psi.grid, values)
 
 
 def bopp_apply(name: str, Psi: PhaseState) -> PhaseState:
-    """Action of a Bopp operator:
+    """Action of a Bopp operator, the :func:`moyal_product` of a
+    coordinate monomial with the state's values on one side:
 
-      X    = x + (i/2) d/dp        P    = p + (i/2) d/dx
-      Xi_x = p - (i/2) d/dx        Xi_p = x - (i/2) d/dp
+      X    = x * (.)  = x + (i/2) d/dp      P    = (.) * xi = p + (i/2) d/dx
+      Xi_x = xi * (.) = p - (i/2) d/dx      Xi_p = (.) * x  = x - (i/2) d/dp
+
+    The state must pass the star product's band-edge guard
+    (:class:`BandLimitError`).  The result holds the product symbol's
+    read-only samples.
     """
-    X = Psi.grid.x_grid.points[:, None]
-    P = Psi.grid.p_grid.points[None, :]
-    v = Psi.values
-    if name == "X":
-        out = X * v + 0.5j * _dd(v, Psi.grid, 1)
-    elif name == "P":
-        out = P * v + 0.5j * _dd(v, Psi.grid, 0)
-    elif name == "Xi_x":
-        out = P * v - 0.5j * _dd(v, Psi.grid, 0)
-    elif name == "Xi_p":
-        out = X * v - 0.5j * _dd(v, Psi.grid, 1)
-    else:
-        raise ValueError(f"unknown Bopp operator {name!r}; choose from {BOPP_NAMES}")
-    return Psi.with_values(out)
+    if name not in _BOPP:
+        raise ValueError(f"unknown Bopp operator {name!r}; choose from {tuple(_BOPP)}")
+    monomial, on_left = _BOPP[name]
+    a, psi = Symbol.polynomial(Psi.grid, {monomial: 1}), _as_symbol(Psi)
+    return Psi.with_values(moyal_product(*((a, psi) if on_left else (psi, a))).values)
 
 
 # --------------------------------------------------- displacement and operators
@@ -263,10 +269,7 @@ def star_apply(a: Symbol, Psi: PhaseState) -> PhaseState:
     result holds the product symbol's read-only samples.
     """
     _require_self_dual(Psi.grid, "star_apply")
-    # a read-only view: the Symbol takes the state's samples without a copy
-    values = Psi.values.view()
-    values.flags.writeable = False
-    return Psi.with_values(moyal_product(a, Symbol(Psi.grid, values)).values)
+    return Psi.with_values(moyal_product(a, _as_symbol(Psi)).values)
 
 
 def stargen_residual(a: Symbol, lam: float, Psi: PhaseState) -> float:

@@ -258,10 +258,13 @@ def suite_star(params: dict, inputs: tuple) -> list:
     vanishing = (("X", "P"), ("X", "Xi_p"), ("P", "Xi_x"), ("Xi_x", "Xi_p"))
     for _ in range(5):
         Psi = random_phase_state(grid, rng)
+        # each operator once on the state, its result read by every
+        # commutator that applies it first
+        once = {name: bopp_apply(name, Psi) for name in ("X", "P", "Xi_x", "Xi_p")}
 
-        def commutator(a, b, Psi=Psi):
-            lhs = bopp_apply(a, bopp_apply(b, Psi))
-            rhs = bopp_apply(b, bopp_apply(a, Psi))
+        def commutator(a, b, once=once):
+            lhs = bopp_apply(a, once[b])
+            rhs = bopp_apply(b, once[a])
             return lhs.with_values(lhs.values - rhs.values)
 
         for a, b in canonical:

@@ -320,6 +320,18 @@ def cross_wigner_dense(psi, phi):
     return (g.spacing / (2 * np.pi)) * (prod @ phase)
 
 
+def spectral_derivative(values, grid, axis=-1):
+    """d/dx along ``axis`` (a plain derivative, not -i d/dx): one FFT,
+    multiplication by i*xi on the grid's dual frequencies, one inverse
+    FFT.  The package differentiates only inside the polynomial star
+    product (:func:`psqm.weyl.groenewold_mixed`), which this does not call."""
+    n = grid.n_points
+    xif = np.fft.ifftshift(grid.dual.points)
+    shp = [1] * values.ndim
+    shp[axis] = n
+    return np.fft.ifft(np.fft.fft(values, axis=axis) * (1j * xif).reshape(shp), axis=axis)
+
+
 def groenewold_mixed_all_terms(poly, values, grid, poly_on_left):
     """Terminating star product with one polynomial factor, evaluating
     every term of the expansion, those whose polynomial derivative
@@ -341,9 +353,9 @@ def groenewold_mixed_all_terms(poly, values, grid, poly_on_left):
     def array_deriv(dx_order, dxi_order):
         out = values
         for _ in range(dx_order):
-            out = fourier.spectral_derivative(out, grid.x_grid, axis=0)
+            out = spectral_derivative(out, grid.x_grid, axis=0)
         for _ in range(dxi_order):
-            out = fourier.spectral_derivative(out, grid.p_grid, axis=1)
+            out = spectral_derivative(out, grid.p_grid, axis=1)
         return out
 
     out = np.zeros(grid.shape, complex)

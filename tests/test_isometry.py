@@ -8,7 +8,8 @@ from psqm import (WindowedIsometry, PhaseState, PhaseGrid,
                   self_dual_phase_grid, make_grid)
 from psqm.weyl import LinOp
 from psqm.spectral import eig
-from oracles import apply_dense, derivative_matrix, hermiticity_defect, lifted_dense
+from oracles import (apply_dense, derivative_matrix, hermiticity_defect, lifted_dense,
+                     spectral_derivative)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +144,6 @@ def test_weak_constraint_expectations(pg128):
     P = pg128.p_grid.points
     pexp = inner_phase(Psi, Psi.with_values(Psi.values * P[None, :]))
     assert abs(pexp - p0) < 1e-8
-    from psqm.fourier import spectral_derivative
     dpsi = -1j * spectral_derivative(Psi.values, pg128.p_grid, axis=1)
     xiexp = inner_phase(Psi, Psi.with_values(dpsi))
     assert abs(xiexp - xip0) < 1e-8

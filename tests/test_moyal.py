@@ -13,13 +13,13 @@ from psqm.states import hermite_values
 from psqm.spectral import eig, evolve
 from psqm.weyl import star_values
 from psqm.reference import cross_wigner_quadrature
-from psqm import fourier, weyl
+from psqm import fourier
 from oracles import (double_phase_space_quantize, cross_wigner_dense,
                      fourier_shift_phase_table,
                      moyal_map_fourier_shift, moyal_map_inv_fourier_shift,
                      moyal_map_out_of_place, moyal_map_inv_out_of_place,
                      apply_dense, bopp_dense, explicit_propagator,
-                     hermiticity_defect, moyal_dense)
+                     hermiticity_defect, moyal_dense, spectral_derivative)
 
 
 def _rel(got, want):
@@ -97,8 +97,8 @@ def test_rotate_is_generated_by_dxdp_minus_xp(pg128, rng):
     h = 1e-3
     diff = (rotate(Psi, h).values - rotate(Psi, -h).values) / (2 * h)
     x, p = pg128.x_grid.points[:, None], pg128.p_grid.points[None, :]
-    dxdp = fourier.spectral_derivative(
-        fourier.spectral_derivative(Psi.values, pg128.x_grid, 0), pg128.p_grid, 1)
+    dxdp = spectral_derivative(
+        spectral_derivative(Psi.values, pg128.x_grid, 0), pg128.p_grid, 1)
 
     def miss(generator):
         return np.linalg.norm(diff + 1j * generator) / np.linalg.norm(diff)
@@ -300,12 +300,16 @@ def test_bopp_dense_matrices_small_grid(rng):
     Xp = bopp_dense("Xi_p", pg)
     for M in (X, Xx, P, Xp):
         assert hermiticity_defect(M) < 1e-12
-    # dense matrices agree with the matrix-free action
-    Psi = random_phase_state(pg, rng)
+    # dense matrices agree with the matrix-free action on a state the
+    # star product's band-edge guard admits
+    x, p = pg.meshes()
+    Phi = PhaseState(pg, np.exp(-(x ** 2 + p ** 2) / 2))
+    Phi = Phi.with_values(Phi.values / norm_phase(Phi))
     for name, M in (("X", X), ("Xi_x", Xx), ("P", P), ("Xi_p", Xp)):
-        assert np.abs(apply_dense(M, Psi).values - bopp_apply(name, Psi).values).max() < 1e-12
+        assert np.abs(apply_dense(M, Phi).values - bopp_apply(name, Phi).values).max() < 1e-12
     # canonical commutators hold on band-limited states (as full
     # matrices they necessarily fail at the band edge)
+    Psi = random_phase_state(pg, rng)
     comm = X @ Xx - Xx @ X
     comm2 = X @ P - P @ X
     v = Psi.values.reshape(-1)
@@ -315,12 +319,20 @@ def test_bopp_dense_matrices_small_grid(rng):
         bopp_apply("Q", Psi)
 
 
+@pytest.mark.parametrize("name", ["X", "Xi_x", "P", "Xi_p"])
+def test_bopp_refuses_a_state_reaching_the_band_edge(rng, name):
+    # a random n=32 state has band-edge fraction ~1e-2: the star
+    # product's guard refuses it rather than return aliased values
+    Psi = random_phase_state(self_dual_phase_grid(32), rng)
+    assert fourier.band_edge_fraction(Psi.values) > fourier.BAND_EDGE_TOL
+    with pytest.raises(BandLimitError, match="star-product factor"):
+        bopp_apply(name, Psi)
+
+
 def test_bopp_is_conjugated_multiplication(pg128, rng):
     # U x U^{-1} = x + (i/2) d/dp and friends, on random states
     Psi = random_phase_state(pg128, rng)
     X, P = pg128.meshes()
-    mult = {"X": X, "Xi_x": None, "P": P, "Xi_p": None}
-    from psqm.fourier import spectral_derivative
     inner = moyal_map_inv(Psi)
     lhs = moyal_map(inner.with_values(X * inner.values))
     rhs = bopp_apply("X", Psi)
@@ -341,11 +353,17 @@ def test_bopp_is_conjugated_multiplication(pg128, rng):
     ("X", "coordinate", True), ("Xi_x", "momentum", True),
     ("P", "momentum", False), ("Xi_p", "coordinate", False)])
 def test_bopp_operators_are_star_multiplications(pg128, rng, name, factor, left):
-    # X = x * (.), Xi_x = xi * (.), P = (.) * xi and Xi_p = (.) * x: the
-    # Bopp shifts are the star product's first-order terms
+    # X = x * (.), Xi_x = xi * (.), P = (.) * xi and Xi_p = (.) * x: for
+    # a linear a, a * Psi = a Psi + (i/2){a, Psi} and Psi * a = a Psi -
+    # (i/2){a, Psi}, the Poisson bracket {x, .} = d/dxi, {xi, .} = -d/dx
+    # formed with the tests' own spectral derivative
     Psi = random_phase_state(pg128, rng)
-    poly = getattr(Symbol, factor)(pg128).poly
-    want = weyl.groenewold_mixed(poly, Psi.values, pg128, left)
+    X, XI = pg128.meshes()
+    if factor == "coordinate":
+        a, bracket = X, spectral_derivative(Psi.values, pg128.p_grid, 1)
+    else:
+        a, bracket = XI, -spectral_derivative(Psi.values, pg128.x_grid, 0)
+    want = a * Psi.values + (0.5j if left else -0.5j) * bracket
     assert _rel(bopp_apply(name, Psi).values, want) <= 1e-14
 
 
@@ -529,3 +547,18 @@ def test_dilate_refuses_a_scale_that_is_not_a_normal_float(pg64, rng, s):
     with pytest.raises(ValueError, match=f"got s = {s}") as err:
         dilate(Psi, s)
     assert not isinstance(err.value, BandLimitError)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [-700.0, -50.0, 50.0])
+def test_dilate_refuses_a_scale_beyond_the_lattice(pg64, rng, s):
+    # e^{700} is a normal float, but its norm once overflowed numpy's
+    # square before the unitarity guard saw an infinite norm; a scale past
+    # the lattice (e^|s| > n) is refused by name before resampling
+    Psi = random_phase_state(pg64, rng)
+    with pytest.raises(ValueError, match=rf"ln\(n_points\) = 4\.159 .*got s = {s}") as err:
+        dilate(Psi, s)
+    assert not isinstance(err.value, BandLimitError)
+    # inside the bound a scale that loses mass meets the unitarity guard
+    with pytest.raises(BandLimitError, match="lost mass"):
+        dilate(Psi, np.copysign(np.log(64), s))

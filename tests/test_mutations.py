@@ -40,3 +40,18 @@ def test_scaled_operator_is_caught_by_exactly_three_checks(monkeypatch):
     assert failed == {"star_apply_vs_quantize_moyal", "quantize_star_vs_compose",
                       "config_vs_fd_oracle"}
     assert np.isfinite([c["value"] for s in report["suites"] for c in s["checks"]]).all()
+
+
+def test_swapped_star_factors_are_caught_by_exactly_two_checks(monkeypatch):
+    groenewold_mixed = weyl.groenewold_mixed
+
+    def swapped(poly, values, grid, poly_on_left):
+        # a * b computed as b * a: the Bopp operators trade sides too
+        return groenewold_mixed(poly, values, grid, not poly_on_left)
+
+    _rebind(monkeypatch, groenewold_mixed, swapped)
+    report = run_verify(["star"], {"n_points": 256})
+    failed = {c["name"] for s in report["suites"] for c in s["checks"]
+              if not c["passed"]}
+    assert failed == {"star_apply_vs_quantize_moyal", "bopp_canonical_commutators"}
+    assert np.isfinite([c["value"] for s in report["suites"] for c in s["checks"]]).all()
