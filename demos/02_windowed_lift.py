@@ -34,6 +34,6 @@ print(f"adjoint inverts the lift: {np.abs(back.values - psi.values).max():.2e}")
 # two windows, one physics: the transfer between the two ranges is isometric
 iso2 = WindowedIsometry(gaussian_state(grid.p_grid, 0.5, -0.3, 1.2))
 lifted2 = iso2.apply(psi)
-moved = iso.transport(iso2, lifted2)
+moved = iso.apply(iso2.adjoint(lifted2))
 print(f"\nwindow change preserves norms: "
       f"{norm_phase(lifted2):.10f} -> {norm_phase(moved):.10f}")

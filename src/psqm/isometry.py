@@ -60,8 +60,3 @@ class WindowedIsometry:
         """Action of the lifted operator T a T* on an arbitrary phase
         state (vanishes on the orthocomplement of the range)."""
         return self.apply(op.apply(self.adjoint(Psi)))
-
-    def transport(self, other: "WindowedIsometry", Psi: PhaseState) -> PhaseState:
-        """Map from the range of ``other`` onto the range of ``self``
-        (window change): T_self T_other*."""
-        return self.apply(other.adjoint(Psi))

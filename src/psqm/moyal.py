@@ -24,13 +24,13 @@ an n x n phase table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import Grid1D, PhaseGrid, GridMismatchError, grids_compatible
 from .states import ConfigState, PhaseState, norm_phase
 from .weyl import Symbol, LinOp, displace, moyal_product
-from .phase_weyl import PhaseWeylOp, quantize_phase
+from .phase_weyl import PhaseWeylOp
 from .isometry import WindowedIsometry
 from . import fourier
 from .fourier import BandLimitError
@@ -235,11 +235,16 @@ def moyal_heisenberg_weyl(z0, Psi: PhaseState) -> PhaseState:
 
 @dataclass(eq=False)
 class MoyalWeylOp:
-    """Moyal-representation Weyl operator U A U^{-1}, applied by
-    conjugating the phase-space operator through the Moyal map."""
+    """Moyal-representation Weyl operator U A U^{-1} of ``symbol``,
+    applied by conjugating its phase-space operator through the Moyal
+    map; acts as the left star multiplication a * (.) on phase-space
+    states."""
 
     symbol: Symbol
-    phase_op: PhaseWeylOp
+    phase_op: PhaseWeylOp = field(init=False)
+
+    def __post_init__(self):
+        self.phase_op = PhaseWeylOp(self.symbol)
 
     def apply(self, Psi: PhaseState) -> PhaseState:
         _require_self_dual(Psi.grid, "MoyalWeylOp.apply")
@@ -257,9 +262,8 @@ class MoyalWeylOp:
 
 
 def quantize_moyal(a: Symbol) -> MoyalWeylOp:
-    """Moyal-Weyl operator of a symbol; acts as the left star
-    multiplication a * (.) on phase-space states."""
-    return MoyalWeylOp(a, quantize_phase(a))
+    """Moyal-Weyl operator of a symbol (:class:`MoyalWeylOp`)."""
+    return MoyalWeylOp(a)
 
 
 def star_apply(a: Symbol, Psi: PhaseState) -> PhaseState:

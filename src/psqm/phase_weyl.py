@@ -9,11 +9,11 @@ with the configuration-space Weyl operator for every window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import Grid1D, PhaseGrid
+from .grids import PhaseGrid
 from .states import (PhaseState, norm_config, norm_phase, random_config_state,
                      random_phase_state)
 from .weyl import Symbol, LinOp, displace, quantize_config
@@ -31,15 +31,15 @@ def phase_heisenberg_weyl(z0, Psi: PhaseState) -> PhaseState:
 
 @dataclass(eq=False)
 class PhaseWeylOp:
-    """Phase-space Weyl operator, stored through its config-space kernel
-    matrix (the delta factor in p is implicit)."""
+    """Phase-space Weyl operator of ``symbol``: its config matrix (the
+    symbol's one :func:`quantize_config` operator) acting along x, the
+    delta factor in p implicit, never a matrix on the full lattice."""
 
     symbol: Symbol
-    config_op: LinOp
+    config_op: LinOp = field(init=False)
 
-    @property
-    def x_grid(self) -> Grid1D:
-        return self.config_op.grid
+    def __post_init__(self):
+        self.config_op = quantize_config(self.symbol)
 
     def apply(self, Psi: PhaseState) -> PhaseState:
         return self.config_op.apply(Psi)
@@ -61,14 +61,12 @@ class PhaseWeylOp:
         # A (e_j (x) chi*) = (M e_j) (x) chi*; integrate against chi dp
         lifted_weight = np.sum(np.conj(chi) * chi).real * dp
         R = self.config_op.matrix * lifted_weight
-        return LinOp(self.x_grid, R)
+        return LinOp(self.config_op.grid, R)
 
 
 def quantize_phase(a: Symbol) -> PhaseWeylOp:
-    """Phase-space Weyl operator of a symbol: its config matrix (the
-    symbol's one :func:`quantize_config` operator) acting along x, never
-    a matrix on the full lattice."""
-    return PhaseWeylOp(a, quantize_config(a))
+    """Phase-space Weyl operator of a symbol (:class:`PhaseWeylOp`)."""
+    return PhaseWeylOp(a)
 
 
 def intertwining_report(a: Symbol, iso: WindowedIsometry, samples: int,

@@ -64,11 +64,17 @@ def save_phase_csv(obj, path) -> None:
 
 
 def load_phase_csv(path) -> PhaseState:
+    """Refuses (ValueError) rows that are not every (x, p) pair of the
+    grid once, in x-major order."""
     data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    x = np.unique(data[:, 0])
-    p = np.unique(data[:, 1])
+    x, p = np.unique(data[:, 0]), np.unique(data[:, 1])
     grid = PhaseGrid(_grid_from_points(x, path), _grid_from_points(p, path))
-    vals = (data[:, 2] + 1j * data[:, 3]).reshape(len(x), len(p))
+    pairs = np.stack(np.meshgrid(x, p, indexing="ij"), axis=-1).reshape(-1, 2)
+    if not np.array_equal(data[:, :2], pairs):
+        raise ValueError(f"{path}: rows must hold each of the {x.size} x {p.size} "
+                         f"(x, p) pairs once, in x-major order (x increasing, then p "
+                         f"increasing within each x); got {len(data)} rows")
+    vals = (data[:, 2] + 1j * data[:, 3]).reshape(x.size, p.size)
     return PhaseState(grid, vals)
 
 

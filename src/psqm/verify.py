@@ -128,8 +128,8 @@ def _window(spec, axis: Grid1D) -> ConfigState:
 
 
 def _sampled_corpus(grid: PhaseGrid) -> list:
-    """Gaussian-damped polynomial symbols, sampled (no evaluator), for
-    the spectral star-product and composition checks."""
+    """Samples of Gaussian-damped polynomials, interpolated, for the
+    spectral star-product and composition checks."""
     X, XI = grid.meshes()
     damp = np.exp(-(X ** 2 + XI ** 2) / 8.0)
     return [

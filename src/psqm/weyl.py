@@ -13,8 +13,8 @@ midpoint on the short path differs from the arithmetic one by the
 half-period, and this choice makes the composition correspondence
 quantize(a (*) b) = quantize(a) @ quantize(b) exact on the lattice.
 
-Midpoint values come from an exact evaluator when the symbol carries
-one (closed forms, polynomials), otherwise from band-limited Fourier
+Midpoint values of a polynomial symbol are its coefficients evaluated
+there; those of a sampled symbol come from band-limited Fourier
 interpolation of the samples, guarded by a band-edge spectral test.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -129,12 +129,11 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Symbol:
-    """Classical observable a(x, xi_x) sampled on ``grid``.
-
-    ``evaluator`` (optional) returns exact values at arbitrary points
-    and is used for midpoint evaluation in the kernel formulas; ``poly``
-    (optional) holds monomial coefficients and unlocks the exact
-    finite star-product expansion.
+    """Classical observable a(x, xi_x) on ``grid``, held in exactly one
+    encoding: its samples, interpolated between grid points, or its
+    monomial coefficients ``poly``, which give exact values anywhere and
+    the exact finite star-product expansion.  A symbol with both, or
+    neither, is refused (ValueError).
 
     A symbol is immutable: ``values`` is a read-only array.  A caller's
     writeable array is copied, so writing into it later changes neither
@@ -147,12 +146,14 @@ class Symbol:
 
     grid: PhaseGrid
     _samples: Optional[np.ndarray]
-    evaluator: Optional[Callable] = None
     poly: Optional[dict] = None
     _op: Optional["LinOp"] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self._samples is None and self.poly is not None:
+        if (self._samples is None) == (self.poly is None):
+            raise ValueError("a Symbol holds exactly one of samples and poly, got "
+                             + ("both" if self.poly is not None else "neither"))
+        if self.poly is not None:
             return
         values = np.asarray(self._samples, dtype=complex)
         if values.shape != self.grid.shape:
@@ -176,15 +177,8 @@ class Symbol:
         return cls(grid, values)
 
     @classmethod
-    def from_function(cls, grid: PhaseGrid, f: Callable) -> "Symbol":
-        X, XI = grid.meshes()
-        return cls(grid, f(X, XI), evaluator=f)
-
-    @classmethod
     def polynomial(cls, grid: PhaseGrid, coeffs: dict) -> "Symbol":
-        coeffs = dict(coeffs)
-        return cls(grid, None, evaluator=lambda x, xi: poly_eval(coeffs, x, xi),
-                   poly=coeffs)
+        return cls(grid, None, poly=dict(coeffs))
 
     @classmethod
     def unit(cls, grid: PhaseGrid) -> "Symbol":
@@ -323,18 +317,16 @@ def _midpoint_block(i: np.ndarray, j: np.ndarray, torus: bool) -> np.ndarray:
 
 
 def _midpoint_values(a: Symbol) -> np.ndarray:
-    """Symbol values on the half lattice (2N x N), exact when an
-    evaluator is attached; interpolation is guarded by the band-edge
-    test for sample-only symbols, and reuses its x spectrum.  The table
-    is real when its imaginary part is 0 (real samples take the real
-    half shift), and a fresh array the caller may overwrite."""
-    xg = a.grid.x_grid
-    n = xg.n_points
-    if a.evaluator is not None:
-        xh = xg.points[0] + 0.5 * xg.spacing * np.arange(2 * n)
-        amid = a.evaluator(xh[:, None], a.grid.p_grid.points[None, :])
-        # poly_eval's table is fresh; a caller's evaluator may return one it keeps
-        amid = np.asarray(amid) if a.is_polynomial else np.array(amid)
+    """Symbol values on the half lattice (2N x N): a polynomial's
+    coefficients evaluated there exactly; a sampled symbol's samples
+    interpolated, guarded by the band-edge test, whose x spectrum the
+    interpolation reuses.  The table is real when its imaginary part is
+    0 (real samples take the real half shift), and a fresh array the
+    caller may overwrite."""
+    if a.is_polynomial:
+        xg = a.grid.x_grid
+        xh = xg.points[0] + 0.5 * xg.spacing * np.arange(2 * xg.n_points)
+        amid = poly_eval(a.poly, xh[:, None], a.grid.p_grid.points[None, :])
         return amid.real if np.iscomplexobj(amid) and not amid.imag.any() else amid
     values = a.values if a.values.imag.any() else a.values.real
     spec_x = fourier.axis_spectrum(values, 0)

@@ -148,7 +148,7 @@ def moyal_restrict_basis_loop(op, iso):
     U(range of ``iso``), conjugated column by column through the
     composed isometry U T: column j is T* U^{-1} op(U T e_j).  One
     Moyal operator application per lattice site, so small grids only."""
-    xg = op.phase_op.x_grid
+    xg = op.phase_op.config_op.grid
     cols = np.empty((xg.n_points, xg.n_points), complex)
     for j, e in enumerate(np.eye(xg.n_points)):
         image = op.apply(moyal_map(iso.apply(ConfigState(xg, e))))

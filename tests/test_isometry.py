@@ -126,7 +126,7 @@ def test_window_change_is_isometry_between_ranges(pg128, rng):
     for _ in range(5):
         psi = random_config_state(pg128.x_grid, rng)
         Psi2 = iso2.apply(psi)
-        moved = iso1.transport(iso2, Psi2)
+        moved = iso1.apply(iso2.adjoint(Psi2))
         assert abs(norm_phase(moved) - norm_phase(Psi2)) < 1e-10
         # lands on the range of iso1
         assert np.abs(iso1.project(moved).values - moved.values).max() < 1e-12

@@ -11,7 +11,7 @@ from psqm import (Symbol, PhaseState, WindowedIsometry, dilate, rotate,
                   BandLimitError, GridMismatchError)
 from psqm.states import hermite_values
 from psqm.spectral import eig, evolve
-from psqm.weyl import star_values
+from psqm.weyl import poly_eval, star_values
 from psqm.reference import cross_wigner_quadrature
 from psqm import fourier
 from oracles import (double_phase_space_quantize, cross_wigner_dense,
@@ -513,14 +513,12 @@ def test_star_schrodinger_consistency_small_grid():
 def test_metaplectic_covariance_specialization():
     # the Moyal operator of a is the doubled-phase-space Weyl operator of
     # the pulled-back symbol a(x - xi_p/2, p + xi_x/2): coarse-grid check
+    # on the oscillator (a sampled Gaussian reaches the band edge of a
+    # 16-point lattice, and the oracle's memory grows as n**6)
     pg = self_dual_phase_grid(16)
-
-    def a_fn(x, xi):
-        return np.exp(-(x ** 2 + xi ** 2) / 2)
-
-    a = Symbol.from_function(pg, a_fn)
+    a = Symbol.oscillator(pg)
     dense = moyal_dense(quantize_moyal(a), pg)
-    oracle = double_phase_space_quantize(a_fn, pg.x_grid)
+    oracle = double_phase_space_quantize(lambda x, xi: poly_eval(a.poly, x, xi), pg.x_grid)
     X, P = pg.meshes()
     blob = np.exp(-(X ** 2 + P ** 2) / 2) * np.exp(0.4j * X - 0.2j * P)
     v = blob.reshape(-1)

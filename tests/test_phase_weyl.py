@@ -113,7 +113,7 @@ def test_bochner_quadrature_consistency(pg64):
     # coarse displacement-superposition route (32^2 lattice, closed-form
     # symplectic transform of the Gaussian symbol) agrees at low accuracy
     X, XI = pg64.meshes()
-    a = Symbol.from_function(pg64, lambda x, xi: np.exp(-(x ** 2 + xi ** 2) / 2))
+    a = Symbol.from_samples(pg64, np.exp(-(X ** 2 + XI ** 2) / 2))
     op = quantize_phase(a)
     Psi = PhaseState(pg64, np.outer(hermite_state(pg64.x_grid, 0).values,
                                     hermite_state(pg64.p_grid, 1).values))

@@ -35,15 +35,11 @@ NEVER_CALLED = {
     # displace's shift; rotate shears in place through lattice_shear
     "fourier.fourier_shift": "src/psqm/weyl.py",
     "grids.make_grid": "demos/01_grids_and_transforms.py",
-    "isometry.WindowedIsometry.transport": "demos/02_windowed_lift.py",
     "moyal.MoyalWeylOp.restrict": "perfbench/tracer.py",
     "moyal.moyal_heisenberg_weyl": "tests/test_moyal.py",  # U covariance
     "phase_weyl.PhaseWeylOp.restrict": "perfbench/tracer.py",
-    # read only by PhaseWeylOp.restrict, which the tracer keeps
-    "phase_weyl.PhaseWeylOp.x_grid": "src/psqm/phase_weyl.py",
     "phase_weyl.phase_heisenberg_weyl": "tests/test_phase_weyl.py",  # lift covariance
     "states.boundary_mass": "ROADMAP.md",
-    "weyl.Symbol.from_function": "tests/test_phase_weyl.py",
     "weyl.Symbol.unit": "src/psqm/verify.py",  # psqm spectrum, symbol = unit
     "weyl._groenewold_poly": "src/psqm/weyl.py",  # moyal_product of polynomials
     "weyl.displace": "src/psqm/weyl.py",  # heisenberg_weyl

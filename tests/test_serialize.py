@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from psqm import (hermite_state, cross_wigner, make_grid, self_dual_phase_grid,
                   grids_compatible, random_config_state)
@@ -27,6 +28,21 @@ def test_phase_csv_roundtrip(tmp_path):
     assert grids_compatible(back.grid.x_grid, W.grid.x_grid)
     assert grids_compatible(back.grid.p_grid, W.grid.p_grid)
     assert np.abs(back.values - W.values).max() < 1e-15
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: rows.reshape(8, 8, 4).transpose(1, 0, 2).reshape(64, 4),   # p-major
+    lambda rows: rows[:-1],                                                 # a row missing
+], ids=["p-major", "missing row"])
+def test_phase_csv_refuses_a_file_not_in_x_major_layout(tmp_path, edit):
+    pg = self_dual_phase_grid(8)
+    W = cross_wigner(hermite_state(pg.x_grid, 1), hermite_state(pg.x_grid, 0))
+    path = tmp_path / "w.csv"
+    serialize.save_phase_csv(W, path)
+    rows = np.loadtxt(path, delimiter=",")
+    np.savetxt(path, edit(rows), delimiter=",", header="x,p,re,im")
+    with pytest.raises(ValueError, match=f"{path}: .*x-major order"):
+        serialize.load_phase_csv(path)
 
 
 def test_gnuplot_matrix_layout(tmp_path):

@@ -175,8 +175,8 @@ def test_verify_suites_share_one_oscillator(monkeypatch):
 
 
 def test_every_evolve_refuses_a_non_hermitian_symbol(pg64, rng):
-    a = Symbol.from_function(
-        pg64, lambda x, xi: 1j * x * xi * np.exp(-(x ** 2 + xi ** 2) / 4))
+    X, XI = pg64.meshes()
+    a = Symbol.from_samples(pg64, 1j * X * XI * np.exp(-(X ** 2 + XI ** 2) / 4))
     cfg = quantize_config(a)
     assert cfg.hermiticity_defect() > 1.0
     Psi = random_phase_state(pg64, rng)

@@ -7,7 +7,7 @@ from psqm import (Symbol, make_grid, PhaseGrid, self_dual_phase_grid,
                   hermite_state, gaussian_state, random_config_state,
                   norm_config, BandLimitError, LinOp,
                   random_phase_state, star_apply, quantize_phase,
-                  GridMismatchError)
+                  quantize_moyal, PhaseWeylOp, MoyalWeylOp, GridMismatchError)
 from psqm import fourier, weyl
 from psqm.weyl import FLUSH_BELOW, REAL_EIGH_TOL, dense_apply, star_values
 from psqm.states import hermite_values
@@ -107,8 +107,7 @@ def test_quantize_is_linear_in_symbol(pg64, rng):
 
 
 def test_sampled_symbol_interpolation_guard(pg64):
-    # periodized sawtooth: not band-limited, must be rejected without an
-    # exact evaluator
+    # periodized sawtooth: not band-limited, its samples must be refused
     X, XI = pg64.meshes()
     raw = Symbol.from_samples(pg64, X.astype(complex))
     with pytest.raises(BandLimitError):
@@ -141,10 +140,10 @@ def test_symbol_kernel_roundtrip_band_limited(pg128, rng):
 @pytest.mark.parametrize("n", [64, 128])
 def test_kernel_and_symbol_ffts_match_dense_quadratures(n, rng):
     grid = self_dual_phase_grid(n)
+    X, XI = grid.meshes()
     symbols = [
         Symbol.oscillator(grid),                                  # arithmetic midpoints
-        Symbol.from_function(
-            grid, lambda x, xi: (1 + x * xi) * np.exp(-(x ** 2 + xi ** 2) / 4)),
+        Symbol.from_samples(grid, (1 + X * XI) * np.exp(-(X ** 2 + XI ** 2) / 4)),
         _sampled_corpus(grid)[2],                                 # interpolated
     ]
     for a in symbols:
@@ -171,7 +170,7 @@ def test_kernel_maps_equal_the_whole_table_routes_byte_for_byte(n, rng):
         Symbol.polynomial(grid, {(1, 1): 1.0, (0, 2): 0.3j}),
         Symbol.from_samples(grid, damp),
         Symbol.from_samples(grid, (1 + 0.3j * XI) * damp),
-        Symbol.from_function(grid, lambda x, xi: np.exp(-(x ** 2 + xi ** 2) / 8) * (1 + 0.1j * x)),
+        Symbol.from_samples(grid, (1 + 0.1j * X) * damp),
     ]
     ops = []
     for a in symbols:
@@ -531,11 +530,13 @@ def _damped_complex(grid):
     return Symbol.from_samples(grid, poly * np.exp(-((X - 0.2) ** 2 + (XI + 0.4) ** 2) / 8.0))
 
 
-@pytest.mark.parametrize("make", [
-    _damped_complex,
-    lambda g: Symbol.from_function(
-        g, lambda x, xi: 1j * x * xi * np.exp(-(x ** 2 + xi ** 2) / 4.0)),
-], ids=["damped 1j xi^2", "1j x xi gaussian"])
+def _imaginary_x_xi(grid):
+    X, XI = grid.meshes()
+    return Symbol.from_samples(grid, 1j * X * XI * np.exp(-(X ** 2 + XI ** 2) / 4.0))
+
+
+@pytest.mark.parametrize("make", [_damped_complex, _imaginary_x_xi],
+                         ids=["damped 1j xi^2", "1j x xi gaussian"])
 def test_complex_symbols_keep_the_general_path(pg128, monkeypatch, make):
     a = make(pg128)
     calls = []
@@ -626,7 +627,23 @@ def test_quantize_config_returns_the_symbols_one_operator(pg64):
     assert quantize_config(a) is op
     assert op.eigh()[1] is quantize_config(a).eigh()[1]
     # another symbol with the same samples has its own operator
-    assert quantize_config(Symbol.oscillator(pg64)) is not op
+    other = Symbol.oscillator(pg64)
+    assert quantize_config(other) is not op
+    # the phase-space and Moyal operators take theirs from their symbol
+    assert quantize_phase(a).config_op is op
+    assert quantize_moyal(a).phase_op.config_op is op
+    with pytest.raises(TypeError):
+        PhaseWeylOp(a, quantize_config(other))
+    with pytest.raises(TypeError):
+        MoyalWeylOp(a, quantize_phase(other))
+
+
+@pytest.mark.parametrize("got", ["both", "neither"])
+def test_symbol_holds_exactly_one_encoding(pg64, got):
+    # both: the samples of x with the coefficients of xi
+    samples, poly = (pg64.meshes()[0], {(0, 1): 1.0}) if got == "both" else (None, None)
+    with pytest.raises(ValueError, match=f"exactly one of samples and poly, got {got}"):
+        Symbol(pg64, samples, poly=poly)
 
 
 def test_symbol_is_immutable(pg64):
