@@ -9,11 +9,11 @@ phase-space calculus in this package.
 
 import numpy as np
 
-from psqm import (ConfigState, make_grid, self_dual_grid, forward_ft,
+from psqm import (ConfigState, Grid1D, self_dual_grid, forward_ft,
                   inverse_ft, norm_config)
 
 # a garden-variety grid and its dual
-g = make_grid(256, 12.0)
+g = Grid1D(256, 12.0)
 print(f"grid: N={g.n_points}, spacing={g.spacing:.6f}, "
       f"dual spacing={g.dual_spacing:.6f}")
 print(f"spacing * dual_spacing * N = {g.spacing * g.dual_spacing * g.n_points:.12f}"

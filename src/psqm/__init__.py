@@ -2,8 +2,8 @@
 (configuration-space, phase-space Schrodinger, Moyal) on desk-scale
 grids, with numerical verification of the equivalence identities."""
 
-from .grids import (Grid1D, PhaseGrid, GridMismatchError, make_grid,
-                    self_dual_grid, self_dual_phase_grid, grids_compatible)
+from .grids import (Grid1D, PhaseGrid, GridMismatchError, self_dual_grid,
+                    self_dual_phase_grid, grids_compatible)
 from .states import (ConfigState, PhaseState, inner_config, inner_phase,
                      norm_config, norm_phase, hermite_state, gaussian_state,
                      hermite_values, gaussian_values, boundary_mass,
@@ -12,8 +12,7 @@ from .fourier import forward_ft, inverse_ft, BandLimitError
 from .weyl import (Symbol, LinOp, symbol_to_kernel, kernel_to_symbol,
                    quantize_config, heisenberg_weyl, moyal_product)
 from .isometry import WindowedIsometry
-from .phase_weyl import (phase_heisenberg_weyl, PhaseWeylOp, quantize_phase,
-                         intertwining_report)
+from .phase_weyl import PhaseWeylOp, quantize_phase, intertwining_report
 from .moyal import (dilate, rotate, moyal_map, moyal_map_inv, cross_wigner,
                     bopp_apply, moyal_heisenberg_weyl,
                     MoyalWeylOp, quantize_moyal, star_apply, stargen_residual)
@@ -25,7 +24,7 @@ from .verify import run_verify, default_params, SUITE_NAMES
 __version__ = "0.1.0"
 
 __all__ = [
-    "Grid1D", "PhaseGrid", "GridMismatchError", "make_grid",
+    "Grid1D", "PhaseGrid", "GridMismatchError",
     "self_dual_grid", "self_dual_phase_grid", "grids_compatible",
     "ConfigState", "PhaseState", "inner_config", "inner_phase",
     "norm_config", "norm_phase", "hermite_state", "gaussian_state",
@@ -35,8 +34,7 @@ __all__ = [
     "Symbol", "LinOp", "symbol_to_kernel", "kernel_to_symbol",
     "quantize_config", "heisenberg_weyl", "moyal_product",
     "WindowedIsometry",
-    "phase_heisenberg_weyl", "PhaseWeylOp", "quantize_phase",
-    "intertwining_report",
+    "PhaseWeylOp", "quantize_phase", "intertwining_report",
     "dilate", "rotate", "moyal_map", "moyal_map_inv", "cross_wigner",
     "bopp_apply", "moyal_heisenberg_weyl",
     "MoyalWeylOp", "quantize_moyal", "star_apply", "stargen_residual",

@@ -10,13 +10,14 @@ dx * dual_spacing * N = 2*pi exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
+
 import numpy as np
 
 __all__ = [
     "Grid1D",
     "PhaseGrid",
     "GridMismatchError",
-    "make_grid",
     "self_dual_grid",
     "self_dual_phase_grid",
     "grids_compatible",
@@ -34,6 +35,8 @@ MAX_INDEX_POINTS = 32768
 
 
 def _require_lattice_size(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise GridMismatchError(f"n_points must be an integer, got {n!r}")
     if n < 8 or n & (n - 1):
         raise GridMismatchError(f"n_points must be a power of two >= 8, got {n}")
     if n > MAX_INDEX_POINTS:
@@ -83,11 +86,6 @@ class Grid1D:
         return grids_compatible(self, self.dual)
 
 
-def make_grid(n_points: int, half_width: float, center: float = 0.0) -> Grid1D:
-    """Construct a :class:`Grid1D`, validating the lattice parameters."""
-    return Grid1D(int(n_points), float(half_width), float(center))
-
-
 def self_dual_grid(n_points: int) -> Grid1D:
     """Centered grid whose Fourier dual is itself: spacing sqrt(2*pi/N).
 
@@ -96,9 +94,8 @@ def self_dual_grid(n_points: int) -> Grid1D:
     *and* geometrically equal to it; the self-dual lattice satisfies
     both at once.
     """
-    _require_lattice_size(int(n_points))
-    dx = np.sqrt(2.0 * np.pi / n_points)
-    return Grid1D(int(n_points), 0.5 * n_points * dx, 0.0)
+    _require_lattice_size(n_points)
+    return Grid1D(n_points, 0.5 * n_points * np.sqrt(2.0 * np.pi / n_points), 0.0)
 
 
 def grids_compatible(a: Grid1D, b: Grid1D) -> bool:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .grids import Grid1D, PhaseGrid, GridMismatchError, grids_compatible
 from .states import ConfigState, PhaseState, norm_phase
-from .weyl import Symbol, LinOp, displace, moyal_product
+from .weyl import Symbol, LinOp, heisenberg_weyl, moyal_product
 from .phase_weyl import PhaseWeylOp
 from .isometry import WindowedIsometry
 from . import fourier
@@ -223,14 +223,14 @@ def bopp_apply(name: str, Psi: PhaseState) -> PhaseState:
 
 def moyal_heisenberg_weyl(z0, Psi: PhaseState) -> PhaseState:
     """Moyal-representation displacement:
-    Psi -> exp(-i*(x0*p - xi0*x)) Psi(x - x0/2, p - xi0/2), the
-    conjugation of the phase-space displacement by U: :func:`displace`
-    by (x0/2, xi0) along x, then by (xi0/2, -x0) along p."""
+    Psi -> exp(-i*(x0*p - xi0*x)) Psi(x - x0/2, p - xi0/2), the phase-space
+    one conjugated by U: :func:`heisenberg_weyl` by (x0/2, xi0) along x,
+    then by (xi0/2, -x0) along p (along x of the transposed values)."""
     _require_self_dual(Psi.grid, "moyal_heisenberg_weyl")
     x0, xi0 = float(z0[0]), float(z0[1])
-    g = Psi.grid.x_grid
-    vals = displace((x0 / 2, xi0), Psi.values, g)
-    return Psi.with_values(displace((xi0 / 2, -x0), vals.T, g).T)
+    step = heisenberg_weyl((x0 / 2, xi0), Psi)
+    step = heisenberg_weyl((xi0 / 2, -x0), step.with_values(step.values.T))
+    return Psi.with_values(step.values.T)
 
 
 @dataclass(eq=False)

@@ -16,17 +16,10 @@ import numpy as np
 from .grids import PhaseGrid
 from .states import (PhaseState, norm_config, norm_phase, random_config_state,
                      random_phase_state)
-from .weyl import Symbol, LinOp, displace, quantize_config
+from .weyl import Symbol, LinOp, quantize_config
 from .isometry import WindowedIsometry
 
-__all__ = ["phase_heisenberg_weyl", "PhaseWeylOp", "quantize_phase",
-           "intertwining_report"]
-
-
-def phase_heisenberg_weyl(z0, Psi: PhaseState) -> PhaseState:
-    """Displacement acting on the x axis only:
-    Psi -> exp(i*(xi0*x - xi0*x0/2)) Psi(x - x0, p)."""
-    return Psi.with_values(displace(z0, Psi.values, Psi.grid.x_grid))
+__all__ = ["PhaseWeylOp", "quantize_phase", "intertwining_report"]
 
 
 @dataclass(eq=False)

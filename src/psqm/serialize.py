@@ -44,13 +44,24 @@ def _grid_from_points(points: np.ndarray, path) -> Grid1D:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _load_csv(path, columns: str) -> np.ndarray:
+    """The rows of a CSV file of the ``columns`` header; refuses (ValueError,
+    naming the path) another column count or a value that is not finite."""
+    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    if data.shape[1] != columns.count(",") + 1:
+        raise ValueError(f"{path}: expected the columns {columns}, got {data.shape[1]}")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: every value must be finite")
+    return data
+
+
 def save_config_csv(state: ConfigState, path) -> None:
     data = np.column_stack([state.grid.points, state.values.real, state.values.imag])
     np.savetxt(path, data, fmt=_FMT, delimiter=",", header="x,re,im")
 
 
 def load_config_csv(path) -> ConfigState:
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    data = _load_csv(path, "x,re,im")
     grid = _grid_from_points(data[:, 0], path)
     return ConfigState(grid, data[:, 1] + 1j * data[:, 2])
 
@@ -66,7 +77,7 @@ def save_phase_csv(obj, path) -> None:
 def load_phase_csv(path) -> PhaseState:
     """Refuses (ValueError) rows that are not every (x, p) pair of the
     grid once, in x-major order."""
-    data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    data = _load_csv(path, "x,p,re,im")
     x, p = np.unique(data[:, 0]), np.unique(data[:, 1])
     grid = PhaseGrid(_grid_from_points(x, path), _grid_from_points(p, path))
     pairs = np.stack(np.meshgrid(x, p, indexing="ij"), axis=-1).reshape(-1, 2)

@@ -34,17 +34,17 @@ class _Eigenstates(Sequence):
         return ConfigState(self._grid, self._V[:, k] / self._weight)
 
 
-def eig(op: LinOp, herm_tol: float = 1e-8):
+def eig(op: LinOp):
     """Full spectral decomposition of a Hermitian operator.
 
     Returns (eigenvalues ascending, eigenstates normalized in the grid
     norm); the eigenstates are a sequence that builds each state when it
     is read (index, slice, ``len``, iteration).  Rejects matrices whose
-    Hermiticity defect exceeds ``herm_tol``; below that the matrix is
-    symmetrized before the decomposition, which the operator computes
-    once and keeps (:meth:`LinOp.eigh`).
+    Hermiticity defect exceeds :data:`psqm.weyl.HERM_TOL`; below that
+    the matrix is symmetrized before the decomposition, which the
+    operator computes once and keeps (:meth:`LinOp.eigh`).
     """
-    w, V = op.eigh(herm_tol)
+    w, V = op.eigh()
     return w, _Eigenstates(op.grid, V)
 
 

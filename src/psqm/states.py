@@ -146,7 +146,7 @@ def require_gaussian(center_x, center_p, width) -> None:
     :data:`MAX_GAUSSIAN_CENTER` and its width lies in
     :data:`GAUSSIAN_WIDTHS`; NaN and infinite values are refused."""
     lo, hi = GAUSSIAN_WIDTHS
-    if not (max(abs(center_x), abs(center_p)) <= MAX_GAUSSIAN_CENTER
+    if not (abs(center_x) <= MAX_GAUSSIAN_CENTER and abs(center_p) <= MAX_GAUSSIAN_CENTER
             and lo <= width <= hi):
         raise ValueError(f"a Gaussian needs |x0|, |p0| <= {MAX_GAUSSIAN_CENTER:g} and "
                          f"{lo:g} <= width <= {hi:g}, got x0 = {center_x!r}, "

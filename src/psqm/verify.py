@@ -30,10 +30,6 @@ from . import reference
 __all__ = ["SUITE_NAMES", "TOLERANCES", "PARAM_KEYS", "default_params",
            "resolve_params", "run_verify", "add_suite", "spectrum_checks"]
 
-SUITE_NAMES = ("isometry", "intertwining", "unitarity", "star", "spectrum",
-               "dynamics", "mixed")
-
-
 # Acceptance tolerance of every check, by its report name up to "[".
 TOLERANCES = {
     "inner_product_preserved": 1e-10, "projector_idempotent": 1e-10,
@@ -99,7 +95,7 @@ def resolve_params(params: dict, symbol: str = "oscillator"):
     ``gaussian:x0,p0,w``) sampled on its p axis, and the named symbol
     on the grid, each refused (ValueError) by the code that builds it;
     a window off unit norm there is refused naming both."""
-    n = int(params["n_points"])
+    n = params["n_points"]
     grid = self_dual_phase_grid(n)
     spec = params.get("window", "hermite:0")
     chi = _window(spec, grid.p_grid)
@@ -390,15 +386,16 @@ _SUITES = {
     "dynamics": suite_dynamics,
     "mixed": suite_mixed,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_verify(suites, params: dict | None = None) -> dict:
     """Run named suites ('all' expands to every suite) and assemble the
     deterministic report.  Every parameter is checked before any suite
     runs, ``suites`` empty included: a ValueError naming the key and its
-    value refuses keys outside :data:`PARAM_KEYS`, non-integer (or bool)
-    ``n_points`` or ``seed``, whatever :func:`resolve_params` cannot build
-    (the grid, window and oscillator every suite shares), a negative
+    value refuses keys outside :data:`PARAM_KEYS`, a non-integer (or bool)
+    ``seed``, whatever :func:`resolve_params` cannot build (the grid of
+    ``n_points``, window and oscillator every suite shares), a negative
     ``seed``, an empty ``times`` or entries in it that are not finite or
     whose phase e^{-i*lam*t} keeps no digit the dynamics checks read
     (|t| * lam_max * eps >= the distance checks' tolerance 1e-6, with
@@ -412,9 +409,8 @@ def run_verify(suites, params: dict | None = None) -> dict:
     merged = default_params()
     if params:
         merged.update(params)
-    for key in ("n_points", "seed"):
-        if isinstance(merged[key], bool) or not isinstance(merged[key], Integral):
-            raise ValueError(f"{key} must be an integer, got {merged[key]!r}")
+    if isinstance(merged["seed"], bool) or not isinstance(merged["seed"], Integral):
+        raise ValueError(f"seed must be an integer, got {merged['seed']!r}")
     inputs = resolve_params(merged)  # one oscillator, quantized once per run
     if merged["seed"] < 0:
         raise ValueError(f"seed must be a non-negative integer, got {merged['seed']!r}")

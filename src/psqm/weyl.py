@@ -28,7 +28,6 @@ import numpy as np
 
 from .grids import (Grid1D, PhaseGrid, GridMismatchError, grids_compatible)
 from . import fourier
-from .states import ConfigState
 
 __all__ = [
     "Symbol",
@@ -37,7 +36,6 @@ __all__ = [
     "symbol_to_kernel",
     "kernel_to_symbol",
     "quantize_config",
-    "displace",
     "heisenberg_weyl",
     "moyal_product",
 ]
@@ -55,6 +53,9 @@ FLUSH_BELOW = float(np.sqrt(np.finfo(float).tiny))
 # 8.8e-17..5.1e-15; x reads 0, xi and x*xi read 1.0.  So the bound is
 # 2000x above round-off and 1e11 below the complex matrices.
 REAL_EIGH_TOL = 1e-11
+
+# LinOp.eigh refuses a Hermiticity defect above this bound; it symmetrizes a smaller one.
+HERM_TOL = 1e-8
 
 
 def dense_apply(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -205,6 +206,11 @@ class Symbol:
         return self.poly is not None
 
 
+def _x_grid(state) -> Grid1D:
+    """The x grid of a config state, or of a phase-space state."""
+    return state.grid.x_grid if isinstance(state.grid, PhaseGrid) else state.grid
+
+
 @dataclass(eq=False)
 class LinOp:
     """Dense config-space matrix of an operator: a real or complex
@@ -237,8 +243,7 @@ class LinOp:
                 f"operator matrix of shape {self.matrix.shape} on a grid of {n} points")
 
     def _require_grid(self, state) -> None:
-        x_grid = state.grid.x_grid if isinstance(state.grid, PhaseGrid) else state.grid
-        if not grids_compatible(x_grid, self.grid):
+        if not grids_compatible(_x_grid(state), self.grid):
             raise GridMismatchError("state x grid does not match operator grid")
 
     def apply(self, state):
@@ -255,15 +260,15 @@ class LinOp:
                                  / max(np.abs(M).max(), 1e-300))
         return self._defect
 
-    def eigh(self, herm_tol: float = 1e-8):
+    def eigh(self):
         """(w ascending, V) of H = (M + M*)/2, computed once per operator;
-        refuses (ValueError) a Hermiticity defect above ``herm_tol``, or
-        NaN, on every call.  H is M itself when the defect is 0 (M = M*
+        refuses (ValueError) a Hermiticity defect above :data:`HERM_TOL`,
+        or NaN, on every call.  H is M itself when the defect is 0 (M = M*
         bit for bit): only a matrix with a nonzero defect is symmetrized.
         V is real when M is (:func:`symbol_to_kernel` stores a real
         symbol's matrix real when it is real up to round-off).  Both
         arrays are read-only."""
-        if not self.hermiticity_defect() <= herm_tol:
+        if not self.hermiticity_defect() <= HERM_TOL:
             raise ValueError(f"operator is not Hermitian (defect {self._defect:.2e})")
         if self._eigh is None:
             M = self.matrix
@@ -461,23 +466,20 @@ def quantize_config(a: Symbol) -> LinOp:
 
 # ------------------------------------------------------- displacement operator
 
-def displace(z0, values: np.ndarray, grid: Grid1D) -> np.ndarray:
-    """Displacement f -> exp(i*(xi0*x - xi0*x0/2)) f(x - x0) along axis
-    0 of ``values`` sampled on ``grid``: :func:`psqm.fourier.fourier_shift`
-    by x0 (whole cells move by an exact index roll), then the phase.  A
-    non-finite x0 or xi0 is refused (ValueError)."""
+def heisenberg_weyl(z0, state):
+    """Displacement by z0 = (x0, xi0) along x, of a config state or,
+    as T(z0) (x) 1, of a phase-space state:
+    psi -> exp(i*(xi0*x - xi0*x0/2)) psi(x - x0), by
+    :func:`psqm.fourier.fourier_shift` by x0 (whole cells move by an
+    exact index roll), then the phase.  A non-finite x0 or xi0 is
+    refused (ValueError)."""
     x0, xi0 = float(z0[0]), float(z0[1])
     if not (np.isfinite(x0) and np.isfinite(xi0)):
         raise ValueError(f"displacement z0 = (x0, xi0) must be finite, got ({x0!r}, {xi0!r})")
+    grid, values = _x_grid(state), state.values
     shifted = fourier.fourier_shift(values, grid, x0, axis=0)
     phase = np.exp(1j * (xi0 * grid.points - 0.5 * xi0 * x0))
-    return phase.reshape((-1,) + (1,) * (values.ndim - 1)) * shifted
-
-
-def heisenberg_weyl(z0, psi: ConfigState) -> ConfigState:
-    """Displacement by z0 = (x0, xi0):
-    psi -> exp(i*(xi0*x - xi0*x0/2)) psi(x - x0)."""
-    return psi.with_values(displace(z0, psi.values, psi.grid))
+    return state.with_values(phase.reshape((-1,) + (1,) * (values.ndim - 1)) * shifted)
 
 
 # ------------------------------------------------------------- Moyal product

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from psqm import self_dual_phase_grid, make_grid, PhaseGrid
+from psqm import self_dual_phase_grid, Grid1D, PhaseGrid
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +27,7 @@ def pg256():
 @pytest.fixture(scope="session")
 def weyl_grid_256_10():
     """Spec-style (256, 10) configuration grid with its dual as xi axis."""
-    g = make_grid(256, 10.0)
+    g = Grid1D(256, 10.0)
     return PhaseGrid(g, g.dual)
 
 

@@ -241,6 +241,25 @@ def test_wigner_refuses_a_csv_above_the_index_bound_at_load(tmp_path, capsys, mo
         serialize.load_config_csv(tmp_path / "bad.csv")
 
 
+def test_wigner_refuses_a_csv_of_the_wrong_column_count(tmp_path, capsys):
+    # two columns once failed as an internal IndexError (exit 3)
+    x = self_dual_phase_grid(64).x_grid.points
+    code, err = _wigner_with_psi_csv(tmp_path, capsys, np.column_stack([x, 0 * x]))
+    assert code == 2 and "bad.csv" in err and "expected the columns x,re,im" in err
+    # a config file (three columns) read as a phase-space one
+    with pytest.raises(ValueError, match="good.csv: expected the columns x,p,re,im"):
+        serialize.load_phase_csv(tmp_path / "good.csv")
+
+
+def test_wigner_refuses_a_non_finite_csv(tmp_path, capsys):
+    # one NaN sample once gave exit 0 and a field of NaN rows
+    x = grids.Grid1D(8, 4.0).points
+    rows = np.column_stack([x, np.exp(-x ** 2 / 2), 0 * x])
+    rows[3, 1] = np.nan
+    code, err = _wigner_with_psi_csv(tmp_path, capsys, rows)
+    assert code == 2 and "bad.csv" in err and "finite" in err
+
+
 def test_wigner_refuses_nonuniform_csv(tmp_path, capsys):
     g = self_dual_phase_grid(64).x_grid
     x = g.points.copy()
@@ -368,6 +387,8 @@ def test_scalar_times_runs_as_one_time(tmp_path):
 @pytest.mark.parametrize("line, message", [
     ("seed = 1.5", "seed must be an integer, got 1.5"),
     ("n_points = sixty", "n_points must be an integer, got 'sixty'"),
+    ("n_points = 64.5", "n_points must be an integer, got 64.5"),
+    ("n_points = 64.0", "n_points must be an integer, got 64.0"),
 ])
 def test_non_integer_seed_and_n_points_refused(tmp_path, capsys, line, message):
     cfg = tmp_path / "c.cfg"
@@ -519,6 +540,10 @@ def test_window_refusal_names_window_and_n_points(tmp_path, capsys, text, named)
     ({"window": "hermite:13"}, "got 'hermite:13'"),
     ({"window": "gaussian:0,0,0"}, "got 'gaussian:0,0,0'"),
     ({"n_points": 8}, "window 'hermite:0' sampled on the p axis of n_points = 8"),
+    ({"window": "gaussian:0,nan,1"}, "'gaussian:x0,p0,w'.*got 'gaussian:0,nan,1'"),
+    ({"n_points": 64.5}, "n_points must be an integer, got 64.5"),
+    ({"n_points": 64.0}, "n_points must be an integer, got 64.0"),
+    ({"n_points": True}, "n_points must be an integer, got True"),
 ])
 def test_run_verify_builds_its_inputs_before_any_suite(monkeypatch, suites, params, message):
     # the grid, the window and the isometry refuse what they cannot

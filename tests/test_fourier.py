@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psqm import (ConfigState, make_grid, forward_ft, inverse_ft, norm_config,
+from psqm import (ConfigState, Grid1D, forward_ft, inverse_ft, norm_config,
                   hermite_state, random_config_state, inner_config,
                   GridMismatchError, gaussian_values, self_dual_grid)
 from psqm import fourier
@@ -9,7 +9,7 @@ from oracles import fourier_shift_phase_table, lattice_shear_out_of_place, quadr
 
 
 def test_gaussian_is_ft_fixed_point_against_quadrature():
-    g = make_grid(256, 12.0)
+    g = Grid1D(256, 12.0)
     psi = ConfigState(g, np.exp(-g.points ** 2 / 2) / np.pi ** 0.25)
     hat = forward_ft(psi)
     oracle = quadrature_ft(lambda x: np.exp(-x ** 2 / 2) / np.pi ** 0.25,
@@ -20,7 +20,7 @@ def test_gaussian_is_ft_fixed_point_against_quadrature():
 
 
 def test_impulse_has_flat_spectrum():
-    g = make_grid(64, 6.0)
+    g = Grid1D(64, 6.0)
     v = np.zeros(64)
     v[17] = 1.0
     hat = forward_ft(ConfigState(g, v))
@@ -29,7 +29,7 @@ def test_impulse_has_flat_spectrum():
 
 
 def test_unitarity_and_roundtrip(rng):
-    g = make_grid(128, 9.0)
+    g = Grid1D(128, 9.0)
     psi = ConfigState(g, rng.standard_normal(128) + 1j * rng.standard_normal(128))
     hat = forward_ft(psi)
     assert abs(norm_config(hat) - norm_config(psi)) < 1e-12
@@ -38,7 +38,7 @@ def test_unitarity_and_roundtrip(rng):
 
 
 def test_inverse_of_gaussian_fixed_point():
-    g = make_grid(256, 12.0)
+    g = Grid1D(256, 12.0)
     vals = np.exp(-g.dual.points ** 2 / 2) / np.pi ** 0.25
     spec = ConfigState(g.dual, vals)
     back = inverse_ft(spec, g)
@@ -49,7 +49,7 @@ def test_inverse_of_gaussian_fixed_point():
 
 def test_ft_isometry_property_over_grids(rng):
     for n, hw in [(64, 7.0), (128, 11.0), (256, 10.0)]:
-        g = make_grid(n, hw)
+        g = Grid1D(n, hw)
         psi = random_config_state(g, rng)
         phi = random_config_state(g, rng)
         lhs = inner_config(forward_ft(psi), forward_ft(phi))
@@ -124,7 +124,7 @@ def test_half_shift_of_real_values_is_real(shape, axis, rng):
 @pytest.mark.parametrize("axis", [0, 1])
 def test_lattice_shear_is_the_half_cell_fourier_shift(n, axis, rng):
     # full-band random complex data: the Nyquist convention shows
-    g = make_grid(n, 5.0)
+    g = Grid1D(n, 5.0)
     v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     for steps in (2 * rng.integers(-n, n, n),          # whole cells only
                   2 * rng.integers(-n, n, n) + 1,      # every count odd
@@ -144,7 +144,7 @@ def test_lattice_shear_is_the_half_cell_fourier_shift(n, axis, rng):
 @pytest.mark.parametrize("axis", [0, 1])
 def test_lattice_shear_on_real_and_non_square_fields(shape, axis, rng):
     n = shape[axis]
-    g = make_grid(n, 3.0)
+    g = Grid1D(n, 3.0)
     v = rng.standard_normal(shape)
     steps = rng.integers(-3 * n, 3 * n, shape[1 - axis])
     got = fourier.lattice_shear(v + 0j, steps, axis)
@@ -159,7 +159,7 @@ def test_lattice_shear_on_real_and_non_square_fields(shape, axis, rng):
 def test_lattice_shear_of_real_steps_matches_the_phase_table(n, axis, rng):
     # one real shift per slice, the rotation's kind: against the
     # phase-table route, which builds the n x n table the shear avoids
-    g = make_grid(n, 5.0)
+    g = Grid1D(n, 5.0)
     v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     steps = rng.uniform(-3 * n, 3 * n, n)
     got = fourier.lattice_shear(v.copy(), steps, axis)
@@ -175,7 +175,7 @@ def test_lattice_shear_of_real_steps_matches_the_phase_table(n, axis, rng):
 @pytest.mark.parametrize("axis", [0, 1])
 def test_whole_cell_shifts_are_exact_rolls(axis, rng):
     n = 64
-    g = make_grid(n, 4.0)                   # spacing 1/8: whole cells exact
+    g = Grid1D(n, 4.0)                   # spacing 1/8: whole cells exact
     v = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     cells = rng.integers(-2 * n, 2 * n, n)
     got = fourier.lattice_shear(v.copy(), 2.0 * cells, axis)
@@ -258,7 +258,7 @@ def test_lattice_shear_shears_its_argument_in_place(axis, rng):
 
 
 def test_transforms_refuse_wrong_axis_length():
-    g = make_grid(64, 8.0)
+    g = Grid1D(64, 8.0)
     with pytest.raises(GridMismatchError):
         fourier.ft_array(np.zeros(32), g)
     with pytest.raises(GridMismatchError):
@@ -266,8 +266,8 @@ def test_transforms_refuse_wrong_axis_length():
 
 
 def test_inverse_transforms_refuse_non_dual_grids():
-    g = make_grid(64, 8.0)
-    other = make_grid(64, 9.0)
+    g = Grid1D(64, 8.0)
+    other = Grid1D(64, 9.0)
     with pytest.raises(GridMismatchError):
         inverse_ft(forward_ft(hermite_state(g, 0)), other)
 

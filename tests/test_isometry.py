@@ -5,7 +5,7 @@ from psqm import (WindowedIsometry, PhaseState, PhaseGrid,
                   hermite_state, gaussian_state, inner_config, inner_phase,
                   norm_config, norm_phase, random_config_state,
                   random_phase_state, quantize_config, Symbol,
-                  self_dual_phase_grid, make_grid)
+                  self_dual_phase_grid, Grid1D)
 from psqm.weyl import LinOp
 from psqm.spectral import eig
 from oracles import (apply_dense, derivative_matrix, hermiticity_defect, lifted_dense,
@@ -150,7 +150,7 @@ def test_weak_constraint_expectations(pg128):
 
 
 def test_grid_mismatch_raises(pg128, iso128):
-    other = make_grid(128, 5.0)
+    other = Grid1D(128, 5.0)
     bad = PhaseState(PhaseGrid(pg128.x_grid, other), np.zeros(pg128.shape))
     with pytest.raises(Exception):
         iso128.adjoint(bad)

@@ -5,7 +5,7 @@ from psqm import (Symbol, PhaseState, WindowedIsometry, dilate, rotate,
                   moyal_map, moyal_map_inv, cross_wigner, bopp_apply,
                   moyal_heisenberg_weyl, quantize_moyal,
                   quantize_config, star_apply, stargen_residual, moyal_product,
-                  phase_heisenberg_weyl, forward_ft, hermite_state,
+                  heisenberg_weyl, forward_ft, hermite_state,
                   gaussian_state, random_phase_state, random_config_state,
                   norm_phase, self_dual_phase_grid,
                   BandLimitError, GridMismatchError)
@@ -53,8 +53,8 @@ def test_dilate_guard_trips_on_wide_states(pg128):
 
 
 def test_requires_self_dual_grid():
-    from psqm import make_grid, PhaseGrid
-    g = make_grid(64, 9.0)
+    from psqm import Grid1D, PhaseGrid
+    g = Grid1D(64, 9.0)
     Psi = PhaseState(PhaseGrid(g, g), np.zeros((64, 64)))
     with pytest.raises(GridMismatchError):
         moyal_map(Psi)
@@ -375,7 +375,7 @@ def test_moyal_displacement(pg128, rng):
     assert np.abs(out.values - Psi.values).max() < 1e-14
     z0 = (0.37, -0.81)
     lhs = moyal_heisenberg_weyl(z0, Psi)
-    rhs = moyal_map(phase_heisenberg_weyl(z0, moyal_map_inv(Psi)))
+    rhs = moyal_map(heisenberg_weyl(z0, moyal_map_inv(Psi)))
     assert np.abs(lhs.values - rhs.values).max() < 1e-7
     assert abs(norm_phase(lhs) - 1.0) < 1e-10
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psqm import (Symbol, WindowedIsometry, phase_heisenberg_weyl,
+from psqm import (Symbol, WindowedIsometry,
                   quantize_phase, quantize_config, intertwining_report,
                   heisenberg_weyl, hermite_state, random_config_state,
                   random_phase_state, norm_phase,
@@ -17,16 +17,16 @@ def iso128(pg128):
 
 def test_displacement_identity_and_unitarity(pg128, rng):
     Psi = random_phase_state(pg128, rng)
-    out = phase_heisenberg_weyl((0.0, 0.0), Psi)
+    out = heisenberg_weyl((0.0, 0.0), Psi)
     assert np.abs(out.values - Psi.values).max() < 1e-14
-    out2 = phase_heisenberg_weyl((0.61, 1.7), Psi)
+    out2 = heisenberg_weyl((0.61, 1.7), Psi)
     assert abs(norm_phase(out2) - norm_phase(Psi)) < 1e-12
 
 
 def test_displacement_restricts_to_lifted_displacement(pg128, iso128, rng):
     psi = random_config_state(pg128.x_grid, rng)
     z0 = (0.45, -0.8)
-    lhs = phase_heisenberg_weyl(z0, iso128.apply(psi))
+    lhs = heisenberg_weyl(z0, iso128.apply(psi))
     rhs = iso128.apply(heisenberg_weyl(z0, psi))
     assert np.abs(lhs.values - rhs.values).max() < 1e-12
 
@@ -122,7 +122,7 @@ def test_bochner_quadrature_consistency(pg64):
         return np.exp(-(x0 ** 2 + xi0 ** 2) / 2)
 
     def displace(z0, values):
-        return phase_heisenberg_weyl(z0, PhaseState(pg64, values)).values
+        return heisenberg_weyl(z0, PhaseState(pg64, values)).values
 
     approx = bochner_phase_weyl(sft, Psi.values, pg64.x_grid, displace)
     exact = op.apply(Psi).values

@@ -32,17 +32,14 @@ ROOT = Path(__file__).resolve().parents[1]
 # naming it, the function should leave src/.
 NEVER_CALLED = {
     "fourier.inverse_ft": "demos/01_grids_and_transforms.py",
-    # displace's shift; rotate shears in place through lattice_shear
+    # heisenberg_weyl's shift; rotate shears in place through lattice_shear
     "fourier.fourier_shift": "src/psqm/weyl.py",
-    "grids.make_grid": "demos/01_grids_and_transforms.py",
     "moyal.MoyalWeylOp.restrict": "perfbench/tracer.py",
     "moyal.moyal_heisenberg_weyl": "tests/test_moyal.py",  # U covariance
     "phase_weyl.PhaseWeylOp.restrict": "perfbench/tracer.py",
-    "phase_weyl.phase_heisenberg_weyl": "tests/test_phase_weyl.py",  # lift covariance
     "states.boundary_mass": "ROADMAP.md",
     "weyl.Symbol.unit": "src/psqm/verify.py",  # psqm spectrum, symbol = unit
     "weyl._groenewold_poly": "src/psqm/weyl.py",  # moyal_product of polynomials
-    "weyl.displace": "src/psqm/weyl.py",  # heisenberg_weyl
     "weyl.heisenberg_weyl": "tests/test_phase_weyl.py",  # lift covariance
     "weyl.poly_mul": "src/psqm/weyl.py",  # _groenewold_poly
 }

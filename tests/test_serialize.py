@@ -3,13 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from psqm import (hermite_state, cross_wigner, make_grid, self_dual_phase_grid,
+from psqm import (hermite_state, cross_wigner, Grid1D, self_dual_phase_grid,
                   grids_compatible, random_config_state)
 from psqm import serialize
 
 
 def test_config_csv_roundtrip(tmp_path, rng):
-    g = make_grid(64, 7.5)
+    g = Grid1D(64, 7.5)
     psi = random_config_state(g, rng)
     path = tmp_path / "psi.csv"
     serialize.save_config_csv(psi, path)

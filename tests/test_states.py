@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psqm import (make_grid, hermite_state, gaussian_state,
+from psqm import (Grid1D, hermite_state, gaussian_state,
                   inner_config, inner_phase, norm_config, boundary_mass,
                   random_config_state, random_phase_state, PhaseState,
                   self_dual_phase_grid, GridMismatchError, PhaseGrid)
@@ -12,7 +12,7 @@ from oracles import (quadrature_inner, quadrature_moment,
 
 @pytest.fixture(scope="module")
 def g256():
-    return make_grid(256, 10.0)
+    return Grid1D(256, 10.0)
 
 
 def test_hermite_level0_closed_form(g256):
@@ -77,7 +77,8 @@ def test_gaussian_rejects_bad_width(g256):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args", [(0, 0, 1e200), (0, 0, 1e-160), (1e200, 0, 1),
                                   (0, 0, np.inf), (np.nan, 0, 1), (0, -np.inf, 1),
-                                  (0, 0, np.nan), (2e6, 0, 1), (0, 0, 5e-7)])
+                                  (0, 0, np.nan), (2e6, 0, 1), (0, 0, 5e-7),
+                                  (0, np.nan, 1)])
 def test_gaussian_refuses_centres_and_widths_outside_the_window_bounds(g256, args):
     # each was an OverflowError, an overflow warning, an all-zero or a NaN
     # "normalized" state; now one ValueError naming the three values
@@ -141,7 +142,7 @@ def test_phase_inner_product(pg64, rng):
 
 
 def test_grid_mismatch_raises(g256):
-    other = make_grid(256, 11.0)
+    other = Grid1D(256, 11.0)
     a = hermite_state(g256, 0)
     b = hermite_state(other, 0)
     with pytest.raises(GridMismatchError):

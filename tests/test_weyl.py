@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from psqm import (Symbol, make_grid, PhaseGrid, self_dual_phase_grid,
+from psqm import (Symbol, Grid1D, PhaseGrid, self_dual_phase_grid,
                   symbol_to_kernel, kernel_to_symbol, quantize_config,
                   heisenberg_weyl, moyal_product,
                   hermite_state, gaussian_state, random_config_state,
-                  norm_config, BandLimitError, LinOp,
+                  norm_config, norm_phase, BandLimitError, LinOp,
                   random_phase_state, star_apply, quantize_phase,
                   quantize_moyal, PhaseWeylOp, MoyalWeylOp, GridMismatchError)
 from psqm import fourier, weyl
@@ -115,7 +115,7 @@ def test_sampled_symbol_interpolation_guard(pg64):
 
 
 def test_kernel_grid_requirement():
-    g = make_grid(64, 9.0)
+    g = Grid1D(64, 9.0)
     bad = PhaseGrid(g, g)  # p axis not dual to x
     with pytest.raises(Exception):
         quantize_config(Symbol.unit(bad))
@@ -235,12 +235,13 @@ def test_rank_one_projector_symbol(pg128):
 # --------------------------------------------------------- heisenberg-weyl
 
 def test_displacement_identity_and_unitarity(weyl_grid_256_10, rng):
-    g = weyl_grid_256_10.x_grid
-    psi = random_config_state(g, rng)
-    out = heisenberg_weyl((0.0, 0.0), psi)
-    assert np.abs(out.values - psi.values).max() < 1e-14
-    out2 = heisenberg_weyl((0.77, -1.3), psi)
-    assert abs(norm_config(out2) - norm_config(psi)) < 1e-12
+    # T(z) on a config state, and T(z) (x) 1 on a phase-space state
+    for psi, norm in ((random_config_state(weyl_grid_256_10.x_grid, rng), norm_config),
+                      (random_phase_state(weyl_grid_256_10, rng), norm_phase)):
+        out = heisenberg_weyl((0.0, 0.0), psi)
+        assert np.abs(out.values - psi.values).max() < 1e-14
+        out2 = heisenberg_weyl((0.77, -1.3), psi)
+        assert abs(norm(out2) - norm(psi)) < 1e-12
 
 
 def test_displacement_moves_gaussian(weyl_grid_256_10):
@@ -595,19 +596,17 @@ def test_zero_defect_matrix_is_decomposed_as_given(pg64):
 
 
 def test_small_defect_matrix_is_measured_once_and_symmetrized(pg64, rng):
-    # a caller-supplied matrix with defect in (0, herm_tol]: the defect is
+    # a caller-supplied matrix with defect in (0, HERM_TOL]: the defect is
     # max|M - M*| / max|M| and eigh decomposes (M + M*) * 0.5, bit for bit
     a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     m = a + a.conj().T + 1e-10 * rng.standard_normal((64, 64))
     op = LinOp(pg64.x_grid, m)
     defect = op.hermiticity_defect()
-    assert 0 < defect <= 1e-8
+    assert 0 < defect <= weyl.HERM_TOL
     assert defect == hermiticity_defect(m)
     w, V = op.eigh()
     w_ref, V_ref = np.linalg.eigh((m + m.conj().T) * 0.5)
     assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        LinOp(pg64.x_grid, m).eigh(herm_tol=defect / 2)
 
 
 def test_real_polynomials_evaluate_in_float(pg64):
