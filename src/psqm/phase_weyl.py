@@ -62,33 +62,45 @@ def quantize_phase(a: Symbol) -> PhaseWeylOp:
     return PhaseWeylOp(a)
 
 
-def intertwining_report(a: Symbol, iso: WindowedIsometry, samples: int,
-                        rng: np.random.Generator) -> dict:
-    """Max residuals of the two intertwining relations over random
-    normalized states:
+def intertwining_report(symbols, iso: WindowedIsometry, samples: int,
+                        rng: np.random.Generator) -> list:
+    """Max residuals of the two intertwining relations of each symbol in
+    ``symbols`` (all on one grid) over ``samples`` random normalized
+    pairs (psi, Psi), one dict per symbol in order:
 
       forward:  A (T psi) = T (a psi)
       adjoint:  T* (A Psi) = a (T* Psi)
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    op = quantize_phase(a)
-    cfg = op.config_op
-    fwd = 0.0
-    adj = 0.0
+
+    Each pair is drawn once, config state then phase state, and checked
+    against every symbol before the next is drawn, so the symbols share
+    their probes and one pair is alive at a time; T psi and T* Psi are
+    formed once per pair."""
+    if samples < 1 or not symbols:
+        raise ValueError(f"intertwining_report needs samples >= 1 and a symbol, got "
+                         f"{samples} samples and {len(symbols)} symbols")
+    ops = [quantize_phase(a) for a in symbols]
+    grid = ops[0].config_op.grid
+    fwd = [0.0] * len(ops)
+    adj = [0.0] * len(ops)
     for _ in range(samples):
-        psi = random_config_state(cfg.grid, rng)
-        lhs = op.apply(iso.apply(psi))
-        rhs = iso.apply(cfg.apply(psi))
-        fwd = max(fwd, norm_phase(lhs.with_values(lhs.values - rhs.values)))
-        Psi = random_phase_state(PhaseGrid(cfg.grid, iso.p_grid), rng)
-        lhs2 = iso.adjoint(op.apply(Psi))
-        rhs2 = cfg.apply(iso.adjoint(Psi))
-        adj = max(adj, norm_config(lhs2.with_values(lhs2.values - rhs2.values)))
-    return {
+        psi = random_config_state(grid, rng)
+        Psi = random_phase_state(PhaseGrid(grid, iso.p_grid), rng)
+        lifted = iso.apply(psi)
+        lowered = iso.adjoint(Psi)
+        for k, op in enumerate(ops):
+            cfg = op.config_op
+            lhs = op.apply(lifted)
+            lhs.values -= iso.apply(cfg.apply(psi)).values
+            fwd[k] = max(fwd[k], norm_phase(lhs))
+            del lhs
+            lhs2 = iso.adjoint(op.apply(Psi))
+            rhs2 = cfg.apply(lowered)
+            adj[k] = max(adj[k], norm_config(lhs2.with_values(lhs2.values - rhs2.values)))
+        del Psi, lifted   # before the next pair is drawn
+    return [{
         "relation": "phase_weyl intertwining",
-        "max_residual": max(fwd, adj),
-        "forward_residual": fwd,
-        "adjoint_residual": adj,
+        "max_residual": max(f, a),
+        "forward_residual": f,
+        "adjoint_residual": a,
         "samples": samples,
-    }
+    } for f, a in zip(fwd, adj)]

@@ -20,7 +20,7 @@ _FD_POINTS, _FD_HALF_WIDTH = 2048, 10.0
 _RITZ_EXTRA = 8
 
 # x rows per integrand block of the cross-Wigner quadrature: 32 rows of
-# the 2048-point y lattice make a 1 MiB complex integrand.
+# the folded 2048-point y lattice make a 1 MiB real integrand.
 _ROW_BLOCK = 32
 
 # Integrand components below sqrt(tiny) are zeroed before each product:
@@ -127,6 +127,14 @@ def fd_oscillator_levels(n_levels: int) -> np.ndarray:
     return levels
 
 
+def _flushed(a: np.ndarray) -> np.ndarray:
+    """``a`` with its real and imaginary components below sqrt(tiny)
+    zeroed in place."""
+    parts = a.view(np.float64)
+    parts[np.abs(parts) < _FLUSH_BELOW] = 0.0
+    return a
+
+
 def cross_wigner_quadrature(pairs, x_points: np.ndarray, p_points: np.ndarray):
     """Direct Riemann quadrature of
 
@@ -134,26 +142,51 @@ def cross_wigner_quadrature(pairs, x_points: np.ndarray, p_points: np.ndarray):
                             psi(x + y/2) chi(x - y/2)* dy
 
     on 2048 points of y in [-40, 40), for each ``(psi_fn, chi_fn)`` in
-    ``pairs``, the states given as callables evaluated off-lattice
-    (closed forms); yields one (len(x_points), len(p_points)) array per
-    pair in turn, so a caller holds one at a time.  The phase table
-    exp(-i y p) is built once per call, and each pair's integrand is
-    evaluated on blocks of ``_ROW_BLOCK`` x rows, each block summed over
-    y by one matrix product with the table.  Used as the independent
-    oracle for the Moyal map."""
+    ``pairs``, the states given as closed-form callables ``f(x, s)``
+    returning f(x + s) for a column of x against a row of half offsets
+    s = +-y/2; yields one (len(x_points), len(p_points)) array per pair
+    in turn, so a caller holds one at a time.
+
+    The lattice is symmetric about y = 0 but for y = -40, so it is
+    folded: with f(y) = psi(x + y/2) chi(x - y/2)*, the terms at y and -y
+    (1023 pairs) sum to (f(y) + f(-y)) cos(p y) - i (f(y) - f(-y))
+    sin(p y).  Each block of ``_ROW_BLOCK`` x rows stacks the real and
+    the imaginary parts of these coefficients, zeroes the components
+    below sqrt(tiny), and is summed over y by one real matrix product
+    with a (2*1023, len(p_points)) cos/sin table built once per call;
+    the unpaired terms at y = 0 and y = -40 are added by a second,
+    two-column product.  Used as the independent oracle for the Moyal
+    map."""
     n_y, y_half = 2048, 40.0
-    y = -y_half + (2.0 * y_half / n_y) * np.arange(n_y)
-    dy = y[1] - y[0]
-    half = y / 2
+    dy = 2.0 * y_half / n_y
+    half = (dy / 2) * np.arange(1, n_y // 2)
+    m = len(half)
     x = np.asarray(x_points, dtype=float)
-    phase = np.exp(-1j * np.outer(y, p_points))
+    p = np.asarray(p_points, dtype=float)
+    yp = np.outer(2 * half, p)
+    table = np.empty((2 * m, len(p)))
+    np.cos(yp, out=table[:m])
+    np.sin(yp, out=table[m:])
+    del yp
+    unpaired = np.array([0.0, -y_half / 2])
+    unpaired_phase = np.stack([np.ones(len(p)), np.exp(1j * y_half * p)])
     for psi_fn, chi_fn in pairs:
-        W = np.empty((len(x), phase.shape[1]), complex)
+        W = np.empty((len(x), len(p)), complex)
         for start in range(0, len(x), _ROW_BLOCK):
             xb = x[start:start + _ROW_BLOCK, None]
-            integrand = psi_fn(xb + half) * np.conj(chi_fn(xb - half))
-            parts = integrand.view(np.float64)
-            parts[np.abs(parts) < _FLUSH_BELOW] = 0.0
-            np.matmul(integrand, phase, out=W[start:start + _ROW_BLOCK])
+            rows = len(xb)
+            up = psi_fn(xb, half) * np.conj(chi_fn(xb, -half))
+            down = psi_fn(xb, -half) * np.conj(chi_fn(xb, half))
+            folded = np.empty((2 * rows, 2 * m))
+            np.add(up.real, down.real, out=folded[:rows, :m])
+            np.add(up.imag, down.imag, out=folded[rows:, :m])
+            np.subtract(up.imag, down.imag, out=folded[:rows, m:])
+            np.subtract(down.real, up.real, out=folded[rows:, m:])
+            del up, down
+            summed = np.matmul(_flushed(folded), table)
+            Wb = W[start:start + rows]
+            Wb.real, Wb.imag = summed[:rows], summed[rows:]
+            ends = psi_fn(xb, unpaired) * np.conj(chi_fn(xb, -unpaired))
+            Wb += np.matmul(_flushed(ends), unpaired_phase)
         W *= dy / (2.0 * np.pi)
         yield W

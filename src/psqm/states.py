@@ -185,26 +185,37 @@ def boundary_mass(state) -> float:
 # composition check).
 
 def _random_state(state_type, grid, rng: np.random.Generator):
-    """A normalized ``state_type`` on ``grid``: a complex normal draw
-    (real parts, then imaginary parts, in one call) damped by the spectral
-    envelope, inverse transformed in place one axis at a time (last axis
-    first, as ``ifftn``), then damped by the spatial one.  Each envelope
-    is a product of 1-D Gaussians, one per axis, applied in turn (x, then
-    p) and broadcast along the other axis, so no n x n envelope is made;
-    the draw is moved to FFT order and the spectral envelopes with it."""
+    """A normalized ``state_type`` on ``grid``.  Per axis, only the
+    block of modes whose Gaussian spectral envelope is >= eps is drawn
+    (the rest would be scaled below eps; 171 of 256 modes at n = 256,
+    all of them at n <= 64): one complex normal draw of the block, in
+    centred order (real parts, then imaginary parts, in one call),
+    damped by the envelope.  Each axis in turn, last first (as
+    ``ifftn``), is then zero-padded to its full length, the block moved
+    to FFT order by two slices, and inverse transformed in place, so the
+    p pass runs only on the drawn x modes.  The state is damped by the
+    spatial envelope and normalized.  Each envelope is a product of 1-D
+    Gaussians, applied along one axis at a time, so no n x n envelope is
+    made."""
     axes = (grid.x_grid, grid.p_grid) if isinstance(grid, PhaseGrid) else (grid,)
     frac = max(3.0, float(np.sqrt(np.pi * min(g.n_points for g in axes) / 10.0)))
-    shape = tuple(g.n_points for g in axes)
-    draw = np.fft.ifftshift(rng.standard_normal((2,) + shape),
-                            axes=tuple(range(1, 1 + len(axes))))
-    vals = np.empty(shape, complex)
+    spectral = [np.exp(-(g.dual.points / (g.dual.half_width / frac)) ** 2) for g in axes]
+    kept = [np.flatnonzero(env >= np.finfo(float).eps) for env in spectral]
+    blocks = [slice(k[0], k[-1] + 1) for k in kept]
+    draw = rng.standard_normal((2,) + tuple(len(k) for k in kept))
+    vals = np.empty(draw.shape[1:], complex)
     vals.real, vals.imag = draw
     del draw
-    spectral = [np.exp(-(g.dual.points / (g.dual.half_width / frac)) ** 2) for g in axes]
-    for env in np.ix_(*[np.fft.ifftshift(e) for e in spectral]):
+    for env in np.ix_(*[env[b] for env, b in zip(spectral, blocks)]):
         vals *= env
     for axis in reversed(range(len(axes))):
-        np.fft.ifft(vals, axis=axis, out=vals)
+        n, block = axes[axis].n_points, blocks[axis]
+        split = n // 2 - block.start   # drawn modes below frequency 0
+        lead = (slice(None),) * axis
+        full = np.zeros(vals.shape[:axis] + (n,) + vals.shape[axis + 1:], complex)
+        full[lead + (slice(0, len(kept[axis]) - split),)] = vals[lead + (slice(split, None),)]
+        full[lead + (slice(n - split, None),)] = vals[lead + (slice(0, split),)]
+        vals = np.fft.ifft(full, axis=axis, out=full)
     for env in np.ix_(*[np.exp(-((g.points - g.center) / (g.half_width / frac)) ** 2)
                         for g in axes]):
         vals *= env

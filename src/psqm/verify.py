@@ -12,7 +12,7 @@ import numpy as np
 
 from .grids import Grid1D, PhaseGrid, self_dual_phase_grid
 from .states import (MAX_GAUSSIAN_CENTER, GAUSSIAN_WIDTHS, MAX_HERMITE_LEVEL,
-                     ConfigState, PhaseState, gaussian_state, gaussian_values,
+                     ConfigState, PhaseState, gaussian_state,
                      hermite_state, hermite_values, inner_config, inner_phase,
                      norm_config, norm_phase, random_config_state,
                      random_phase_state)
@@ -135,6 +135,18 @@ def _sampled_corpus(grid: PhaseGrid) -> list:
     ]
 
 
+def _gaussian_at_offsets(x0: float, p0: float, width: float):
+    """The Gaussian of :func:`gaussian_values` as a callable f(x, s) =
+    f(x + s) on a column x against a row s, its phase e^{i p0 (x + s)}
+    the outer product of two 1-D exponentials."""
+    amp = (np.pi * width ** 2) ** -0.25
+
+    def values(x, s):
+        envelope = amp * np.exp(-((x + s - x0) ** 2) / (2 * width ** 2))
+        return envelope * np.exp(1j * p0 * x) * np.exp(1j * p0 * s)
+    return values
+
+
 # ------------------------------------------------------------------ suites
 
 def suite_isometry(params: dict, inputs: tuple) -> list:
@@ -168,10 +180,10 @@ def suite_intertwining(params: dict, inputs: tuple) -> list:
     rng = np.random.default_rng(int(params["seed"]))
     grid, chi, osc = inputs
     iso = WindowedIsometry(chi)
+    names = ("x", "xi", "xxi", "oscillator")
+    symbols = [osc if name == "oscillator" else _symbol(grid, name) for name in names]
     checks = []
-    for name in ("x", "xi", "xxi", "oscillator"):
-        a = osc if name == "oscillator" else _symbol(grid, name)
-        report = intertwining_report(a, iso, 20, rng)
+    for name, report in zip(names, intertwining_report(symbols, iso, 20, rng)):
         checks.append(_check(f"forward[{name}]", report["forward_residual"]))
         checks.append(_check(f"adjoint[{name}]", report["adjoint_residual"]))
     return checks
@@ -195,11 +207,10 @@ def suite_unitarity(params: dict, inputs: tuple) -> list:
     xg = grid.x_grid
 
     def make(kind, arg):
+        # each state with its closed form at x + s for the quadrature
         if kind == "h":
-            return hermite_state(xg, arg), (lambda t, k=arg: hermite_values(t, k))
-        x0, p0, w = arg
-        return (gaussian_state(xg, x0, p0, w),
-                lambda t, a=x0, b=p0, c=w: gaussian_values(t, a, b, c))
+            return hermite_state(xg, arg), (lambda x, s, k=arg: hermite_values(x + s, k))
+        return gaussian_state(xg, *arg), _gaussian_at_offsets(*arg)
 
     fixtures = [(make(kp, ap), make(kc, ac)) for kp, ap, kc, ac in pairs]
     quadratures = reference.cross_wigner_quadrature(
@@ -236,17 +247,19 @@ def suite_star(params: dict, inputs: tuple) -> list:
     rng = np.random.default_rng(int(params["seed"]))
     grid, _, osc = inputs
 
-    # the sampled symbols' operators, built by the star-action loop, are
-    # reused by the composition check below
+    # the sampled symbols' operators, built for the star-action check,
+    # are reused by the composition check below
     sampled = _sampled_corpus(grid)
+    ops = [(a, quantize_moyal(a)) for a in sampled + [osc]]
     act = 0.0
-    for a in sampled + [osc]:
-        op = quantize_moyal(a)
-        for _ in range(3):
-            Psi = random_phase_state(grid, rng)
+    for _ in range(3):
+        # one state, drawn once, probes every symbol's action
+        Psi = random_phase_state(grid, rng)
+        for a, op in ops:
             lhs = star_apply(a, Psi)
             rhs = op.apply(Psi)
             act = max(act, norm_phase(lhs.with_values(lhs.values - rhs.values)))
+            del lhs, rhs   # before the next action is formed
 
     comm = 0.0
     zero = 0.0

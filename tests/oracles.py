@@ -570,9 +570,56 @@ def hermiticity_defect(M):
     return np.abs(M - M.conj().T).max() / np.abs(M).max()
 
 
+def _kept_block(grid, frac):
+    """The spectral envelope on ``grid``'s dual points and the centred
+    index range of the modes where it is >= eps."""
+    env = np.exp(-(grid.dual.points / (grid.dual.half_width / frac)) ** 2)
+    kept = np.flatnonzero(env >= np.finfo(float).eps)
+    return env, slice(kept[0], kept[-1] + 1)
+
+
 def random_config_state_sum(grid, rng):
-    """``states.random_config_state`` in its original form: the complex
-    draw built as ``a + 1j*b``, each envelope applied out of place."""
+    """``states.random_config_state`` as the kept-block sum: the complex
+    draw ``a + 1j*b`` of the kept modes only, set into a zero centred
+    spectrum, each envelope applied out of place, one ``ifftshift`` and
+    one full inverse transform."""
+    n = grid.n_points
+    frac = max(3.0, float(np.sqrt(np.pi * n / 10.0)))
+    env, block = _kept_block(grid, frac)
+    k = block.stop - block.start
+    spec = np.zeros(n, complex)
+    spec[block] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    spec = spec * env
+    vals = np.fft.ifft(np.fft.ifftshift(spec))
+    vals = vals * np.exp(-((grid.points - grid.center) / (grid.half_width / frac)) ** 2)
+    state = ConfigState(grid, vals)
+    return state.with_values(vals / norm_config(state))
+
+
+def random_phase_state_sum(grid, rng):
+    """``states.random_phase_state`` as the kept-block sum: the complex
+    draw ``a + 1j*b`` of the kept (K0, K1) block only, set into a zero
+    centred spectrum, each axis's 1-D envelope applied out of place, x
+    then p, one ``ifftshift`` and one ``ifft2``."""
+    nx, npnt = grid.shape
+    frac = max(3.0, float(np.sqrt(np.pi * min(nx, npnt) / 10.0)))
+    gx, gp = grid.x_grid, grid.p_grid
+    (env_x, bx), (env_p, bp) = _kept_block(gx, frac), _kept_block(gp, frac)
+    shape = (bx.stop - bx.start, bp.stop - bp.start)
+    spec = np.zeros((nx, npnt), complex)
+    spec[bx, bp] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    spec = spec * env_x[:, None] * env_p[None, :]
+    vals = np.fft.ifft2(np.fft.ifftshift(spec))
+    vals = (vals * np.exp(-((gx.points - gx.center) / (gx.half_width / frac)) ** 2)[:, None]
+            * np.exp(-((gp.points - gp.center) / (gp.half_width / frac)) ** 2)[None, :])
+    state = PhaseState(grid, vals)
+    return state.with_values(state.values / norm_phase(state))
+
+
+def random_config_state_full_draw(grid, rng):
+    """The random config state drawn on every mode, as before the kept
+    block: the complex draw built as ``a + 1j*b``, each envelope applied
+    out of place."""
     n = grid.n_points
     frac = max(3.0, float(np.sqrt(np.pi * n / 10.0)))
     spec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -583,10 +630,10 @@ def random_config_state_sum(grid, rng):
     return state.with_values(vals / norm_config(state))
 
 
-def random_phase_state_sum(grid, rng):
-    """``states.random_phase_state`` in its original form: the complex
-    draw built as ``a + 1j*b`` and each axis's 1-D envelope applied out
-    of place, x then p."""
+def random_phase_state_full_draw(grid, rng):
+    """The random phase state drawn on every mode, as before the kept
+    block: the complex draw built as ``a + 1j*b`` and each axis's 1-D
+    envelope applied out of place, x then p."""
     nx, npnt = grid.shape
     frac = max(3.0, float(np.sqrt(np.pi * min(nx, npnt) / 10.0)))
     gx, gp = grid.x_grid, grid.p_grid

@@ -54,13 +54,26 @@ def test_intertwining_on_lifted_states(pg128, iso128, rng):
 
 
 def test_intertwining_report_values(pg128, iso128, rng):
-    rep = intertwining_report(Symbol.coordinate(pg128), iso128, 5, rng)
+    rep, rep2 = intertwining_report([Symbol.coordinate(pg128), Symbol.oscillator(pg128)],
+                                    iso128, 5, rng)
     assert rep["max_residual"] < 1e-10
-    rep2 = intertwining_report(Symbol.oscillator(pg128), iso128, 5, rng)
     assert rep2["max_residual"] < 1e-8
     assert rep2["samples"] == 5
-    with pytest.raises(ValueError):
-        intertwining_report(Symbol.coordinate(pg128), iso128, 0, rng)
+    with pytest.raises(ValueError, match="samples >= 1"):
+        intertwining_report([Symbol.coordinate(pg128)], iso128, 0, rng)
+    with pytest.raises(ValueError, match="0 symbols"):
+        intertwining_report([], iso128, 5, rng)
+
+
+def test_intertwining_report_shares_its_probes_between_symbols(pg128, iso128):
+    # a joint call gives each symbol the residuals of a call on it alone
+    # from the same seed: the symbols read the same pairs, not fresh ones
+    symbols = [Symbol.coordinate(pg128), Symbol.momentum(pg128), Symbol.oscillator(pg128)]
+    joint = intertwining_report(symbols, iso128, 4, np.random.default_rng(3))
+    for a, rep in zip(symbols, joint):
+        (alone,) = intertwining_report([a], iso128, 4, np.random.default_rng(3))
+        assert alone == rep
+    assert len({rep["forward_residual"] for rep in joint}) == len(symbols)
 
 
 def test_matches_represented_config_operator_on_range(pg128, iso128, rng):

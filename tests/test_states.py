@@ -7,7 +7,8 @@ from psqm import (Grid1D, hermite_state, gaussian_state,
                   self_dual_phase_grid, GridMismatchError, PhaseGrid)
 from psqm.states import hermite_values
 from oracles import (quadrature_inner, quadrature_moment,
-                     random_config_state_sum, random_phase_state_sum)
+                     random_config_state_full_draw, random_config_state_sum,
+                     random_phase_state_full_draw, random_phase_state_sum)
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +179,7 @@ def test_random_phase_state_matches_the_sum_formula(n, seed):
                               random_phase_state_sum(pg, old).values)
 
 
-@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("n", [64, 256, 1024])
 @pytest.mark.parametrize("seed", [5, 1234])
 def test_random_config_state_matches_the_sum_formula(n, seed):
     g = self_dual_phase_grid(n).x_grid
@@ -186,3 +187,30 @@ def test_random_config_state_matches_the_sum_formula(n, seed):
     for _ in range(2):
         assert np.array_equal(random_config_state(g, new).values,
                               random_config_state_sum(g, old).values)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_random_states_keep_every_mode_up_to_n_64(n):
+    # every spectral envelope value is >= eps up to n = 64, so the
+    # kept-block draw is the full draw, bit for bit
+    pg = self_dual_phase_grid(n)
+    new, old = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(2):
+        assert np.array_equal(random_phase_state(pg, new).values,
+                              random_phase_state_full_draw(pg, old).values)
+        assert np.array_equal(random_config_state(pg.x_grid, new).values,
+                              random_config_state_full_draw(pg.x_grid, old).values)
+
+
+@pytest.mark.parametrize("n, kept", [(64, 64), (128, 121), (256, 171), (1024, 343)])
+def test_a_probe_draws_only_its_kept_modes(n, kept):
+    # one probe advances the generator exactly as one normal draw of its
+    # kept (K0, K1) block, real parts and imaginary parts, does
+    pg = self_dual_phase_grid(n)
+    probe, block = np.random.default_rng(11), np.random.default_rng(11)
+    random_phase_state(pg, probe)
+    block.standard_normal((2, kept, kept))
+    assert probe.bit_generator.state == block.bit_generator.state
+    random_config_state(pg.x_grid, probe)
+    block.standard_normal((2, kept))
+    assert probe.bit_generator.state == block.bit_generator.state
