@@ -142,10 +142,9 @@ def cross_wigner_quadrature(pairs, x_points: np.ndarray, p_points: np.ndarray):
                             psi(x + y/2) chi(x - y/2)* dy
 
     on 2048 points of y in [-40, 40), for each ``(psi_fn, chi_fn)`` in
-    ``pairs``, the states given as closed-form callables ``f(x, s)``
-    returning f(x + s) for a column of x against a row of half offsets
-    s = +-y/2; yields one (len(x_points), len(p_points)) array per pair
-    in turn, so a caller holds one at a time.
+    ``pairs``, the states given as callables evaluated off-lattice
+    (closed forms); yields one (len(x_points), len(p_points)) array per
+    pair in turn, so a caller holds one at a time.
 
     The lattice is symmetric about y = 0 but for y = -40, so it is
     folded: with f(y) = psi(x + y/2) chi(x - y/2)*, the terms at y and -y
@@ -175,8 +174,8 @@ def cross_wigner_quadrature(pairs, x_points: np.ndarray, p_points: np.ndarray):
         for start in range(0, len(x), _ROW_BLOCK):
             xb = x[start:start + _ROW_BLOCK, None]
             rows = len(xb)
-            up = psi_fn(xb, half) * np.conj(chi_fn(xb, -half))
-            down = psi_fn(xb, -half) * np.conj(chi_fn(xb, half))
+            up = psi_fn(xb + half) * np.conj(chi_fn(xb - half))
+            down = psi_fn(xb - half) * np.conj(chi_fn(xb + half))
             folded = np.empty((2 * rows, 2 * m))
             np.add(up.real, down.real, out=folded[:rows, :m])
             np.add(up.imag, down.imag, out=folded[rows:, :m])
@@ -186,7 +185,7 @@ def cross_wigner_quadrature(pairs, x_points: np.ndarray, p_points: np.ndarray):
             summed = np.matmul(_flushed(folded), table)
             Wb = W[start:start + rows]
             Wb.real, Wb.imag = summed[:rows], summed[rows:]
-            ends = psi_fn(xb, unpaired) * np.conj(chi_fn(xb, -unpaired))
+            ends = psi_fn(xb + unpaired) * np.conj(chi_fn(xb - unpaired))
             Wb += np.matmul(_flushed(ends), unpaired_phase)
         W *= dy / (2.0 * np.pi)
         yield W

@@ -12,7 +12,7 @@ import numpy as np
 
 from .grids import Grid1D, PhaseGrid, self_dual_phase_grid
 from .states import (MAX_GAUSSIAN_CENTER, GAUSSIAN_WIDTHS, MAX_HERMITE_LEVEL,
-                     ConfigState, PhaseState, gaussian_state,
+                     ConfigState, PhaseState, gaussian_state, gaussian_values,
                      hermite_state, hermite_values, inner_config, inner_phase,
                      norm_config, norm_phase, random_config_state,
                      random_phase_state)
@@ -135,18 +135,6 @@ def _sampled_corpus(grid: PhaseGrid) -> list:
     ]
 
 
-def _gaussian_at_offsets(x0: float, p0: float, width: float):
-    """The Gaussian of :func:`gaussian_values` as a callable f(x, s) =
-    f(x + s) on a column x against a row s, its phase e^{i p0 (x + s)}
-    the outer product of two 1-D exponentials."""
-    amp = (np.pi * width ** 2) ** -0.25
-
-    def values(x, s):
-        envelope = amp * np.exp(-((x + s - x0) ** 2) / (2 * width ** 2))
-        return envelope * np.exp(1j * p0 * x) * np.exp(1j * p0 * s)
-    return values
-
-
 # ------------------------------------------------------------------ suites
 
 def suite_isometry(params: dict, inputs: tuple) -> list:
@@ -207,10 +195,11 @@ def suite_unitarity(params: dict, inputs: tuple) -> list:
     xg = grid.x_grid
 
     def make(kind, arg):
-        # each state with its closed form at x + s for the quadrature
         if kind == "h":
-            return hermite_state(xg, arg), (lambda x, s, k=arg: hermite_values(x + s, k))
-        return gaussian_state(xg, *arg), _gaussian_at_offsets(*arg)
+            return hermite_state(xg, arg), (lambda t, k=arg: hermite_values(t, k))
+        x0, p0, w = arg
+        return (gaussian_state(xg, x0, p0, w),
+                lambda t, a=x0, b=p0, c=w: gaussian_values(t, a, b, c))
 
     fixtures = [(make(kp, ap), make(kc, ac)) for kp, ap, kc, ac in pairs]
     quadratures = reference.cross_wigner_quadrature(

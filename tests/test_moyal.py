@@ -158,8 +158,8 @@ def test_moyal_map_matches_wigner_quadrature(pg128):
     pairs = [(2, 0), (3, 1), (4, 4)]
     xg = pg128.x_grid
     quadratures = cross_wigner_quadrature(
-        [(lambda x, s, k=np_: hermite_values(x + s, k),
-          lambda x, s, k=nc: hermite_values(x + s, k)) for np_, nc in pairs],
+        [(lambda t, k=np_: hermite_values(t, k),
+          lambda t, k=nc: hermite_values(t, k)) for np_, nc in pairs],
         xg.points, xg.points)
     for (np_, nc), Wq in zip(pairs, quadratures):
         psi = hermite_state(xg, np_)
