@@ -4,13 +4,13 @@ Subcommands:
   verify SUITE [--config PATH] [--out PATH]   run an invariant suite
   wigner PSI_CSV CHI_CSV OUT_BASE             cross-Wigner CSV + gnuplot
   spectrum [--config PATH] [--out PATH]       three-representation spectra
-  evolve --config PATH [--out PATH]           three-representation dynamics
 
-Config files are flat ``key = value`` lines (# comments); recognized
-keys: those of ``verify.PARAM_KEYS`` (n_points, seed, window and times)
-and t, plus symbol for ``spectrum`` only; any other key (a tolerance
-too: each check's is fixed in ``verify.TOLERANCES``), a key given twice
-and t with times are refused.  Exit codes: 0 pass, 1 check failure, 2 usage
+Three-representation dynamics is ``verify dynamics``.  Config files are
+flat ``key = value`` lines (# comments); recognized keys: those of
+``verify.PARAM_KEYS`` (n_points, seed, window and times), plus symbol
+for ``spectrum`` only; any other key (a tolerance too: each check's is
+fixed in ``verify.TOLERANCES``) and a key given twice are refused with
+the file and line.  Exit codes: 0 pass, 1 check failure, 2 usage
 or config error, 3 internal error (any other exception, reported on
 stderr by type and message), 4 numerical refusal (``BandLimitError``).
 """
@@ -38,7 +38,7 @@ class ConfigError(ValueError):
     pass
 
 
-CONFIG_KEYS = PARAM_KEYS | {"t"}
+CONFIG_KEYS = PARAM_KEYS
 # the verify suites fix their symbols; only the spectrum detail reads one
 SPECTRUM_KEYS = CONFIG_KEYS | {"symbol"}
 
@@ -78,14 +78,7 @@ def _parse_value(text: str):
 
 
 def _load_params(args, keys=CONFIG_KEYS) -> dict:
-    params = {}
-    if getattr(args, "config", None):
-        params.update(parse_config(args.config, keys))
-    if "t" in params:
-        if "times" in params:
-            raise ConfigError(f"{args.config}: give 't' or 'times', not both")
-        params["times"] = params.pop("t")
-    return params
+    return parse_config(args.config, keys) if args.config else {}
 
 
 def _emit(report: dict, out_path) -> None:
@@ -132,15 +125,6 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
-def cmd_evolve(args) -> int:
-    params = _load_params(args)
-    if "times" not in params:
-        raise ConfigError("evolve requires 't' in the config file")
-    report = run_verify(["dynamics"], params)
-    _emit(report, args.out)
-    return EXIT_OK if report["passed"] else EXIT_FAIL
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="psqm",
@@ -164,11 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out")
     p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("evolve", help="three-representation dynamics report")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_evolve)
 
     return ap
 

@@ -11,14 +11,13 @@ identity.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import GridMismatchError, grids_compatible, PhaseGrid
-from .states import (ConfigState, PhaseState, inner_config, norm_config,
-                     norm_phase)
+from .isometry import UNIT_NORM_TOL
+from .states import ConfigState, PhaseState, inner_config, norm_config, norm_phase
 from .weyl import LinOp
 from .spectral import eig
 
@@ -34,11 +33,10 @@ class ZeroProjectionError(ValueError):
 
 @dataclass(eq=False)
 class MixedState:
-    """components: list of (psi_k, chi_k) pairs.  psi_k are normalized;
-    chi_k are mutually orthogonal with sum_k ||chi_k||^2 = 1 (weights).
-
-    Windows are re-orthogonalized by Gram-Schmidt (norm-preserving) at
-    construction; a warning reports adjustments above 1e-8.
+    """components: list of (psi_k, chi_k) pairs, kept as given.  psi_k
+    are normalized; chi_k are mutually orthogonal with sum_k ||chi_k||^2
+    = 1 (weights).  A relative overlap |(chi_j|chi_k)| / (||chi_j||
+    ||chi_k||) above UNIT_NORM_TOL, or NaN, is refused (ValueError).
     """
 
     components: list
@@ -54,27 +52,17 @@ class MixedState:
                 raise GridMismatchError("all components must share the two grids")
             if not abs(norm_config(psi) - 1.0) <= 1e-8:
                 raise ValueError("component psi_k must be normalized")
-        # norm-preserving Gram-Schmidt on the windows
-        ortho = []
-        adjusted = 0.0
-        for _, chi in comps:
-            v = chi.values.copy()
-            nrm0 = norm_config(chi)
-            for u in ortho:
-                v = v - u.values * (inner_config(u, ConfigState(pg, v))
-                                    / max(norm_config(u) ** 2, 1e-300))
-            nrm1 = norm_config(ConfigState(pg, v))
-            if nrm1 < 1e-12:
-                raise ValueError("windows are linearly dependent")
-            v = v * (nrm0 / nrm1)
-            adjusted = max(adjusted, norm_config(ConfigState(pg, v - chi.values)))
-            ortho.append(ConfigState(pg, v))
-        if adjusted > 1e-8:
-            warnings.warn(
-                f"mixed-state windows adjusted by {adjusted:.2e} to restore "
-                "orthogonality", stacklevel=2)
-        self.components = [(psi, chi) for (psi, _), chi in zip(comps, ortho)]
-        total = sum(norm_config(chi) ** 2 for _, chi in self.components)
+        for j, (_, chi_j) in enumerate(comps):
+            for k, (_, chi_k) in enumerate(comps[:j]):
+                with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is NaN
+                    overlap = (np.abs(inner_config(chi_k, chi_j))
+                               / (norm_config(chi_k) * norm_config(chi_j)))
+                if not overlap <= UNIT_NORM_TOL:
+                    raise ValueError(
+                        f"windows {k} and {j} are not orthogonal: relative overlap "
+                        f"{overlap:.2e} is not at most {UNIT_NORM_TOL:g}")
+        self.components = comps
+        total = sum(norm_config(chi) ** 2 for _, chi in comps)
         if not abs(total - 1.0) <= 1e-10:
             raise ValueError(f"window weights must sum to 1, got {total:.12f}")
 
@@ -103,17 +91,16 @@ def measure_probability(M: MixedState, phi_alpha: ConfigState) -> float:
 
 
 def collapse(M: MixedState, phi_alpha: ConfigState) -> PhaseState:
-    """Normalized projection of the mixed state onto the eigenspace of
-    phi_alpha; |((Psi | collapsed))|^2 reproduces the measurement
-    probability.  A projection whose norm is below 1e-12, or NaN, is
-    refused (ZeroProjectionError)."""
-    psi0, chi0 = M.components[0]
-    grid = PhaseGrid(psi0.grid, chi0.grid)
-    vals = np.zeros(grid.shape, complex)
-    for psi, chi in M.components:
-        coef = inner_config(phi_alpha, psi)  # projection coefficient
-        vals += coef * np.outer(phi_alpha.values, np.conj(chi.values))
-    out = PhaseState(grid, vals)
+    """(P_phi (x) 1) Psi for Psi = mixed_to_phase(M), normalized: one
+    product with phi_alpha* over x, then one outer product with phi_alpha.
+    |((Psi | collapsed))|^2 reproduces the measurement probability.  A
+    projection whose norm is below 1e-12, or NaN, is refused
+    (ZeroProjectionError)."""
+    Psi = mixed_to_phase(M)
+    if not grids_compatible(phi_alpha.grid, Psi.grid.x_grid):
+        raise GridMismatchError("phi_alpha must lie on the components' x grid")
+    row = (np.conj(phi_alpha.values) @ Psi.values) * phi_alpha.grid.spacing
+    out = Psi.with_values(np.outer(phi_alpha.values, row))
     nrm = norm_phase(out)
     if not nrm >= 1e-12:
         raise ZeroProjectionError(

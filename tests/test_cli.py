@@ -20,12 +20,12 @@ def run_cli(*args):
 def test_config_parser(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("n_points = 64\nseed = 7\nwindow = hermite:1\n"
-                   "t = 0.1, 0.5\n# comment\n")
+                   "times = 0.1, 0.5\n# comment\n")
     params = parse_config(cfg)
     assert params["n_points"] == 64
     assert params["seed"] == 7
     assert params["window"] == "hermite:1"
-    assert params["t"] == [0.1, 0.5]
+    assert params["times"] == [0.1, 0.5]
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")
     with pytest.raises(ConfigError):
@@ -83,18 +83,21 @@ def test_wigner_missing_file(tmp_path):
     assert proc.returncode == 2
 
 
-def test_evolve_requires_time(tmp_path):
+def test_evolve_command_is_gone(tmp_path, capsys):
+    # three-representation dynamics is verify dynamics
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("n_points = 64\n")
-    proc = run_cli("evolve", "--config", str(cfg))
-    assert proc.returncode == 2
-    cfg2 = tmp_path / "c2.cfg"
-    cfg2.write_text("n_points = 64\nt = 0.25\n")
+    cfg.write_text("n_points = 64\ntimes = 0.25\n")
+    assert main(["evolve", "--config", str(cfg)]) == 2
+    assert "invalid choice: 'evolve'" in capsys.readouterr().err
+
+
+def test_t_key_refused_naming_path_and_line(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n_points = 64\nt = 0.25\n")
     out = tmp_path / "rep.json"
-    proc2 = run_cli("evolve", "--config", str(cfg2), "--out", str(out))
-    assert proc2.returncode == 0
-    rep = json.loads(out.read_text())
-    assert rep["passed"]
+    assert main(["verify", "dynamics", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}:2: unknown key 't'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spectrum_command(tmp_path):
@@ -269,10 +272,10 @@ def test_wigner_refuses_nonuniform_csv(tmp_path, capsys):
     assert code == 2 and "bad.csv" in err and "uniform" in err
 
 
-@pytest.mark.parametrize("command", [["verify", "spectrum"], ["evolve"]])
+@pytest.mark.parametrize("command", [["verify", "spectrum"], ["verify", "dynamics"]])
 def test_symbol_key_refused_where_no_suite_reads_it(tmp_path, capsys, command):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("n_points = 64\nt = 0.1\nsymbol = x\n")
+    cfg.write_text("n_points = 64\ntimes = 0.1\nsymbol = x\n")
     assert main([*command, "--config", str(cfg)]) == 2
     assert "'symbol'" in capsys.readouterr().err
 
@@ -451,18 +454,9 @@ def test_spectrum_refuses_unknown_symbol_before_any_suite(tmp_path, capsys,
         verify.resolve_params(verify.default_params(), "bogus")
 
 
-@pytest.mark.parametrize("command", [["verify", "dynamics"], ["evolve"]])
-def test_t_and_times_together_refused(tmp_path, capsys, command):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("n_points = 64\nt = 0.5\ntimes = 0.1, 1.0\n")
-    out = tmp_path / "rep.json"
-    assert main([*command, "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "'t'" in err and "'times'" in err and "unknown" not in err
-    assert not out.exists()
-    # the library takes times only
+def test_run_verify_takes_times_only():
     with pytest.raises(ValueError, match="unknown parameter.*'t'"):
-        run_verify(["dynamics"], parse_config(cfg))
+        run_verify(["dynamics"], {"n_points": 64, "t": 0.5, "times": [0.1, 1.0]})
 
 
 def test_duplicate_key_refused(tmp_path, capsys):

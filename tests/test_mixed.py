@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from psqm import (MixedState, ZeroProjectionError, mixed_to_phase,
                   measure_probability, collapse, measurement_basis,
                   hermite_state, ConfigState, inner_phase,
-                  norm_phase, quantize_config, Symbol,
+                  norm_phase, quantize_config, Symbol, LinOp,
                   WindowedIsometry, self_dual_phase_grid, GridMismatchError)
 
 
@@ -119,16 +121,6 @@ def test_window_constraints(setting):
     with pytest.raises(ValueError):
         MixedState([(psi.with_values(2 * psi.values),
                      hermite_state(pg.p_grid, 0))])
-    # nearly parallel windows get re-orthogonalized with a warning
-    chi0 = hermite_state(pg.p_grid, 0)
-    chi1 = hermite_state(pg.p_grid, 1)
-    tilted = ConfigState(pg.p_grid,
-                         np.sqrt(0.5) * (chi1.values + 0.05 * chi0.values)
-                         / np.sqrt(1 + 0.05 ** 2))
-    with pytest.warns(UserWarning):
-        M = MixedState([(basis[0][1], weighted(chi0, 0.5)), (basis[1][1], tilted)])
-    w = M.weights
-    assert abs(w.sum() - 1.0) < 1e-10
 
 
 def test_degenerate_measurement_rejected(pg128):
@@ -166,7 +158,7 @@ def test_components_on_two_grids_refused(setting):
 def test_dependent_windows_refused(setting):
     pg, _, basis = setting
     chi = hermite_state(pg.p_grid, 0)
-    with pytest.raises(ValueError, match="linearly dependent"):
+    with pytest.raises(ValueError, match="relative overlap 1.00e\\+00 is not at most 1e-10"):
         MixedState([(basis[0][1], weighted(chi, 0.5)),
                     (basis[1][1], weighted(chi, 0.5))])
 
@@ -191,3 +183,71 @@ def test_collapse_refuses_a_nan_projection(setting):
     phi.values[7] = np.nan
     with pytest.raises(ZeroProjectionError, match="norm nan"):
         collapse(M, phi)
+
+
+def _tilted(pg):
+    # h_1 tilted towards h_0 by 0.05, weight 0.5: overlap 0.05 / sqrt(1 + 0.05^2)
+    chi0, chi1 = hermite_state(pg.p_grid, 0), hermite_state(pg.p_grid, 1)
+    return ConfigState(pg.p_grid, np.sqrt(0.5) * (chi1.values + 0.05 * chi0.values)
+                       / np.sqrt(1 + 0.05 ** 2))
+
+
+def _nan_window(pg):
+    chi = weighted(hermite_state(pg.p_grid, 1), 0.5)
+    chi.values[7] = np.nan
+    return chi
+
+
+@pytest.mark.parametrize("second, overlap", [
+    (_tilted, "4.99e-02"),
+    (lambda pg: weighted(hermite_state(pg.p_grid, 0), 0.5), "1.00e+00"),
+    (_nan_window, "nan"),
+], ids=["tilted", "given twice", "nan"])
+def test_non_orthogonal_windows_refused(setting, second, overlap):
+    # orthogonalizing the windows would build a different density matrix
+    pg, _, basis = setting
+    with pytest.raises(ValueError, match=re.escape(
+            f"windows 0 and 1 are not orthogonal: relative overlap {overlap} "
+            "is not at most 1e-10")):
+        MixedState([(basis[0][1], weighted(hermite_state(pg.p_grid, 0), 0.5)),
+                    (basis[1][1], second(pg))])
+
+
+def test_components_are_kept_as_given(setting):
+    pg, _, basis = setting
+    comps = [(basis[0][1], weighted(hermite_state(pg.p_grid, 0), 0.3)),
+             (basis[3][1], weighted(hermite_state(pg.p_grid, 1), 0.7))]
+    M = MixedState(comps)
+    for (psi, chi), (psi_in, chi_in) in zip(M.components, comps):
+        assert psi is psi_in and chi is chi_in and chi.values is chi_in.values
+
+
+def _dense_collapse(M, phi):
+    # P_phi = |phi)(phi| as a dense n x n matrix, applied along x
+    P = LinOp(phi.grid, np.outer(phi.values, phi.values.conj()) * phi.grid.spacing)
+    out = P.apply(mixed_to_phase(M))
+    return out.values / norm_phase(out)
+
+
+def test_collapse_is_the_dense_projector_on_a_mixture_and_a_pure_state():
+    # a complex phi, so a projector missing its conjugate fails too
+    pg = self_dual_phase_grid(64)
+    basis = measurement_basis(quantize_config(Symbol.oscillator(pg)), 4)
+    psi0, psi1, psi2 = basis[0][1], basis[1][1], basis[2][1]
+    phi = ConfigState(pg.x_grid, (psi0.values + 1j * psi2.values) / np.sqrt(2))
+    mix = ConfigState(pg.x_grid, (psi0.values + psi1.values - psi2.values) / np.sqrt(3))
+    mixture = MixedState([(mix, weighted(hermite_state(pg.p_grid, 0), 0.4)),
+                          (psi1, weighted(hermite_state(pg.p_grid, 1), 0.6))])
+    pure = MixedState([(mix, hermite_state(pg.p_grid, 2))])
+    for M in (mixture, pure):
+        assert np.abs(collapse(M, phi).values - _dense_collapse(M, phi)).max() <= 1e-13
+    assert np.abs(mixed_to_phase(pure).values
+                  - WindowedIsometry(hermite_state(pg.p_grid, 2)).apply(mix).values
+                  ).max() <= 1e-15
+
+
+def test_collapse_refuses_phi_on_another_grid(setting):
+    pg, _, basis = setting
+    M = MixedState([(basis[0][1], hermite_state(pg.p_grid, 0))])
+    with pytest.raises(GridMismatchError, match="x grid"):
+        collapse(M, hermite_state(self_dual_phase_grid(64).x_grid, 0))

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from psqm import weyl
+from psqm import mixed, moyal, weyl
 from psqm.verify import run_verify
 
 
@@ -20,6 +20,11 @@ def _rebind(monkeypatch, original, replacement):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, replacement)
+
+
+def _failed(report) -> set:
+    assert np.isfinite([c["value"] for s in report["suites"] for c in s["checks"]]).all()
+    return {c["name"] for s in report["suites"] for c in s["checks"] if not c["passed"]}
 
 
 def test_scaled_operator_is_caught_by_exactly_three_checks(monkeypatch):
@@ -35,11 +40,8 @@ def test_scaled_operator_is_caught_by_exactly_three_checks(monkeypatch):
     _rebind(monkeypatch, quantize_config, scaled)
     report = run_verify(["intertwining", "star", "spectrum", "dynamics", "mixed"],
                         {"n_points": 256})
-    failed = {c["name"] for s in report["suites"] for c in s["checks"]
-              if not c["passed"]}
-    assert failed == {"star_apply_vs_quantize_moyal", "quantize_star_vs_compose",
-                      "config_vs_fd_oracle"}
-    assert np.isfinite([c["value"] for s in report["suites"] for c in s["checks"]]).all()
+    assert _failed(report) == {"star_apply_vs_quantize_moyal", "quantize_star_vs_compose",
+                               "config_vs_fd_oracle"}
 
 
 def test_swapped_star_factors_are_caught_by_exactly_two_checks(monkeypatch):
@@ -51,7 +53,35 @@ def test_swapped_star_factors_are_caught_by_exactly_two_checks(monkeypatch):
 
     _rebind(monkeypatch, groenewold_mixed, swapped)
     report = run_verify(["star"], {"n_points": 256})
-    failed = {c["name"] for s in report["suites"] for c in s["checks"]
-              if not c["passed"]}
-    assert failed == {"star_apply_vs_quantize_moyal", "bopp_canonical_commutators"}
-    assert np.isfinite([c["value"] for s in report["suites"] for c in s["checks"]]).all()
+    assert _failed(report) == {"star_apply_vs_quantize_moyal", "bopp_canonical_commutators"}
+
+
+def test_scaled_measure_probability_is_caught_by_exactly_four_checks(monkeypatch):
+    measure_probability = mixed.measure_probability
+    _rebind(monkeypatch, measure_probability,
+            lambda M, phi: measure_probability(M, phi) * (1 + 1e-6))
+    report = run_verify(["mixed"], {"n_points": 256})
+    assert _failed(report) == {"collapse_transition_probability", "convex_combination_exact",
+                               "phase_route_equals_formula", "total_probability_bound"}
+
+
+def test_scaled_cross_wigner_is_caught_by_exactly_one_check(monkeypatch):
+    cross_wigner = moyal.cross_wigner
+
+    def scaled(psi, chi):
+        W = cross_wigner(psi, chi)
+        return W.with_values(W.values * (1 + 1e-6))
+
+    _rebind(monkeypatch, cross_wigner, scaled)
+    report = run_verify(["unitarity"], {"n_points": 256})
+    assert _failed(report) == {"lift_vs_cross_wigner"}
+
+
+def test_stretched_propagation_time_is_caught_by_no_check(monkeypatch):
+    # a blind spot: the config, phase-space and Moyal pictures all evolve
+    # through the one LinOp.propagate, so a wrong time moves all three alike
+    propagate = weyl.LinOp.propagate
+    monkeypatch.setattr(weyl.LinOp, "propagate",
+                        lambda self, state, t: propagate(self, state, t * (1 + 1e-6)))
+    report = run_verify(["dynamics"], {"n_points": 256})
+    assert _failed(report) == set()

@@ -264,6 +264,25 @@ def test_spectrum_report_unit_symbol(pg128):
     assert rep["max_deviation"] < 1e-6
 
 
+@pytest.mark.parametrize("n", [64, 128, 256])
+def test_oscillator_ladders_are_the_lowest_eight_values_unmerged(n):
+    # every step is far above any round-off merge distance (1e-9), so a
+    # merge of near-equal levels would leave these ladders bit for bit
+    pg = self_dual_phase_grid(n)
+    osc = Symbol.oscillator(pg)
+    rep = spectrum_report(osc, hermite_state(pg.p_grid, 0))
+    assert rep["config"] == eig(quantize_config(osc))[0][:8].tolist()
+    for name in ("config", "phase", "moyal"):
+        assert len(rep[name]) == 8 and np.diff(rep[name]).min() > 0.5
+
+
+def test_unit_symbol_ladders_are_eight_equal_values(pg128):
+    rep = spectrum_report(Symbol.unit(pg128), hermite_state(pg128.p_grid, 0))
+    for name in ("config", "phase", "moyal"):
+        assert len(rep[name]) == 8
+        assert np.abs(np.asarray(rep[name]) - 1.0).max() < 1e-10
+
+
 def test_moyal_restrict_and_ladder_match_basis_loop(pg64):
     iso = WindowedIsometry(hermite_state(pg64.p_grid, 0))
     osc = Symbol.oscillator(pg64)
